@@ -14,9 +14,9 @@
 // without it, any gated benchmark whose measured ns/op exceeds
 // baseline × (1 + tolerance) fails the gate with exit status 1.
 // Benchmarks present in the input but not in the baseline are
-// reported and pass (the gate only guards known trajectories);
-// baseline entries missing from the input are skipped, so the gate
-// can run on a benchmark subset.
+// reported and pass (the gate only guards known trajectories); a
+// baseline entry missing from the input fails the gate, so a renamed
+// or dropped benchmark cannot fall out of it silently.
 //
 // Absolute ns/op only compares within one machine class. For CI —
 // where the runner is not the machine that recorded the baseline —
@@ -161,50 +161,102 @@ func main() {
 	// machine that recorded the baseline.
 	scale := 1.0
 	if *calibrate != "" {
-		calGot, okGot := measured[*calibrate]
-		calWant, okWant := base.Benchmarks[*calibrate]
-		if !okGot || !okWant || calGot.NsPerOp <= 0 {
-			fmt.Fprintf(os.Stderr, "benchgate: calibration benchmark %s missing from input or baseline\n", *calibrate)
+		if scale, err = calibration(measured, base.Benchmarks, *calibrate); err != nil {
+			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 			os.Exit(1)
 		}
-		scale = calWant.NsPerOp / calGot.NsPerOp
 		fmt.Printf("  calibrated by %s: this machine is %.2fx the baseline machine\n", *calibrate, 1/scale)
 	}
 
-	names := make([]string, 0, len(measured))
-	for n := range measured {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	failed := false
-	for _, name := range names {
-		got := measured[name]
-		want, gated := base.Benchmarks[name]
-		if !gated {
-			fmt.Printf("  %-40s %12.0f ns/op  (ungated: not in baseline)\n", name, got.NsPerOp)
-			continue
+	verdicts, failed := compare(measured, base.Benchmarks, scale, *tolerance, *allocTolerance)
+	for _, v := range verdicts {
+		switch {
+		case v.Missing:
+			fmt.Printf("  %-40s %12s        baseline %12.0f  %s\n", v.Name, "-", v.Want.NsPerOp, v.Status)
+		case !v.Gated:
+			fmt.Printf("  %-40s %12.0f ns/op  (ungated: not in baseline)\n", v.Name, v.Got.NsPerOp)
+		default:
+			fmt.Printf("  %-40s %12.0f ns/op  baseline %12.0f  (%+.1f%%, allocs %.0f vs %.0f) %s\n",
+				v.Name, v.Got.NsPerOp, v.Want.NsPerOp, 100*(v.Ratio-1), v.Got.AllocsPerOp, v.Want.AllocsPerOp, v.Status)
 		}
-		ratio := got.NsPerOp * scale / want.NsPerOp
-		status := "ok"
-		if ratio > 1+*tolerance {
-			status = "ns REGRESSION"
-			failed = true
-		}
-		// Alloc counts are deterministic and machine-independent: gate
-		// them raw (no calibration), whenever both sides measured them.
-		if got.AllocsPerOp >= 0 && want.AllocsPerOp >= 0 &&
-			got.AllocsPerOp > want.AllocsPerOp*(1+*allocTolerance)+1 {
-			status = "allocs REGRESSION"
-			failed = true
-		}
-		fmt.Printf("  %-40s %12.0f ns/op  baseline %12.0f  (%+.1f%%, allocs %.0f vs %.0f) %s\n",
-			name, got.NsPerOp, want.NsPerOp, 100*(ratio-1), got.AllocsPerOp, want.AllocsPerOp, status)
 	}
 	if failed {
-		fmt.Fprintf(os.Stderr, "benchgate: regression beyond ns tolerance %.0f%% / alloc tolerance %.0f%% against %s\n",
-			100**tolerance, 100**allocTolerance, *baselinePath)
+		fmt.Fprintf(os.Stderr, "benchgate: fail against %s: regression beyond ns tolerance %.0f%% / alloc tolerance %.0f%%, or a baseline entry missing from the input\n",
+			*baselinePath, 100**tolerance, 100**allocTolerance)
 		os.Exit(1)
 	}
 	fmt.Println("benchgate: pass")
+}
+
+// calibration returns the factor that converts this run's ns/op to the
+// baseline machine's: the baseline's ns/op for the calibration
+// benchmark over this run's.
+func calibration(measured, baseline map[string]Entry, name string) (float64, error) {
+	got, okGot := measured[name]
+	want, okWant := baseline[name]
+	if !okGot || !okWant || got.NsPerOp <= 0 {
+		return 0, fmt.Errorf("calibration benchmark %s missing from input or baseline", name)
+	}
+	return want.NsPerOp / got.NsPerOp, nil
+}
+
+// Verdict is the gate's finding for one benchmark.
+type Verdict struct {
+	Name      string
+	Got, Want Entry
+	// Gated is false for a benchmark the baseline does not know;
+	// Missing is true for a baseline entry absent from the input.
+	Gated, Missing bool
+	// Ratio is the calibrated ns/op over the baseline's.
+	Ratio  float64
+	Status string
+	Failed bool
+}
+
+// compare gates every benchmark in measured or baseline, in name
+// order, and reports whether any failed. A measured ns/op is scaled by
+// scale (see calibration) and fails above baseline × (1 + tol); allocs
+// are compared raw and fail above baseline × (1 + allocTol) + 1 when
+// both sides carry them; a baseline entry the input lacks fails.
+func compare(measured, baseline map[string]Entry, scale, tol, allocTol float64) ([]Verdict, bool) {
+	names := make([]string, 0, len(measured)+len(baseline))
+	for n := range measured {
+		names = append(names, n)
+	}
+	for n := range baseline {
+		if _, ok := measured[n]; !ok {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+
+	var out []Verdict
+	failed := false
+	for _, name := range names {
+		got, measuredOK := measured[name]
+		want, gated := baseline[name]
+		v := Verdict{Name: name, Got: got, Want: want, Gated: gated, Status: "ok"}
+		switch {
+		case !gated:
+			v.Status = "ungated"
+		case !measuredOK:
+			v.Missing, v.Failed = true, true
+			v.Status = "MISSING from input"
+		default:
+			v.Ratio = got.NsPerOp * scale / want.NsPerOp
+			if v.Ratio > 1+tol {
+				v.Status, v.Failed = "ns REGRESSION", true
+			}
+			// Alloc counts are deterministic and machine-independent:
+			// gate them raw (no calibration), whenever both sides
+			// measured them.
+			if got.AllocsPerOp >= 0 && want.AllocsPerOp >= 0 &&
+				got.AllocsPerOp > want.AllocsPerOp*(1+allocTol)+1 {
+				v.Status, v.Failed = "allocs REGRESSION", true
+			}
+		}
+		failed = failed || v.Failed
+		out = append(out, v)
+	}
+	return out, failed
 }

@@ -1,64 +1,60 @@
 package spec
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // MaxDocBytes bounds the size of any single document ReadJob or
 // ReadJobs will decode: 16 MiB. Specs are small — even one embedding a
 // generated trace is a few hundred KiB — so the bound exists purely so
 // a malformed or hostile payload (a network request body, a corrupted
-// file) cannot make the decoder buffer unbounded input. Documents over
-// the bound fail with an ErrDocTooLarge-classed error; test with
-// errors.Is.
+// file) cannot make the decoder buffer unbounded input. It is the one
+// size rule: input over the bound fails with an ErrDocTooLarge-classed
+// error whatever its content, malformed or not (sweepd answers 413);
+// test with errors.Is.
 const MaxDocBytes = 16 << 20
 
 // ErrDocTooLarge classes a spec document rejected for exceeding
-// MaxDocBytes before a complete value was decoded.
+// MaxDocBytes.
 var ErrDocTooLarge = errors.New("spec: document exceeds size limit")
 
-// readDoc decodes one JSON document from r into v with the shared
-// contract: unknown fields rejected, trailing non-whitespace rejected,
-// and at most MaxDocBytes consumed. The size bound is checked against
-// bytes actually drawn from r, so a document padded with valid JSON
-// whitespace cannot slip under it.
-func readDoc(r io.Reader, v any) error {
-	cr := &countingReader{r: r}
-	dec := json.NewDecoder(io.LimitReader(cr, MaxDocBytes+1))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if cr.n > MaxDocBytes {
-			return fmt.Errorf("%w (%d-byte limit)", ErrDocTooLarge, MaxDocBytes)
+// bodies recycles the buffers readDoc reads input into. A decoded spec
+// shares no memory with the bytes it came from, so a buffer is free
+// again once its document is decoded; buffers over maxPooledBody are
+// left to the garbage collector.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// readDoc reads at most MaxDocBytes+1 bytes from r, applies the size
+// bound, and decodes the whole input as one document with decode.
+func readDoc(r io.Reader, decode func(*decoder) error) error {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodies.Put(buf)
 		}
+	}()
+	if _, err := buf.ReadFrom(io.LimitReader(r, MaxDocBytes+1)); err != nil {
 		return fmt.Errorf("spec: decode: %w", err)
 	}
-	// json.Decoder stops at the first complete value; probing for a
-	// second token distinguishes clean EOF (trailing whitespace only)
-	// from trailing content.
-	if _, err := dec.Token(); err != io.EOF {
-		if cr.n > MaxDocBytes {
-			return fmt.Errorf("%w (%d-byte limit)", ErrDocTooLarge, MaxDocBytes)
-		}
-		return fmt.Errorf("spec: decode: trailing data after document (one document per input)")
+	if buf.Len() > MaxDocBytes {
+		return fmt.Errorf("%w (%d-byte limit)", ErrDocTooLarge, MaxDocBytes)
+	}
+	d := decoder{data: buf.Bytes()}
+	if err := decode(&d); err != nil {
+		return fmt.Errorf("spec: decode: %w", err)
+	}
+	if d.ws() {
+		return errors.New("spec: decode: trailing data after document (one document per input)")
 	}
 	return nil
-}
-
-// countingReader counts the bytes drawn from the underlying reader so
-// readDoc can tell "input truncated by the size limit" apart from a
-// genuinely malformed document.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // ReadJob decodes one job spec from r. Unknown fields are rejected —
@@ -68,9 +64,18 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // only its first value. Input is bounded at MaxDocBytes (a hostile
 // payload cannot OOM the decoder). The document is not otherwise
 // validated; Decode is where semantic validation happens.
+//
+// The decoder is a hand-written single pass over the input, but its
+// contract is encoding/json's: it accepts exactly the documents a
+// json.Decoder with DisallowUnknownFields (and a check for trailing
+// data) accepts, and decodes them to identical values — case-
+// insensitive keys, repeated keys, null and short or long arrays
+// included. Strings with escapes or non-ASCII bytes, the embedded
+// trace, the workload class and policy params are decoded by
+// encoding/json itself, on their own raw value.
 func ReadJob(r io.Reader) (Job, error) {
 	var job Job
-	if err := readDoc(r, &job); err != nil {
+	if err := readDoc(r, func(d *decoder) error { return d.job(&job) }); err != nil {
 		return Job{}, err
 	}
 	return job, nil
@@ -78,12 +83,14 @@ func ReadJob(r io.Reader) (Job, error) {
 
 // ReadJobs decodes a JSON array of job specs from r — the sweep-batch
 // wire form — under the same contract as ReadJob: unknown fields and
-// trailing content rejected, input bounded at MaxDocBytes. An empty
-// array decodes to an empty slice; semantic validation is per-job via
-// Decode.
+// trailing content rejected, input bounded at MaxDocBytes, values as
+// encoding/json would decode them. An empty array decodes to an empty
+// slice; semantic validation is per-job via Decode.
 func ReadJobs(r io.Reader) ([]Job, error) {
 	var jobs []Job
-	if err := readDoc(r, &jobs); err != nil {
+	if err := readDoc(r, func(d *decoder) error {
+		return decodeSlice(d, &jobs, nil, "[]spec.Job", (*decoder).job)
+	}); err != nil {
 		return nil, err
 	}
 	return jobs, nil

@@ -140,3 +140,22 @@ func TestReadJobs(t *testing.T) {
 		t.Fatalf("empty array = (%v, %v), want ([], nil)", empty, err)
 	}
 }
+
+// TestReadJobSizeRuleBeforeSyntax: the size bound is the one rule for
+// oversized input, whatever its content. A body over MaxDocBytes is
+// ErrDocTooLarge even when a syntax error comes first — an oversized
+// body is refused as too large (413 in sweepd), never as malformed.
+func TestReadJobSizeRuleBeforeSyntax(t *testing.T) {
+	doc := `{"version":x` + strings.Repeat(" ", MaxDocBytes)
+	if _, err := ReadJob(strings.NewReader(doc)); !errors.Is(err, ErrDocTooLarge) {
+		t.Errorf("malformed oversized job error = %v, want ErrDocTooLarge", err)
+	}
+	if _, err := ReadJobs(strings.NewReader("[" + doc)); !errors.Is(err, ErrDocTooLarge) {
+		t.Errorf("malformed oversized array error = %v, want ErrDocTooLarge", err)
+	}
+	// At the bound exactly, the same input is judged on its syntax.
+	doc = doc[:MaxDocBytes]
+	if _, err := ReadJob(strings.NewReader(doc)); err == nil || errors.Is(err, ErrDocTooLarge) {
+		t.Errorf("malformed in-bound job error = %v, want a decode error", err)
+	}
+}

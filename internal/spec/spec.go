@@ -7,10 +7,18 @@
 // knobs.
 //
 // Specs exist so a job has an identity outside the process: files the
-// CLIs can run (`sysscale -spec job.json`), the payload a future sweep
-// service accepts, and — through the canonical encoding — the engine's
-// cache key. Decode validates through soc.Config.Validate, so a spec
-// that decodes is a spec that runs.
+// CLIs can run (`sysscale -spec job.json`), the request bodies sweepd
+// serves (one spec on POST /v1/jobs, an array on POST /v1/sweeps), and
+// — through the canonical encoding — the engine's cache key. Decode
+// validates through soc.Config.Validate, so a spec that decodes is a
+// spec that runs.
+//
+// # Reading specs
+//
+// ReadJob and ReadJobs decode spec documents with a hand-written,
+// single-pass decoder that accepts exactly what encoding/json (with
+// unknown fields rejected) accepts and produces the same values; see
+// ReadJob for the contract and MaxDocBytes for the size rule.
 //
 // # Canonical encoding
 //

@@ -360,7 +360,10 @@ func doSweep(ctx context.Context, client *http.Client, url string, body []byte) 
 	return lines, nil
 }
 
-// quantiles computes the latency summary (ms) from raw samples.
+// quantiles computes the latency summary (ms) from raw samples. Each
+// quantile is the nearest-rank one, the smallest sample with at least
+// that share of the samples at or below it, so P99 of fewer than 100
+// samples is the maximum.
 func quantiles(ms []float64) Quantiles {
 	if len(ms) == 0 {
 		return Quantiles{}
@@ -371,15 +374,16 @@ func quantiles(ms []float64) Quantiles {
 	for _, v := range s {
 		sum += v
 	}
-	at := func(p float64) float64 {
-		i := int(p * float64(len(s)-1))
-		return s[i]
+	// at is the nearest-rank pct-th percentile: rank ceil(pct·n/100),
+	// in integer arithmetic so no rounding can move it.
+	at := func(pct int) float64 {
+		return s[(pct*len(s)+99)/100-1]
 	}
 	return Quantiles{
 		Mean: sum / float64(len(s)),
-		P50:  at(0.50),
-		P90:  at(0.90),
-		P99:  at(0.99),
+		P50:  at(50),
+		P90:  at(90),
+		P99:  at(99),
 		Max:  s[len(s)-1],
 	}
 }

@@ -585,6 +585,23 @@ func TestAdmissionControl(t *testing.T) {
 	})
 }
 
+// TestOversizedMalformedBody413: a body over the cap is 413 whatever
+// its content — the decoder takes the whole body before judging it,
+// so a syntax error early in an oversized body does not make it a 400.
+func TestOversizedMalformedBody413(t *testing.T) {
+	_, ts := newServer(t, sweepd.Config{MaxBodyBytes: 64})
+	job := `{"version":x` + strings.Repeat(" ", 128)
+	for path, body := range map[string]string{"/v1/jobs": job, "/v1/sweeps": "[" + job} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := errCode(t, resp, http.StatusRequestEntityTooLarge); code != "too_large" {
+			t.Errorf("%s: code %q, want too_large", path, code)
+		}
+	}
+}
+
 // TestStatsEndpoint: /v1/stats is valid JSON with both counter blocks,
 // and reflects work done.
 func TestStatsEndpoint(t *testing.T) {
