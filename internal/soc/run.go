@@ -129,12 +129,13 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 	// Cross-job span cache: when the engine threaded a SpanCache into
 	// this platform, stall-free spans are keyed by (platform signature,
 	// phase, programming, length) and served as cached deltas — the
-	// redundancy across a sweep's jobs, not just within one run. Hits
-	// and misses accumulate locally and flush once at run end, so the
-	// hot loop shares nothing but the cache map itself.
+	// redundancy across a sweep's jobs, not just within one run. Each
+	// key is hashed once, for both the lookup and the insert. Hits,
+	// misses and drops accumulate locally and flush once at run end,
+	// so the hot loop shares nothing but the cache map itself.
 	useCache := p.spanCache != nil && batch && !cfg.DisableSpanCache
 	var plat uint64
-	var cacheHits, cacheMisses int
+	var cacheHits, cacheMisses, cacheDrops int
 	if useCache {
 		plat = platformSig(&cfg)
 	}
@@ -233,6 +234,7 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 		var d spanDelta
 		hit := false
 		var key spanKey
+		var keyHash uint64
 		cacheable := useCache && stallFrac == 0
 		if cacheable {
 			key = spanKey{
@@ -243,29 +245,36 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 				duty:  p.cores.DutyCycle(),
 				n:     n,
 			}
-			if d, hit = p.spanCache.lookup(key); hit {
+			keyHash = key.hash()
+			if hit = p.spanCache.lookup(keyHash, &key, &d); hit {
 				cacheHits++
 				// A cache hit must leave the platform exactly as the
 				// full integration would: restore the components'
 				// rolling epochs (the fabric's feeds the next DVFS
 				// transition's drain latency), as a tick-memo hit does.
-				p.mc.RestoreEpoch(d.ev.mcEp)
-				p.fabric.RestoreEpoch(d.ev.fabEp)
-				p.llc.RestoreEpoch(d.ev.llcEp)
+				p.mc.RestoreEpoch(d.mcEp)
+				p.fabric.RestoreEpoch(d.fabEp)
+				p.llc.RestoreEpoch(d.llcEp)
 			}
 		}
 		if !hit {
-			d = p.integrateSpan(idx, ph, stallFrac, tickSec, fn)
+			p.integrateSpan(&d, idx, ph, stallFrac, tickSec, fn)
 			if cacheable {
 				cacheMisses++
-				p.spanCache.insert(key, d)
+				if !p.spanCache.insert(keyHash, &key, &d) {
+					cacheDrops++
+				}
 			}
 		}
 
 		// Apply the delta. Every increment below is the pre-multiplied
 		// float64 the uncached path computed (integrateSpan stores the
-		// products, not the factors), so cached and uncached runs
-		// accumulate bit-identical values.
+		// products, not the factors), or one computed here, on both
+		// paths, from the delta's rails or from inputs the span key pins
+		// (tick length, span length, clocks), so cached and uncached runs
+		// accumulate bit-identical values. The explicit float64
+		// conversions round each product before it is added, which the
+		// Go spec guarantees no fused multiply-add bypasses.
 		work += d.dWork
 		activeTime += d.dActive
 
@@ -279,8 +288,9 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 		// Power: the per-rail draws are constant over the span, so the
 		// meters integrate n ticks in closed form.
 		p.meters.AccumulateN(d.rails, tick, n)
-		lastComputePower = d.computeW
-		ioMemPowerInterval += d.dIOMem
+		lastComputePower = d.rails[vf.RailVCore] + d.rails[vf.RailVGfx]
+		ioMemW := d.rails[vf.RailVSA] + d.rails[vf.RailVDDQ] + d.rails[vf.RailVIO]
+		ioMemPowerInterval += float64(float64(ioMemW) * fn)
 		intervalTicks += n
 
 		if cfg.TracePower {
@@ -294,9 +304,9 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 		if !d.perfOK {
 			res.PerfMet = false
 		}
-		res.PointResidency[p.currentIdx] += d.dResid
-		coreFreqSum += d.dCoreFreq
-		gfxFreqSum += d.dGfxFreq
+		res.PointResidency[p.currentIdx] += float64(tickSec * fn)
+		coreFreqSum += float64(float64(p.cores.Frequency()) * fn)
+		gfxFreqSum += float64(float64(p.gfx.Frequency()) * fn)
 
 		p.clock.AdvanceTicks(n)
 		cursor.advance(sim.Time(n) * tick)
@@ -307,7 +317,7 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 	// unwind early — cancellation, decision errors — skip the flush;
 	// the counters are telemetry, not accounting.)
 	if useCache {
-		p.spanCache.addStats(cacheHits, cacheMisses)
+		p.spanCache.addStats(cacheHits, cacheMisses, cacheDrops)
 	}
 
 	elapsed := cfg.Duration.Seconds()
@@ -341,13 +351,14 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 }
 
 // integrateSpan resolves one span in full: the tick evaluation (via
-// the steady-state memo), the residency split, and every accumulator
-// increment, pre-multiplied by the span length. The result is a
+// the steady-state memo), the residency split, and the accumulator
+// increments, pre-multiplied by the span length. The result is a
 // self-contained spanDelta — applying it (plus restoring the component
 // epochs it carries) reproduces the historical per-span mutations bit
 // for bit, which is what makes the delta sound to replay from the
-// cross-job cache.
-func (p *Platform) integrateSpan(idx int, ph workload.Phase, stallFrac, tickSec, fn float64) spanDelta {
+// cross-job cache. It writes every field of *d in place, so the
+// 240-byte delta is never copied on its way to the caller.
+func (p *Platform) integrateSpan(d *spanDelta, idx int, ph workload.Phase, stallFrac, tickSec, fn float64) {
 	ev := p.tickEvalFor(idx, ph)
 	effRate := ev.r * (1 - stallFrac)
 
@@ -373,20 +384,12 @@ func (p *Platform) integrateSpan(idx int, ph workload.Phase, stallFrac, tickSec,
 	c2 := resid.C2 * idleScale
 	deep := (resid.C6 + resid.C8) * idleScale
 
-	d := spanDelta{
-		ev:      ev,
-		sample:  p.sampleFor(ev, c0, c2),
-		dWork:   effRate * c0 * tickSec * fn,
-		dActive: c0 * tickSec * fn,
-		dResid:  tickSec * fn,
-		perfOK:  perfOK,
-	}
-	var ioMemW power.Watt
-	d.rails, d.computeW, ioMemW = p.tickPower(ph, ev, c0, c2, deep, resid)
-	d.dIOMem = float64(ioMemW) * fn
-	d.dCoreFreq = float64(p.cores.Frequency()) * fn
-	d.dGfxFreq = float64(p.gfx.Frequency()) * fn
-	return d
+	d.mcEp, d.fabEp, d.llcEp = ev.mcEp, ev.fabEp, ev.llcEp
+	d.sample = p.sampleFor(ev, c0, c2)
+	d.dWork = effRate * c0 * tickSec * fn
+	d.dActive = c0 * tickSec * fn
+	d.perfOK = perfOK
+	d.rails = p.tickPower(ph, ev, c0, c2, deep, resid)
 }
 
 // spanTicks returns how many consecutive ticks, starting at tick index
@@ -768,9 +771,8 @@ func (p *Platform) sampleFor(ev tickEval, c0, c2 float64) perfcounters.Sample {
 	return s
 }
 
-// tickPower computes the tick's per-rail power, returning also the
-// compute-domain and IO+memory-domain sums used by governors.
-func (p *Platform) tickPower(ph workload.Phase, ev tickEval, c0, c2, deep float64, orig compute.Residency) ([vf.NumRails]power.Watt, power.Watt, power.Watt) {
+// tickPower computes the tick's per-rail power.
+func (p *Platform) tickPower(ph workload.Phase, ev tickEval, c0, c2, deep float64, orig compute.Residency) [vf.NumRails]power.Watt {
 	var rails [vf.NumRails]power.Watt
 
 	// Split the deep fraction between C6 and C8 in their original
@@ -817,10 +819,7 @@ func (p *Platform) tickPower(ph workload.Phase, ev tickEval, c0, c2, deep float6
 	rails[vf.RailVIO] = power.Watt(c0)*p.ddrio.Power(vio, p.dev.Frequency(), ev.mcEp.Utilization) +
 		power.Watt(c2)*p.ddrio.Power(vio, p.dev.Frequency(), ev.c2Util) +
 		power.Watt(c6+c8)*ddrioOffPower
-
-	computeW := rails[vf.RailVCore] + rails[vf.RailVGfx]
-	ioMemW := rails[vf.RailVSA] + rails[vf.RailVDDQ] + rails[vf.RailVIO]
-	return rails, computeW, ioMemW
+	return rails
 }
 
 // Idle/gated residual draws.

@@ -66,11 +66,26 @@ func TestSpanCacheConcurrentIdentity(t *testing.T) {
 
 	// The same jobs repeated: repetitions guarantee warm traffic, so
 	// the hammer exercises concurrent hits against concurrent inserts,
-	// not just a cold fill.
+	// not just a cold fill. The bounded arm holds fewer entries than
+	// the jobs' distinct spans (18), so the lock-free drop path of a
+	// full cache races with the inserts that fill it and with hits on
+	// what they inserted.
 	const reps = 3
-	for _, par := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
-			cache := soc.NewSpanCache(0)
+	const smallBound = 8
+	arms := []struct {
+		name  string
+		par   int
+		bound int
+	}{
+		{"parallelism-1", 1, 0},
+		{"parallelism-4", 4, 0},
+		{"parallelism-16", 16, 0},
+		{fmt.Sprintf("parallelism-16-bound-%d", smallBound), 16, smallBound},
+	}
+	for _, arm := range arms {
+		par := arm.par
+		t.Run(arm.name, func(t *testing.T) {
+			cache := soc.NewSpanCache(arm.bound)
 			work := make(chan int, len(jobs)*reps)
 			for rep := 0; rep < reps; rep++ {
 				for i := range jobs {
@@ -104,8 +119,17 @@ func TestSpanCacheConcurrentIdentity(t *testing.T) {
 			for e := range errs {
 				t.Error(e)
 			}
-			if s := cache.Stats(); s.Hits == 0 {
+			s := cache.Stats()
+			if s.Hits == 0 {
 				t.Errorf("hammer scored no span hits: %+v", s)
+			}
+			if arm.bound > 0 {
+				if s.Entries > arm.bound {
+					t.Errorf("%d entries resident, bound %d", s.Entries, arm.bound)
+				}
+				if s.Dropped == 0 {
+					t.Errorf("bounded cache dropped nothing — the arm never reached its bound: %+v", s)
+				}
 			}
 		})
 	}

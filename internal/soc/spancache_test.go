@@ -1,8 +1,10 @@
 package soc
 
 import (
+	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"sysscale/internal/sim"
 	"sysscale/internal/workload"
@@ -198,8 +200,9 @@ func TestRunnerPooledAllocs(t *testing.T) {
 
 // TestRunnerWarmSpanCacheAllocs pins the warm span-cache path at the
 // same single allocation: serving spans as cached deltas must not add
-// heap traffic (the key is a comparable struct — no hashing buffers —
-// and hit/miss counters accumulate in locals).
+// heap traffic (the key is hashed in registers and compared by value,
+// the delta is copied into the run's own stack slot, and hit/miss
+// counters accumulate in locals).
 func TestRunnerWarmSpanCacheAllocs(t *testing.T) {
 	cfg := allocsConfig(t)
 	cache := NewSpanCache(0)
@@ -219,5 +222,141 @@ func TestRunnerWarmSpanCacheAllocs(t *testing.T) {
 	}
 	if after := cache.Stats(); after.Hits <= before.Hits {
 		t.Fatalf("warm runs scored no span hits — the pin measured the wrong path: %+v", after)
+	}
+}
+
+// spanKeyLeaves returns a settable reflect.Value for every leaf field
+// of k — Phase with its Residency, tickProg with its OperatingPoint and
+// Timing, and the top-level fields — reaching unexported fields
+// through their addresses.
+func spanKeyLeaves(t *testing.T, k *spanKey) (paths []string, leaves []reflect.Value) {
+	t.Helper()
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		if v.Kind() == reflect.Struct {
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Field(i)
+				f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+				walk(path+"."+v.Type().Field(i).Name, f)
+			}
+			return
+		}
+		switch v.Kind() {
+		case reflect.Float64, reflect.Int, reflect.Int64, reflect.Uint64, reflect.String:
+		default:
+			t.Fatalf("%s: leaf kind %v has no perturbation rule; extend spanKey.hash and this test", path, v.Kind())
+		}
+		paths = append(paths, path)
+		leaves = append(leaves, v)
+	}
+	walk("spanKey", reflect.ValueOf(k).Elem())
+	return paths, leaves
+}
+
+// perturbLeaf changes v to a different value of its kind.
+func perturbLeaf(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Float64:
+		v.SetFloat(v.Float()*3 + 1)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	}
+}
+
+// TestSpanKeyHashCoversEveryField pins spanKey.hash to the key's full
+// field set: perturbing any single leaf, on its own, must move the
+// hash. A field added to spanKey, workload.Phase, tickProg,
+// vf.OperatingPoint or dram.Timing and left out of hash() would not
+// break any result — lookups still confirm by value — but would turn
+// span hits into collision misses; this test is what notices.
+func TestSpanKeyHashCoversEveryField(t *testing.T) {
+	var base spanKey
+	paths, leaves := spanKeyLeaves(t, &base)
+	if len(leaves) < 40 {
+		t.Fatalf("walk found only %d leaves: %v", len(leaves), paths)
+	}
+	// Distinct non-zero values everywhere, so no perturbation lands on
+	// a coincidence with a neighbouring field.
+	for i, v := range leaves {
+		switch v.Kind() {
+		case reflect.Float64:
+			v.SetFloat(float64(i) + 0.25)
+		case reflect.Int, reflect.Int64:
+			v.SetInt(int64(i) + 1)
+		case reflect.Uint64:
+			v.SetUint(uint64(i) + 1)
+		case reflect.String:
+			v.SetString("point-name-longer-than-one-word")
+		}
+	}
+	h0 := base.hash()
+
+	for i := range leaves {
+		k := base
+		_, kl := spanKeyLeaves(t, &k)
+		perturbLeaf(kl[i])
+		if k == base {
+			t.Fatalf("%s: perturbation left the key unchanged", paths[i])
+		}
+		if k.hash() == h0 {
+			t.Errorf("%s: changing it does not change spanKey.hash — mix it in", paths[i])
+		}
+	}
+
+	// Keys equal under == must hash equal: +0 and -0 compare equal.
+	negZero := math.Copysign(0, -1)
+	for i, v := range leaves {
+		if v.Kind() != reflect.Float64 {
+			continue
+		}
+		pos, neg := base, base
+		_, pl := spanKeyLeaves(t, &pos)
+		_, nl := spanKeyLeaves(t, &neg)
+		pl[i].SetFloat(0)
+		nl[i].SetFloat(negZero)
+		if pos != neg {
+			t.Fatalf("%s: +0 and -0 keys compare unequal", paths[i])
+		}
+		if pos.hash() != neg.hash() {
+			t.Errorf("%s: +0 and -0 keys are equal but hash apart", paths[i])
+		}
+	}
+}
+
+// TestSpanCacheHashCollisionIsMiss pins exactness under a 64-bit index
+// collision: a different key filed under a resident key's hash misses,
+// cannot displace the resident entry, and the resident key still hits
+// with its own delta.
+func TestSpanCacheHashCollisionIsMiss(t *testing.T) {
+	c := NewSpanCache(0)
+	a := spanKey{plat: 1, n: 10}
+	b := spanKey{plat: 2, n: 10}
+	da := spanDelta{dWork: 1.5, perfOK: true}
+	db := spanDelta{dWork: 2.5}
+	const h = 0xfeedface
+
+	if !c.insert(h, &a, &da) {
+		t.Fatal("insert into an empty cache dropped")
+	}
+	var got spanDelta
+	if c.lookup(h, &b, &got) {
+		t.Fatalf("colliding key hit: got %+v", got)
+	}
+	c.insert(h, &b, &db)
+	if !c.lookup(h, &a, &got) {
+		t.Fatal("resident key lost after a colliding insert")
+	}
+	if !reflect.DeepEqual(got, da) {
+		t.Errorf("resident key returned %+v, want %+v", got, da)
+	}
+	if c.lookup(h, &b, &got) {
+		t.Error("colliding key hit after its insert")
+	}
+	if s := c.Stats(); s.Entries != 1 {
+		t.Errorf("%d entries resident, want 1", s.Entries)
 	}
 }
