@@ -149,9 +149,7 @@ func WithParallelism(n int) Option {
 
 // WithCache enables or disables result memoization and in-batch
 // coalescing (enabled by default). Disable it to measure raw
-// simulation throughput in benchmarks. The span cache is governed
-// separately (it accelerates simulations rather than skipping them);
-// disable it per-run with soc.Config.DisableSpanCache.
+// simulation throughput in benchmarks.
 func WithCache(enabled bool) Option {
 	return func(e *Engine) { e.cacheOn = enabled }
 }
@@ -282,19 +280,12 @@ type Stats struct {
 	// Evictions counts results dropped by the LRU bound.
 	Evictions int `json:"evictions"`
 
-	// SpanHits/SpanMisses/SpanEntries snapshot the engine's cross-job
-	// span cache: spans applied as cached deltas versus integrated in
-	// full, and distinct spans resident. One job contributes many
-	// spans, so these counters run far ahead of the result-level ones.
+	// SpanHits, SpanMisses and SpanDropped are always 0: the engine
+	// has no span cache.
+	//
+	// Deprecated: kept so bench/ compiles; delete with its span probes.
 	SpanHits    int `json:"span_hits"`
 	SpanMisses  int `json:"span_misses"`
-	SpanEntries int `json:"span_entries"`
-	// SpanDropped counts span integrations not inserted because the
-	// span cache was full — the saturation signal. A steadily rising
-	// SpanDropped means the sweep's working set of distinct spans
-	// exceeds the cache bound and cross-job reuse is degrading
-	// silently; raise soc.NewSpanCache's bound (or accept the miss
-	// traffic) rather than ignoring it.
 	SpanDropped int `json:"span_dropped"`
 
 	// DiskHits/DiskMisses/DiskErrors/DiskBytes snapshot the persistent
@@ -338,12 +329,6 @@ type Engine struct {
 	cacheOn     bool
 	cacheSize   int
 
-	// spans is the engine's cross-job span cache, threaded into every
-	// pooled Runner the engine checks out: spans integrated by one job
-	// are applied as O(1) deltas by every later job whose programming
-	// matches (see soc.SpanCache).
-	spans *soc.SpanCache
-
 	// disk is the persistent second result tier (nil without
 	// WithDiskCache/WithDiskTier): consulted under the in-memory LRU on
 	// a miss, written through on every cacheable simulation, and
@@ -385,7 +370,6 @@ func New(opts ...Option) *Engine {
 	}
 	e.cache = make(map[cacheKey]*list.Element)
 	e.order = list.New()
-	e.spans = soc.NewSpanCache(0)
 
 	tier := e.diskTier
 	if tier == nil && e.diskDir != "" {
@@ -460,18 +444,12 @@ func (e *Engine) Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// CacheStats returns a snapshot of the cache counters — the result
-// LRU's and the cross-job span cache's.
+// CacheStats returns a snapshot of the cache counters.
 func (e *Engine) CacheStats() Stats {
 	e.mu.Lock()
 	s := e.stats
 	s.Entries = len(e.cache)
 	e.mu.Unlock()
-	sc := e.spans.Stats()
-	s.SpanHits = sc.Hits
-	s.SpanMisses = sc.Misses
-	s.SpanEntries = sc.Entries
-	s.SpanDropped = sc.Dropped
 	if e.disk != nil {
 		ds := e.disk.Stats()
 		s.DiskHits = ds.Hits
@@ -483,9 +461,9 @@ func (e *Engine) CacheStats() Stats {
 	return s
 }
 
-// ClearCache drops every memoized result and every cached span delta
-// (the hit/miss counters are kept). Both caches are bounded, so this
-// is about reclaiming memory promptly, not about preventing growth.
+// ClearCache drops every memoized result (the hit/miss counters are
+// kept). The cache is bounded, so this is about reclaiming memory
+// promptly, not about preventing growth.
 // The on-disk tier is untouched: persistence across processes is its
 // point; delete the cache directory to reclaim it.
 func (e *Engine) ClearCache() {
@@ -493,7 +471,6 @@ func (e *Engine) ClearCache() {
 	e.cache = make(map[cacheKey]*list.Element)
 	e.order = list.New()
 	e.mu.Unlock()
-	e.spans.Clear()
 }
 
 // Run simulates one configuration through the engine (memoized). It is
@@ -925,10 +902,6 @@ func (e *Engine) runOnce(ctx context.Context, job Job) (res soc.Result, err erro
 	}
 
 	runner := runnerPool.Get().(*soc.Runner)
-	// The pool is shared across Engine instances, so the span cache must
-	// be (re-)attached on every checkout — a Runner last driven by a
-	// different engine carries that engine's cache.
-	runner.SetSpanCache(e.spans)
 	runnersInFlight.Add(1)
 	defer func() {
 		if r := recover(); r != nil {

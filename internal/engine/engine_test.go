@@ -345,26 +345,3 @@ func TestNilPolicyRejected(t *testing.T) {
 		t.Fatal("nil-policy job accepted")
 	}
 }
-
-// TestSpanDroppedSurfaced: a saturated span cache degrades visibly —
-// SpanCacheStats.Dropped is plumbed through to Stats.SpanDropped so a
-// sweep whose distinct-span working set exceeds the cache bound can be
-// diagnosed from CacheStats instead of failing silently.
-func TestSpanDroppedSurfaced(t *testing.T) {
-	e := New()
-	// A one-entry span cache saturates on the first span of any real
-	// run; every later distinct span is integrated but not inserted.
-	e.spans = soc.NewSpanCache(1)
-
-	jobs := mixedJobs(t)[:4]
-	if _, err := e.RunBatch(jobs); err != nil {
-		t.Fatal(err)
-	}
-	st := e.CacheStats()
-	if st.SpanDropped == 0 {
-		t.Fatalf("one-entry span cache reported zero SpanDropped: %+v", st)
-	}
-	if st.SpanDropped != e.spans.Stats().Dropped {
-		t.Errorf("SpanDropped %d != span cache Dropped %d", st.SpanDropped, e.spans.Stats().Dropped)
-	}
-}

@@ -82,64 +82,3 @@ func TestCacheSizeDefaulted(t *testing.T) {
 		t.Fatalf("WithCacheSize(7) = %d", e.cacheSize)
 	}
 }
-
-// TestSpanCacheStatsSurfaced checks the engine threads its span cache
-// into pooled runners and surfaces its counters: with the result cache
-// off, a repeated simulation still gets faster the second time —
-// through span hits, which CacheStats must report.
-func TestSpanCacheStatsSurfaced(t *testing.T) {
-	e := New(WithCache(false))
-	cfg := lruConfig(t, 100*sim.Millisecond)
-
-	if _, err := e.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	cold := e.CacheStats()
-	if cold.SpanMisses == 0 || cold.SpanEntries == 0 {
-		t.Fatalf("first run populated no spans: %+v", cold)
-	}
-	if _, err := e.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	warm := e.CacheStats()
-	if warm.SpanHits == 0 {
-		t.Fatalf("second run scored no span hits: %+v", warm)
-	}
-
-	// ClearCache drops the spans too.
-	e.ClearCache()
-	if st := e.CacheStats(); st.SpanEntries != 0 {
-		t.Fatalf("ClearCache left %d spans resident", st.SpanEntries)
-	}
-}
-
-// TestDisableSpanCacheKnob proves the A/B contract end to end at the
-// engine layer: the same batch with DisableSpanCache set returns
-// results identical to the default (cached) batch.
-func TestDisableSpanCacheKnob(t *testing.T) {
-	jobs := mixedJobs(t)
-	off := make([]Job, len(jobs))
-	for i, j := range jobs {
-		j.Config.DisableSpanCache = true
-		j.Config.Policy = j.Config.Policy.Clone()
-		off[i] = j
-	}
-
-	on, err := New().RunBatch(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offRes, err := New().RunBatch(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range on {
-		// The knob is fingerprinted, so the off-batch simulated fresh;
-		// the results must nonetheless match bit for bit.
-		if on[i].Score != offRes[i].Score || on[i].Energy != offRes[i].Energy ||
-			on[i].AvgPower != offRes[i].AvgPower || on[i].EDP != offRes[i].EDP {
-			t.Errorf("job %d (%s/%s): span-cached result != cache-disabled result",
-				i, jobs[i].Config.Workload.Name, jobs[i].Config.Policy.Name())
-		}
-	}
-}

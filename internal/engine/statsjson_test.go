@@ -27,7 +27,7 @@ func TestStatsJSONStable(t *testing.T) {
 	}
 	want := []string{
 		"entries", "hits", "misses", "evictions",
-		"span_hits", "span_misses", "span_entries", "span_dropped",
+		"span_hits", "span_misses", "span_dropped",
 		"disk_hits", "disk_misses", "disk_errors", "disk_bytes", "disk_degraded",
 		"retries", "panics",
 	}
@@ -43,7 +43,7 @@ func TestStatsJSONStable(t *testing.T) {
 
 // TestStatsSnapshotRaceClean hammers CacheStats (and its JSON
 // rendering) while batches mutate every counter group — result LRU,
-// span cache, retries — under -race. CacheStats is the documented
+// retries — under -race. CacheStats is the documented
 // race-safe snapshot accessor for concurrent servers; this is the test
 // that keeps it honest.
 func TestStatsSnapshotRaceClean(t *testing.T) {

@@ -90,87 +90,6 @@ func BenchmarkRunnerPooled(b *testing.B) {
 	b.ReportMetric(ticks/b.Elapsed().Seconds(), "ticks/s")
 }
 
-// BenchmarkRunnerPooledWarmSpanCache measures the cross-job fast path:
-// a pooled run whose every cacheable span is served from a warm shared
-// SpanCache — the steady state of an engine sweep re-visiting a
-// workload. The ns/op delta against BenchmarkRunnerPooled is the span
-// cache's per-run win; allocs/op must match it (the cache adds no heap
-// traffic on hits).
-func BenchmarkRunnerPooledWarmSpanCache(b *testing.B) {
-	w, err := workload.SPEC("473.astar")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Workload = w
-	cfg.Policy = highPinBench()
-	cfg.Duration = 500 * sim.Millisecond
-	r := NewRunner()
-	r.SetSpanCache(NewSpanCache(0))
-	if _, err := r.Run(cfg); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ticks := float64(cfg.Duration/cfg.SampleInterval) * float64(b.N)
-	b.ReportMetric(ticks/b.Elapsed().Seconds(), "ticks/s")
-}
-
-// BenchmarkRunnerPooledFullSpanCache measures the saturated miss path:
-// a pooled run against a shared SpanCache already filled to its bound
-// by other workloads, so every cacheable span is hashed, misses, and
-// is dropped — the steady state of a Monte Carlo or cold sweep whose
-// distinct spans outnumber the cache. ns/op against
-// BenchmarkRunnerPooled is what the cache costs when it cannot pay
-// back; allocs/op must match it.
-func BenchmarkRunnerPooledFullSpanCache(b *testing.B) {
-	w, err := workload.SPEC("473.astar")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Workload = w
-	cfg.Policy = highPinBench()
-	cfg.Duration = 500 * sim.Millisecond
-
-	const bound = 32
-	cache := NewSpanCache(bound)
-	r := NewRunner()
-	r.SetSpanCache(cache)
-	for _, fill := range workload.SPECSuite() {
-		if fill.Name == w.Name || cache.Stats().Entries == bound {
-			continue
-		}
-		fcfg := cfg
-		fcfg.Workload = fill
-		if _, err := r.Run(fcfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	before := cache.Stats()
-	if before.Entries != bound {
-		b.Fatalf("the SPEC suite filled only %d of %d entries", before.Entries, bound)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if s := cache.Stats(); s.Hits != before.Hits || s.Dropped == before.Dropped {
-		b.Fatalf("measured runs were not all dropped misses: before %+v, after %+v", before, s)
-	}
-	ticks := float64(cfg.Duration/cfg.SampleInterval) * float64(b.N)
-	b.ReportMetric(ticks/b.Elapsed().Seconds(), "ticks/s")
-}
-
 // BenchmarkPlatformAssembly measures cold-start cost (MRC training,
 // component wiring) — relevant for sweep-style experiments that build
 // thousands of platforms.

@@ -92,7 +92,6 @@ func (p *Platform) Reset(cfg Config) error {
 
 	p.current = boot
 	p.currentIdx = 0
-	p.spanCache = nil // the Runner re-attaches its cache per run
 	p.fillLadderIndex()
 	p.bonus = 0
 	clear(p.refLats)
@@ -110,21 +109,11 @@ func (p *Platform) Reset(cfg Config) error {
 // the run engine keeps a sync.Pool of them, one per in-flight job.
 type Runner struct {
 	p *Platform
-	// spanCache, when set, is threaded into every run's platform so
-	// spans can be served from (and inserted into) the engine's shared
-	// cross-job cache.
-	spanCache *SpanCache
 }
 
 // NewRunner returns an empty runner; its platform is assembled lazily
 // on first use.
 func NewRunner() *Runner { return &Runner{} }
-
-// SetSpanCache attaches (or, with nil, detaches) the cross-job span
-// cache subsequent runs integrate through. The run engine calls it on
-// every checkout, so a pooled Runner always carries the cache of the
-// engine currently driving it.
-func (r *Runner) SetSpanCache(c *SpanCache) { r.spanCache = c }
 
 // Run simulates cfg, recycling the held platform when possible. It is
 // result-equivalent to Run(cfg): a reset platform is bit-identical to
@@ -142,7 +131,6 @@ func (r *Runner) Run(cfg Config) (Result, error) {
 func (r *Runner) RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if r.p != nil {
 		if err := r.p.Reset(cfg); err == nil {
-			r.p.spanCache = r.spanCache
 			return r.p.run(ctx)
 		}
 		// Any Reset failure — structural incompatibility or a config
@@ -156,6 +144,5 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	r.p = p
-	p.spanCache = r.spanCache
 	return p.run(ctx)
 }

@@ -126,20 +126,6 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 	// bit-for-bit (all batch accumulators are exact identities at n=1).
 	batch := !cfg.DisableSpanBatching && !cfg.TracePower
 
-	// Cross-job span cache: when the engine threaded a SpanCache into
-	// this platform, stall-free spans are keyed by (platform signature,
-	// phase, programming, length) and served as cached deltas — the
-	// redundancy across a sweep's jobs, not just within one run. Each
-	// key is hashed once, for both the lookup and the insert. Hits,
-	// misses and drops accumulate locally and flush once at run end,
-	// so the hot loop shares nothing but the cache map itself.
-	useCache := p.spanCache != nil && batch && !cfg.DisableSpanCache
-	var plat uint64
-	var cacheHits, cacheMisses, cacheDrops int
-	if useCache {
-		plat = platformSig(&cfg)
-	}
-
 	for i := 0; i < nTicks; {
 		idx := cursor.index()
 		ph := cursor.phase()
@@ -226,55 +212,15 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 			pendingStall = 0
 		}
 
-		// Resolve the span's integration outcome: from the cross-job
-		// cache when an identical span was integrated before (any run,
-		// any job), in full otherwise. Stall-charged spans are never
-		// cached — the charge perturbs this span's progress rate but
-		// not the key.
 		var d spanDelta
-		hit := false
-		var key spanKey
-		var keyHash uint64
-		cacheable := useCache && stallFrac == 0
-		if cacheable {
-			key = spanKey{
-				plat:  plat,
-				phase: ph,
-				prog:  p.programming(),
-				coreF: p.cores.Frequency(),
-				duty:  p.cores.DutyCycle(),
-				n:     n,
-			}
-			keyHash = key.hash()
-			if hit = p.spanCache.lookup(keyHash, &key, &d); hit {
-				cacheHits++
-				// A cache hit must leave the platform exactly as the
-				// full integration would: restore the components'
-				// rolling epochs (the fabric's feeds the next DVFS
-				// transition's drain latency), as a tick-memo hit does.
-				p.mc.RestoreEpoch(d.mcEp)
-				p.fabric.RestoreEpoch(d.fabEp)
-				p.llc.RestoreEpoch(d.llcEp)
-			}
-		}
-		if !hit {
-			p.integrateSpan(&d, idx, ph, stallFrac, tickSec, fn)
-			if cacheable {
-				cacheMisses++
-				if !p.spanCache.insert(keyHash, &key, &d) {
-					cacheDrops++
-				}
-			}
-		}
+		p.integrateSpan(&d, idx, ph, stallFrac, tickSec, fn)
 
-		// Apply the delta. Every increment below is the pre-multiplied
-		// float64 the uncached path computed (integrateSpan stores the
-		// products, not the factors), or one computed here, on both
-		// paths, from the delta's rails or from inputs the span key pins
-		// (tick length, span length, clocks), so cached and uncached runs
-		// accumulate bit-identical values. The explicit float64
-		// conversions round each product before it is added, which the
-		// Go spec guarantees no fused multiply-add bypasses.
+		// Apply the delta. Every increment below is either the
+		// pre-multiplied float64 integrateSpan stored or one computed here
+		// from the delta's rails and the span's clocks. The explicit
+		// float64 conversions round each product before it is added,
+		// which the Go spec guarantees no fused multiply-add bypasses, so
+		// each product rounds as written on every target.
 		work += d.dWork
 		activeTime += d.dActive
 
@@ -313,13 +259,6 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 		i += n
 	}
 
-	// Flush the run's locally counted cache traffic once. (Runs that
-	// unwind early — cancellation, decision errors — skip the flush;
-	// the counters are telemetry, not accounting.)
-	if useCache {
-		p.spanCache.addStats(cacheHits, cacheMisses, cacheDrops)
-	}
-
 	elapsed := cfg.Duration.Seconds()
 	res.Score = work / elapsed
 	if activeTime > 0 {
@@ -350,14 +289,12 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 	return res, nil
 }
 
-// integrateSpan resolves one span in full: the tick evaluation (via
-// the steady-state memo), the residency split, and the accumulator
-// increments, pre-multiplied by the span length. The result is a
-// self-contained spanDelta — applying it (plus restoring the component
-// epochs it carries) reproduces the historical per-span mutations bit
-// for bit, which is what makes the delta sound to replay from the
-// cross-job cache. It writes every field of *d in place, so the
-// 240-byte delta is never copied on its way to the caller.
+// integrateSpan resolves one span: the tick evaluation (via the
+// steady-state memo, which also leaves the components' rolling epochs
+// as a full evaluation would), the residency split, and the
+// accumulator increments, pre-multiplied by the span length. It writes
+// every field of *d in place, so the delta is never copied on its way
+// to the caller.
 func (p *Platform) integrateSpan(d *spanDelta, idx int, ph workload.Phase, stallFrac, tickSec, fn float64) {
 	ev := p.tickEvalFor(idx, ph)
 	effRate := ev.r * (1 - stallFrac)
@@ -384,12 +321,30 @@ func (p *Platform) integrateSpan(d *spanDelta, idx int, ph workload.Phase, stall
 	c2 := resid.C2 * idleScale
 	deep := (resid.C6 + resid.C8) * idleScale
 
-	d.mcEp, d.fabEp, d.llcEp = ev.mcEp, ev.fabEp, ev.llcEp
 	d.sample = p.sampleFor(ev, c0, c2)
 	d.dWork = effRate * c0 * tickSec * fn
 	d.dActive = c0 * tickSec * fn
 	d.perfOK = perfOK
 	d.rails = p.tickPower(ph, ev, c0, c2, deep, resid)
+}
+
+// spanDelta is one span's integration outcome: the accumulator
+// increments and the counter image the span applies, except what the
+// run loop derives from the rails or the span's clocks (the domain
+// power sums, residency time, core and graphics frequency sums).
+// Increments are stored pre-multiplied (rate × residency × tickSec ×
+// n), so a span of n ticks adds one float64 per accumulator.
+type spanDelta struct {
+	// sample is the counter-file image the span latches n times.
+	sample perfcounters.Sample
+	// rails is the constant per-rail draw metered over the span.
+	rails [vf.NumRails]power.Watt
+	// dWork and dActive are the pre-multiplied work and active-time
+	// increments.
+	dWork, dActive float64
+	// perfOK is false when a fixed-demand workload missed its
+	// performance demand during the span.
+	perfOK bool
 }
 
 // spanTicks returns how many consecutive ticks, starting at tick index

@@ -121,7 +121,10 @@ type Config struct {
 	// FixedGfxFreq pins the graphics engines. 0 = PBM-managed.
 	FixedGfxFreq vf.Hz
 
-	// Seed drives any stochastic model elements.
+	// Seed is part of the job's identity only: no model element reads
+	// it, so runs that differ only in Seed produce identical Results.
+	// It stays in the cache key until the spec's exactness knobs and
+	// identity fields are revisited in a new spec version.
 	Seed uint64
 
 	// RecordEvents enables the event log (flow tracing).
@@ -157,18 +160,6 @@ type Config struct {
 	// results are bit-identical either way; the knob keeps that claim
 	// falsifiable by A/B tests, like the other two fast paths.
 	DisablePBMMemo bool
-
-	// DisableSpanCache turns off the cross-job span cache for this run:
-	// every span integrates in full even when the executing engine has
-	// a warm SpanCache holding an identical span from an earlier job.
-	// The cache is exact — spans are keyed by value on every input that
-	// feeds their integration, and cached deltas store the pre-
-	// multiplied increments the full integration would have produced —
-	// so results are bit-identical either way; the knob keeps that
-	// claim falsifiable by A/B tests, like the other fast paths. Runs
-	// outside an engine (soc.Run, a bare Runner) have no cache and
-	// ignore the knob.
-	DisableSpanCache bool
 }
 
 // DefaultConfig returns the Table 2 platform: 4.5W TDP, LPDDR3-1600,
@@ -281,10 +272,6 @@ type Platform struct {
 	// request, the compute budget, and the currently programmed compute
 	// state all match the previous applyPBM outcome.
 	pbmMemo pbmMemo
-
-	// spanCache is the engine-owned cross-job span cache (spancache.go),
-	// threaded in through Runner.SetSpanCache; nil for bare runs.
-	spanCache *SpanCache
 
 	// worstIOFn/worstMemFn are the worst-case budget tables as method
 	// values, bound once at assembly so the policy-epoch context

@@ -221,3 +221,48 @@ func TestRunnerIncompatibleFallback(t *testing.T) {
 		t.Error("plain run after an event-recording run diverges")
 	}
 }
+
+// specTestConfig is the default platform running SPEC workload wlName
+// under pol for 200ms.
+func specTestConfig(t *testing.T, wlName string, pol Policy) Config {
+	t.Helper()
+	w, err := workload.SPEC(wlName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Workload = w
+	cfg.Policy = pol
+	cfg.Duration = 200 * sim.Millisecond
+	return cfg
+}
+
+// allocsConfig is the steady-state config the allocation pins run:
+// single-phase SPEC under a static governor, the engine worker's
+// recycled-platform scenario.
+func allocsConfig(t *testing.T) Config {
+	t.Helper()
+	return specTestConfig(t, "473.astar", highPin())
+}
+
+// TestRunnerPooledAllocs pins the warm pooled run at exactly 1
+// allocation: the Result's PointResidency slice, which escapes to the
+// caller and cannot be pooled. Everything else — closures, counter
+// samples, span bookkeeping — must stay off the heap. A regression
+// here is a hot-path regression for every engine worker; fix the
+// allocation, don't bump the pin.
+func TestRunnerPooledAllocs(t *testing.T) {
+	cfg := allocsConfig(t)
+	r := NewRunner()
+	if _, err := r.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := r.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("warm pooled run: %v allocs/op, want exactly 1 (PointResidency)", allocs)
+	}
+}

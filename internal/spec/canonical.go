@@ -34,9 +34,9 @@ func AppendConfig(b []byte, cfg soc.Config) (_ []byte, ok bool) {
 	b = jsonenc.AppendBool(b, cfg.DisablePBMMemo)
 	b = append(b, `,"disable_span_batching":`...)
 	b = jsonenc.AppendBool(b, cfg.DisableSpanBatching)
-	b = append(b, `,"disable_span_cache":`...)
-	b = jsonenc.AppendBool(b, cfg.DisableSpanCache)
-	b = append(b, `,"disable_tick_memo":`...)
+	// disable_span_cache has no config field behind it and is always
+	// false in canonical bytes (see Knobs).
+	b = append(b, `,"disable_span_cache":false,"disable_tick_memo":`...)
 	b = jsonenc.AppendBool(b, cfg.DisableTickMemo)
 
 	// platform
@@ -294,11 +294,10 @@ func Canonical(job Job) ([]byte, error) {
 }
 
 // Fingerprint returns sha256(Canonical(job)) — the documented job
-// identity. The engine's in-memory result cache keys on this value,
-// and it is the intended key for the future content-addressed on-disk
-// result tier (ROADMAP item 2): stable across processes, machines and
-// languages, because the canonical bytes are defined by the wire
-// format, not by Go's in-memory representation.
+// identity. The engine's in-memory result cache and its
+// content-addressed on-disk tier key on this value: stable across
+// processes, machines and languages, because the canonical bytes are
+// defined by the wire format, not by Go's in-memory representation.
 func Fingerprint(job Job) ([sha256.Size]byte, error) {
 	b, err := Canonical(job)
 	if err != nil {

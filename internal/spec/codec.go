@@ -171,7 +171,6 @@ func Encode(cfg soc.Config) (Job, error) {
 	job.Knobs = Knobs{
 		DisablePBMMemo:      cfg.DisablePBMMemo,
 		DisableSpanBatching: cfg.DisableSpanBatching,
-		DisableSpanCache:    cfg.DisableSpanCache,
 		DisableTickMemo:     cfg.DisableTickMemo,
 	}
 	return job, nil
@@ -240,7 +239,6 @@ func Decode(job Job) (soc.Config, error) {
 
 	cfg.DisablePBMMemo = job.Knobs.DisablePBMMemo
 	cfg.DisableSpanBatching = job.Knobs.DisableSpanBatching
-	cfg.DisableSpanCache = job.Knobs.DisableSpanCache
 	cfg.DisableTickMemo = job.Knobs.DisableTickMemo
 
 	if err := cfg.Validate(); err != nil {

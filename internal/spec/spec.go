@@ -28,8 +28,8 @@
 // and all insignificant whitespace removed, using encoding/json's
 // value renderings (shortest round-trip floats, HTML-escaped strings).
 // Fingerprint is the SHA-256 of those bytes and is the documented
-// cache identity for the engine's result cache and any future on-disk
-// tier: any process — in any language — that can decode a spec,
+// cache identity for the engine's result cache and its on-disk tier:
+// any process — in any language — that can decode a spec,
 // normalize it the same way, sort keys and compact can reproduce the
 // key. AppendConfig produces the same bytes allocation-free straight
 // from a live soc.Config, which is what keeps the engine's hot path at
@@ -42,6 +42,12 @@
 // by a build that understands both versions, never silent
 // reinterpretation, because the canonical bytes (and so every cache
 // key) are defined per version.
+//
+// knobs.disable_span_cache is accepted for v1 compatibility and
+// ignored: it switched off a simulator cache that no longer exists.
+// Decode drops it, Encode writes false, and the canonical bytes always
+// carry false, so documents that set it share the key of those that
+// do not.
 package spec
 
 import (
@@ -145,7 +151,9 @@ type Run struct {
 // Knobs carries the A/B verification knobs (soc.Config's Disable*
 // fields). They are part of the job identity: flipping one changes the
 // executed code path, and the benchmarks that compare paths must not
-// share cache entries.
+// share cache entries. DisableSpanCache is the exception: it has no
+// soc.Config field behind it and is accepted, then ignored, so v1
+// documents that carry it still decode (see the package doc).
 type Knobs struct {
 	DisablePBMMemo      bool `json:"disable_pbm_memo"`
 	DisableSpanBatching bool `json:"disable_span_batching"`

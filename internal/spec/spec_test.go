@@ -129,7 +129,7 @@ func TestAppendConfigMatchesCanonicalJSON(t *testing.T) {
 			cfg.Policy = p
 			cfg.Seed = 42
 			cfg.TracePower = true
-			cfg.DisableSpanCache = true
+			cfg.DisablePBMMemo = true
 			job, err := Encode(cfg)
 			if err != nil {
 				t.Fatalf("Encode(%s/%s): %v", p.Name(), w.Name, err)

@@ -56,18 +56,20 @@
 //
 // Inside a run, the simulator memoizes the per-tick fixpoint
 // evaluation while the platform programming is unchanged between PMU
-// decisions (the steady-state fast path), and batches runs of
-// identical ticks into closed-form spans bounded by policy epochs and
-// phase edges, so a run costs O(phases + decisions) rather than
-// O(duration/SampleInterval). Results are bit-identical with the memo
-// on or off; span batching agrees with the per-tick walk to ≤1e-9
-// relative across the shipped suites (the paths differ only in
-// floating-point summation order). Config.DisableTickMemo and
+// decisions (the steady-state fast path) and the PBM's budget→P-state
+// grant while its inputs repeat, and batches runs of identical ticks
+// into closed-form spans bounded by policy epochs and phase edges, so
+// a run costs O(phases + decisions) rather than O(duration/
+// SampleInterval). Results are bit-identical with either memo on or
+// off; span batching agrees with the per-tick walk to ≤1e-9 relative
+// across the shipped suites (the paths differ only in floating-point
+// summation order). Config.DisableTickMemo, Config.DisablePBMMemo and
 // Config.DisableSpanBatching force the slow paths for A/B
-// verification and benchmarking. The engine additionally recycles
-// assembled platforms across batch jobs through a sync.Pool, which is
-// invisible to callers (a reset platform is bit-identical to a fresh
-// one).
+// verification and benchmarking. All of this state lives and dies
+// with one run: runs share no simulation state, only the engine's
+// result cache. The engine recycles assembled platforms across batch
+// jobs through a sync.Pool, which is invisible to callers (a reset
+// platform is bit-identical to a fresh one).
 package sysscale
 
 import (
@@ -213,10 +215,10 @@ func NewEngine(opts ...EngineOption) *Engine { return engine.New(opts...) }
 // selects GOMAXPROCS, the default).
 func WithParallelism(n int) EngineOption { return engine.WithParallelism(n) }
 
-// WithCache enables or disables the engine's result memoization
-// (enabled by default). The cross-job span cache is governed
-// separately — per run, with Config.DisableSpanCache — because it
-// accelerates simulations rather than skipping them.
+// WithCache enables or disables the engine's result memoization and
+// in-batch coalescing (enabled by default). With it off, every job
+// simulates in full, which is how benchmarks measure raw simulation
+// throughput.
 func WithCache(enabled bool) EngineOption { return engine.WithCache(enabled) }
 
 // WithCacheSize bounds the engine's result cache to n entries, evicted
@@ -278,19 +280,18 @@ var defaultEngine = engine.New()
 
 // DefaultEngine returns the process-wide engine behind RunBatch,
 // RunBatchContext and Stream, for cache statistics and direct batch
-// submission. Its caches are bounded (DefaultCacheSize results,
-// LRU-evicted, plus the span cache's own bound), so unbounded sweeps
-// through the package-level entry points cycle cache memory instead
-// of growing it.
+// submission. Its result cache is bounded (DefaultCacheSize results,
+// LRU-evicted), so unbounded sweeps through the package-level entry
+// points cycle cache memory instead of growing it.
 func DefaultEngine() *Engine { return defaultEngine }
 
-// ClearCache drops every result and span delta memoized by the
-// default engine. The caches are bounded, so this is about reclaiming
-// memory promptly, not about preventing growth.
+// ClearCache drops every result memoized by the default engine. The
+// cache is bounded, so this is about reclaiming memory promptly, not
+// about preventing growth.
 func ClearCache() { defaultEngine.ClearCache() }
 
 // CacheStats snapshots the default engine's cache counters: result
-// hits/misses/evictions and the cross-job span cache's traffic.
+// hits/misses/evictions and the disk tier's traffic.
 func CacheStats() EngineStats { return defaultEngine.CacheStats() }
 
 // RunBatch simulates the configurations concurrently with bounded
