@@ -20,10 +20,12 @@
 //
 // Absolute ns/op only compares within one machine class. For CI —
 // where the runner is not the machine that recorded the baseline —
-// -calibrate names a calibration benchmark measured in the same run
-// (a stable, optimization-free code path); every measured ns/op is
-// scaled by baselineCal/measuredCal before comparison, so the gate
-// tests the machine-relative ratio rather than raw nanoseconds.
+// -calibrate names a calibration benchmark measured in the same run;
+// every measured ns/op is scaled by baselineCal/measuredCal before
+// comparison, so the gate tests the machine-relative ratio rather than
+// raw nanoseconds. The reference must run no repository code, or a
+// change that speeds that code up rescales every other entry: CI uses
+// BenchmarkCalibrate (calibrate_test.go), a standard-library-only loop.
 //
 // allocs/op is gated independently (-alloc-tolerance): allocation
 // counts are machine-independent — the same binary allocates the same

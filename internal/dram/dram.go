@@ -189,6 +189,14 @@ func (d *Device) State() State { return d.state }
 // Timing returns the active timing set.
 func (d *Device) Timing() Timing { return d.timing }
 
+// AccessLatency returns the active timing set's RandomAccessLatency at
+// the device's current bin, read in place rather than through a copy
+// of the set.
+func (d *Device) AccessLatency() float64 { return d.timing.RandomAccessLatency(d.freq) }
+
+// InterfaceEff returns the active timing set's interface efficiency.
+func (d *Device) InterfaceEff() float64 { return d.timing.InterfaceEff }
+
 // PeakBandwidth returns the device's peak bandwidth at its current bin.
 func (d *Device) PeakBandwidth() float64 { return d.geom.PeakBandwidth(d.freq) }
 

@@ -148,3 +148,25 @@ func TestMonteCarloRejectsBadGenConfig(t *testing.T) {
 		t.Fatal("invalid generator config accepted")
 	}
 }
+
+// TestMonteCarloPhysicsInvariants runs soc.Result.Check over the Monte
+// Carlo population: 200 generated workloads × the baseline and the
+// three default policies. The invariants are sums and products of
+// rounded float64s, so they hold to a small multiple of the unit
+// roundoff, far inside the 1e-12 relative tolerance.
+func TestMonteCarloPhysicsInvariants(t *testing.T) {
+	opt := DefaultMonteCarloOptions().withDefaults()
+	ws := gen.GenerateN(gen.DefaultConfig(7), 200)
+	ps := append([]soc.Policy{policy.NewBaseline()}, opt.Policies...)
+	m, err := newSweep(ps...).Workloads(ws...).RunContext(context.Background(), Engine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for wi, w := range m.Workloads {
+		for pi, p := range m.Policies {
+			if err := m.Result(wi, pi).Check(1e-12); err != nil {
+				t.Errorf("%s under %s: %v", w.Name, p.Name(), err)
+			}
+		}
+	}
+}

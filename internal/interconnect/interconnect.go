@@ -137,30 +137,56 @@ func (f *Fabric) Release() { f.blocked = false }
 // Blocked reports whether the fabric is blocked.
 func (f *Fabric) Blocked() bool { return f.blocked }
 
+// Terms are the demand-independent inputs of Evaluate at the fabric's
+// current clock and blocking state. They stay valid until the fabric
+// is reprogrammed, so a caller resolving several demands at one
+// operating point computes them once and reuses them through Resolve.
+type Terms struct {
+	serving  bool    // false while admission is blocked
+	capacity float64 // bandwidth ceiling (bytes/s)
+	base     float64 // unloaded traversal latency (s)
+}
+
+// Terms returns the demand-independent inputs of Evaluate for the
+// fabric's present state.
+func (f *Fabric) Terms() Terms {
+	return Terms{
+		serving:  !f.blocked,
+		capacity: f.Capacity(),
+		// Traversal latency: a few fabric clocks, inflated by contention.
+		base: 12 / float64(f.freq),
+	}
+}
+
 // Evaluate resolves one epoch of IO traffic.
 func (f *Fabric) Evaluate(demandBytes float64) Epoch {
+	t := f.Terms()
+	return f.Resolve(&t, demandBytes)
+}
+
+// Resolve is Evaluate at terms t, which must be the fabric's current
+// Terms: it resolves the epoch for demandBytes and records it as the
+// last evaluated one.
+func (f *Fabric) Resolve(t *Terms, demandBytes float64) Epoch {
 	if demandBytes < 0 {
 		demandBytes = 0
 	}
 	ep := Epoch{DemandBytes: demandBytes}
-	if f.blocked {
+	if !t.serving {
 		ep.Latency = math.Inf(1)
 		f.last = ep
 		return ep
 	}
-	cap := f.Capacity()
-	ep.AchievedBytes = math.Min(demandBytes, cap)
-	if cap > 0 {
-		ep.Utilization = ep.AchievedBytes / cap
+	ep.AchievedBytes = min(demandBytes, t.capacity)
+	if t.capacity > 0 {
+		ep.Utilization = ep.AchievedBytes / t.capacity
 	}
-	// Traversal latency: a few fabric clocks, inflated by contention.
-	base := 12 / float64(f.freq)
 	rho := ep.Utilization
 	const rhoCap = 0.95
 	if rho > rhoCap {
 		rho = rhoCap
 	}
-	ep.Latency = base * (1 + rho/(1-rho))
+	ep.Latency = t.base * (1 + rho/(1-rho))
 	// IO_RPQ occupancy by Little's law over 64B granules.
 	reqRate := ep.AchievedBytes / 64
 	occ := reqRate * ep.Latency

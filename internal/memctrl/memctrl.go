@@ -137,37 +137,59 @@ func (c *Controller) Blocked() bool { return c.blocked }
 // efficiency. A detuned MRC image (InterfaceEff < 1) directly lowers
 // the ceiling.
 func (c *Controller) UsableBandwidth() float64 {
-	return c.dev.PeakBandwidth() * c.params.SchedulingEff * c.dev.Timing().InterfaceEff
+	return c.dev.PeakBandwidth() * c.params.SchedulingEff * c.dev.InterfaceEff()
 }
 
-// Evaluate resolves one epoch: given the aggregate bandwidth demand
-// (bytes/s) from all agents, it computes achieved bandwidth, loaded
-// latency and queue occupancy. Demand beyond the usable ceiling is
-// simply not served (the agents stall, which the compute model turns
-// into lost performance).
-func (c *Controller) Evaluate(demandBytes float64) Epoch {
+// Terms are the demand-independent inputs of Evaluate at the
+// controller's current operating point, DRAM timing image and
+// blocking state. They stay valid until the controller or its device
+// is reprogrammed, so a caller resolving many demands at one operating
+// point (the simulator's per-tick progress-rate fixpoint) computes
+// them once and reuses them through Latency and Resolve.
+type Terms struct {
+	serving  bool    // false while traffic is blocked or the DRAM is not active
+	usable   float64 // usable bandwidth ceiling (bytes/s)
+	idle     float64 // unloaded latency: pipeline + access + burst (s)
+	maxQueue float64 // queueing-delay cap: queue capacity × burst (s)
+}
+
+// Terms returns the demand-independent inputs of Evaluate for the
+// controller's present state.
+func (c *Controller) Terms() Terms {
+	// Unloaded latency: controller pipeline + DRAM access + burst.
+	pipe := c.params.PipelineCycles / float64(c.freq)
+	access := c.dev.AccessLatency()
+	burst := c.burstTime()
+	return Terms{
+		serving:  !c.blocked && c.dev.State() == dram.Active,
+		usable:   c.UsableBandwidth(),
+		idle:     pipe + access + burst,
+		maxQueue: float64(c.params.QueueCapacity) * burst,
+	}
+}
+
+// Latency returns the loaded read latency Evaluate(demandBytes) would
+// report at terms t, without resolving or recording the rest of the
+// epoch.
+func (t *Terms) Latency(demandBytes float64) float64 {
 	if demandBytes < 0 {
 		demandBytes = 0
 	}
-	ep := Epoch{DemandBytes: demandBytes}
-	if c.blocked || c.dev.State() != dram.Active {
-		// No service; demand stalls entirely.
-		ep.Latency = math.Inf(1)
-		c.lastEpoch = ep
-		return ep
+	if !t.serving {
+		return math.Inf(1)
 	}
+	_, _, lat := t.load(demandBytes)
+	return lat
+}
 
-	usable := c.UsableBandwidth()
-	ep.AchievedBytes = math.Min(demandBytes, usable)
-	if usable > 0 {
-		ep.Utilization = ep.AchievedBytes / usable
+// load is Evaluate's demand-dependent part for a serving controller:
+// the achieved bandwidth, its utilization of the ceiling, and the
+// loaded latency for a non-negative demand.
+func (t *Terms) load(demandBytes float64) (achieved, util, latency float64) {
+	achieved = min(demandBytes, t.usable)
+	if t.usable > 0 {
+		util = achieved / t.usable
 	}
-
-	// Unloaded latency: controller pipeline + DRAM access + burst.
-	pipe := c.params.PipelineCycles / float64(c.freq)
-	access := c.dev.Timing().RandomAccessLatency(c.dev.Frequency())
-	burst := c.burstTime()
-	ep.IdleLatency = pipe + access + burst
 
 	// Queueing delay. An FR-FCFS controller with deep queues and bank
 	// parallelism degrades far more gently than M/M/1 until the
@@ -176,17 +198,44 @@ func (c *Controller) Evaluate(demandBytes float64) Epoch {
 	// 50% utilization, ~20% inflation at 80%, ~40% at saturation.
 	// Beyond saturation the unserved demand shows up as back-pressure
 	// (lost bandwidth) rather than unbounded latency.
-	rho := ep.Utilization
+	rho := util
 	const rhoCap = 0.96
 	if rho > rhoCap {
 		rho = rhoCap
 	}
-	queue := ep.IdleLatency * 0.5 * rho * rho * rho * rho
-	maxQueue := float64(c.params.QueueCapacity) * burst
-	if queue > maxQueue {
-		queue = maxQueue
+	queue := t.idle * 0.5 * rho * rho * rho * rho
+	if queue > t.maxQueue {
+		queue = t.maxQueue
 	}
-	ep.Latency = ep.IdleLatency + queue
+	return achieved, util, t.idle + queue
+}
+
+// Evaluate resolves one epoch: given the aggregate bandwidth demand
+// (bytes/s) from all agents, it computes achieved bandwidth, loaded
+// latency and queue occupancy. Demand beyond the usable ceiling is
+// simply not served (the agents stall, which the compute model turns
+// into lost performance).
+func (c *Controller) Evaluate(demandBytes float64) Epoch {
+	t := c.Terms()
+	return c.Resolve(&t, demandBytes)
+}
+
+// Resolve is Evaluate at terms t, which must be the controller's
+// current Terms: it resolves the epoch for demandBytes and records it
+// as the last evaluated one.
+func (c *Controller) Resolve(t *Terms, demandBytes float64) Epoch {
+	if demandBytes < 0 {
+		demandBytes = 0
+	}
+	ep := Epoch{DemandBytes: demandBytes}
+	if !t.serving {
+		// No service; demand stalls entirely.
+		ep.Latency = math.Inf(1)
+		c.lastEpoch = ep
+		return ep
+	}
+	ep.IdleLatency = t.idle
+	ep.AchievedBytes, ep.Utilization, ep.Latency = t.load(demandBytes)
 
 	// Little's law for the RPQ occupancy counter: requests in flight =
 	// arrival rate × residence time.

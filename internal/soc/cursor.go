@@ -30,8 +30,9 @@ func newPhaseCursor(w workload.Workload) phaseCursor {
 // index returns the active phase index.
 func (c *phaseCursor) index() int { return c.idx }
 
-// phase returns the active phase.
-func (c *phaseCursor) phase() workload.Phase { return c.phases[c.idx] }
+// phase returns the active phase, in place in the workload's phase
+// slice.
+func (c *phaseCursor) phase() *workload.Phase { return &c.phases[c.idx] }
 
 // nextBoundary returns the time remaining until the cursor leaves the
 // active phase — the span-batched core's phase-edge bound. It is always

@@ -45,18 +45,18 @@ func TestTickMemoSteadyStateHits(t *testing.T) {
 	phases := p.cfg.Workload.Phases
 	p.refreshTickMemo()
 
-	ev := p.tickEvalFor(0, phases[0])
+	ev := *p.tickEvalFor(0, &phases[0])
 	expectEvals(t, p, 1, "first tick")
-	if got := p.tickEvalFor(0, phases[0]); got != ev {
+	if got := *p.tickEvalFor(0, &phases[0]); got != ev {
 		t.Fatal("memoized evaluation differs from the fresh one")
 	}
 	expectEvals(t, p, 1, "steady-state tick")
 
 	// A different phase owns its own entry; revisiting either stays hot.
-	p.tickEvalFor(1, phases[1])
+	p.tickEvalFor(1, &phases[1])
 	expectEvals(t, p, 2, "second phase")
-	p.tickEvalFor(0, phases[0])
-	p.tickEvalFor(1, phases[1])
+	p.tickEvalFor(0, &phases[0])
+	p.tickEvalFor(1, &phases[1])
 	expectEvals(t, p, 2, "revisits")
 
 	// Reprogramming identical values must not invalidate.
@@ -65,7 +65,7 @@ func TestTickMemoSteadyStateHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.refreshTickMemo()
-	p.tickEvalFor(0, phases[0])
+	p.tickEvalFor(0, &phases[0])
 	expectEvals(t, p, 2, "identical reprogramming")
 }
 
@@ -73,7 +73,7 @@ func TestTickMemoInvalidation(t *testing.T) {
 	p := memoTestPlatform(t)
 	phases := p.cfg.Workload.Phases
 	p.refreshTickMemo()
-	evHigh := p.tickEvalFor(0, phases[0])
+	evHigh := *p.tickEvalFor(0, &phases[0])
 	expectEvals(t, p, 1, "baseline")
 
 	// A core frequency change forces re-evaluation.
@@ -81,7 +81,7 @@ func TestTickMemoInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.refreshTickMemo()
-	p.tickEvalFor(0, phases[0])
+	p.tickEvalFor(0, &phases[0])
 	expectEvals(t, p, 2, "core frequency change")
 
 	// A graphics frequency change forces re-evaluation.
@@ -89,7 +89,7 @@ func TestTickMemoInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.refreshTickMemo()
-	p.tickEvalFor(0, phases[0])
+	p.tickEvalFor(0, &phases[0])
 	expectEvals(t, p, 3, "gfx frequency change")
 
 	// A budget reprogramming forces re-evaluation.
@@ -97,13 +97,13 @@ func TestTickMemoInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.refreshTickMemo()
-	p.tickEvalFor(0, phases[0])
+	p.tickEvalFor(0, &phases[0])
 	expectEvals(t, p, 4, "budget change")
 
 	// A bonus grant forces re-evaluation.
 	p.setBonus(0.25)
 	p.refreshTickMemo()
-	p.tickEvalFor(0, phases[0])
+	p.tickEvalFor(0, &phases[0])
 	expectEvals(t, p, 5, "bonus change")
 
 	// A DVFS transition forces re-evaluation and changes the result.
@@ -118,7 +118,7 @@ func TestTickMemoInvalidation(t *testing.T) {
 		t.Fatalf("currentIdx = %d after transition to ladder[1]", p.currentIdx)
 	}
 	p.refreshTickMemo()
-	evLow := p.tickEvalFor(0, phases[0])
+	evLow := *p.tickEvalFor(0, &phases[0])
 	expectEvals(t, p, 6, "operating-point transition")
 	if evLow == evHigh {
 		t.Fatal("evaluation unchanged across an operating-point transition")

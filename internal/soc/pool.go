@@ -94,7 +94,6 @@ func (p *Platform) Reset(cfg Config) error {
 	p.currentIdx = 0
 	p.fillLadderIndex()
 	p.bonus = 0
-	clear(p.refLats)
 	p.tickProg = tickProg{}
 	p.memoReady = false
 	p.evalCalls = 0

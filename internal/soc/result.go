@@ -1,7 +1,9 @@
 package soc
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"sysscale/internal/perfcounters"
@@ -57,6 +59,41 @@ type Result struct {
 	// PowerTrace is the per-tick package power (present when
 	// Config.TracePower is set).
 	PowerTrace []float64
+}
+
+// Check verifies the physics a Result must obey, each to relative
+// tolerance tol:
+//
+//   - Energy equals AvgPower × Duration;
+//   - the rail averages sum to AvgPower;
+//   - PointResidency sums to 1;
+//   - Score does not exceed ActiveScore (work per elapsed second
+//     cannot beat work per active second).
+//
+// It reports every violated invariant, or nil.
+func (r Result) Check(tol float64) error {
+	var errs []error
+	// The comparisons are written so that a NaN fails them.
+	near := func(what string, got, want float64) {
+		if d := math.Abs(got - want); !(d <= tol*max(math.Abs(got), math.Abs(want))) {
+			errs = append(errs, fmt.Errorf("soc: %s: got %g, want %g", what, got, want))
+		}
+	}
+	near("Energy = AvgPower × Duration", float64(r.Energy), float64(r.AvgPower)*r.Duration.Seconds())
+	var rails power.Watt
+	for _, w := range r.RailAvg {
+		rails += w
+	}
+	near("sum of RailAvg = AvgPower", float64(rails), float64(r.AvgPower))
+	var resid float64
+	for _, f := range r.PointResidency {
+		resid += f
+	}
+	near("sum of PointResidency = 1", resid, 1)
+	if !(r.Score <= r.ActiveScore*(1+tol)) {
+		errs = append(errs, fmt.Errorf("soc: Score %g exceeds ActiveScore %g", r.Score, r.ActiveScore))
+	}
+	return errors.Join(errs...)
 }
 
 // EDPOf computes energy×delay for a given amount of work at this run's

@@ -110,7 +110,7 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 
 	// Program the initial compute P-states from the boot budgets.
 	firstPhase := cfg.Workload.PhaseAt(0)
-	if _, _, err := p.applyPBM(firstPhase, 0, 0); err != nil {
+	if _, _, err := p.applyPBM(&firstPhase, 0, 0); err != nil {
 		return Result{}, err
 	}
 	p.refreshTickMemo()
@@ -126,6 +126,12 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 	// bit-for-bit (all batch accumulators are exact identities at n=1).
 	batch := !cfg.DisableSpanBatching && !cfg.TracePower
 
+	// The per-epoch cancellation poll is a non-blocking receive on done.
+	// Unlike ctx.Err(), it takes no lock, and a batch's workers share
+	// one context. done is nil for a context that is never cancelled; a
+	// receive from nil never proceeds.
+	done := ctx.Done()
+
 	for i := 0; i < nTicks; {
 		idx := cursor.index()
 		ph := cursor.phase()
@@ -139,11 +145,14 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 			// cause is surfaced when one was set (context.WithTimeoutCause
 			// is how the engine brands per-job deadlines), so callers can
 			// tell a job's own timeout from batch-cancellation collateral.
-			if err := ctx.Err(); err != nil {
+			select {
+			case <-done:
+				err := ctx.Err()
 				if cause := context.Cause(ctx); cause != nil {
 					err = cause
 				}
 				return Result{}, err
+			default:
 			}
 			now := p.clock.Now()
 			avg, n := p.counters.WindowAverage()
@@ -295,7 +304,7 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 // accumulator increments, pre-multiplied by the span length. It writes
 // every field of *d in place, so the delta is never copied on its way
 // to the caller.
-func (p *Platform) integrateSpan(d *spanDelta, idx int, ph workload.Phase, stallFrac, tickSec, fn float64) {
+func (p *Platform) integrateSpan(d *spanDelta, idx int, ph *workload.Phase, stallFrac, tickSec, fn float64) {
 	ev := p.tickEvalFor(idx, ph)
 	effRate := ev.r * (1 - stallFrac)
 
@@ -432,7 +441,7 @@ type pbmMemo struct {
 
 // applyPBM converts the current budgets into compute P-states for the
 // phase, honoring fixed-frequency overrides and policy caps.
-func (p *Platform) applyPBM(ph workload.Phase, coreCap, gfxCap vf.Hz) (vf.Hz, vf.Hz, error) {
+func (p *Platform) applyPBM(ph *workload.Phase, coreCap, gfxCap vf.Hz) (vf.Hz, vf.Hz, error) {
 	req := pmu.Request{
 		ActiveCores: ph.ActiveCores,
 		GfxShare:    gfxShareFor(ph),
@@ -490,7 +499,7 @@ func (p *Platform) applyPBM(ph workload.Phase, coreCap, gfxCap vf.Hz) (vf.Hz, vf
 
 // gfxShareFor is the PBM's compute-budget split: graphics workloads
 // hand 80-90% of the compute budget to the graphics engines (§7.2).
-func gfxShareFor(ph workload.Phase) float64 {
+func gfxShareFor(ph *workload.Phase) float64 {
 	switch {
 	case ph.GfxFrac > 0.25:
 		return 0.75
@@ -556,16 +565,21 @@ func (p *Platform) refreshTickMemo() {
 	p.tickProg = prog
 	if !p.memoReady {
 		n := len(p.cfg.Workload.Phases)
-		if cap(p.tickMemo) >= n && cap(p.tickValid) >= n {
+		if cap(p.tickMemo) >= n && cap(p.tickValid) >= n && cap(p.refLats) >= n {
 			// Pooled platform: recycle the per-phase backing arrays.
 			p.tickMemo = p.tickMemo[:n]
 			p.tickValid = p.tickValid[:n]
+			p.refLats = p.refLats[:n]
 			for i := range p.tickValid {
 				p.tickValid[i] = false
 			}
 		} else {
 			p.tickMemo = make([]tickEval, n)
 			p.tickValid = make([]bool, n)
+			p.refLats = make([]float64, n)
+		}
+		for i := range p.refLats {
+			p.refLats[i] = math.NaN()
 		}
 		p.memoReady = true
 		return
@@ -576,34 +590,39 @@ func (p *Platform) refreshTickMemo() {
 }
 
 // tickEvalFor returns the tick evaluation for phase idx, serving it
-// from the memo when the programming snapshot is unchanged.
+// from the memo when the programming snapshot is unchanged. The result
+// points into the phase's memo slot, which evalTick fills in place
+// (with the memo off the slot is scratch, refilled on every call), so
+// a caller must not hold it across another tickEvalFor.
 //
 // A memo hit must leave the platform in the same state a fresh
 // evalTick would: evalTick's only side effects are the components'
 // rolling last-evaluated epochs, and the fabric's feeds the drain
 // latency of the next DVFS transition. Restore all three so memoized
 // and per-tick runs stay bit-identical.
-func (p *Platform) tickEvalFor(idx int, ph workload.Phase) tickEval {
+func (p *Platform) tickEvalFor(idx int, ph *workload.Phase) *tickEval {
+	ev := &p.tickMemo[idx]
 	if !p.cfg.DisableTickMemo && p.tickValid[idx] {
-		ev := p.tickMemo[idx]
 		p.mc.RestoreEpoch(ev.mcEp)
 		p.fabric.RestoreEpoch(ev.fabEp)
 		p.llc.RestoreEpoch(ev.llcEp)
 		return ev
 	}
 	p.evalCalls++
-	ev := p.evalTick(ph, p.refLatOf(idx, ph))
+	p.evalTick(ev, ph, p.refLatOf(idx, ph))
 	if !p.cfg.DisableTickMemo {
-		p.tickMemo[idx] = ev
 		p.tickValid[idx] = true
 	}
 	return ev
 }
 
 // refLatOf returns phase idx's reference loaded latency (computed once
-// at the boot/high point and cached for the whole run).
-func (p *Platform) refLatOf(idx int, ph workload.Phase) float64 {
-	if l, ok := p.refLats[idx]; ok {
+// at the boot/high point and kept for the whole run). An unset slot
+// holds NaN; a latency that genuinely resolves to NaN is recomputed on
+// every call, to the same value, so the sentinel cannot change a
+// result.
+func (p *Platform) refLatOf(idx int, ph *workload.Phase) float64 {
+	if l := p.refLats[idx]; !math.IsNaN(l) {
 		return l
 	}
 	static := p.ioeng.CSR().StaticBandwidth()
@@ -614,36 +633,52 @@ func (p *Platform) refLatOf(idx int, ph workload.Phase) float64 {
 
 // evalTick resolves the tick's progress-rate fixpoint and component
 // epochs for the active (C0) scenario, plus the C2 (static-only)
-// utilizations used for idle-state power.
-func (p *Platform) evalTick(ph workload.Phase, refLat float64) tickEval {
+// utilizations used for idle-state power, into *ev.
+//
+// Only the progress rate r changes across the fixpoint's iterations:
+// the controller's operating-point terms, the bandwidth headroom and
+// the phase's residual CPI share are resolved once, before the loop.
+// An iteration reads nothing of the memory controller but its loaded
+// latency, which it takes from the same helper Evaluate uses, and
+// nothing of the fabric at all. The full controller and fabric epochs
+// are resolved once, after the loop, on the demands its last iteration
+// used, which leaves both components' rolling epochs exactly as
+// evaluating them on every iteration would.
+func (p *Platform) evalTick(ev *tickEval, ph *workload.Phase, refLat float64) {
 	static := p.ioeng.CSR().StaticBandwidth()
+	mcT := p.mc.Terms()
+	fabT := p.fabric.Terms()
 
 	// C2 scenario: only static isochronous traffic flows.
-	c2Mem := p.mc.Evaluate(static)
-	c2Fab := p.fabric.Evaluate(static)
-	ev := tickEval{c2Util: c2Mem.Utilization, c2IO: c2Fab.Utilization, c2BW: c2Mem.AchievedBytes}
+	c2Mem := p.mc.Resolve(&mcT, static)
+	c2Fab := p.fabric.Resolve(&fabT, static)
+	ev.c2Util, ev.c2IO, ev.c2BW = c2Mem.Utilization, c2Fab.Utilization, c2Mem.AchievedBytes
 
 	coreEff := float64(p.cores.EffectiveFrequency())
 	gfxF := float64(p.gfx.Frequency())
-	coreSlow := float64(workload.RefCoreFreq) / math.Max(coreEff, 1)
-	gfxSlow := float64(workload.RefGfxFreq) / math.Max(gfxF, 1)
+	coreSlow := float64(workload.RefCoreFreq) / max(coreEff, 1)
+	gfxSlow := float64(workload.RefGfxFreq) / max(gfxF, 1)
+
+	avail := float64(p.mc.UsableBandwidth()) - static
+	if avail < 1e6 {
+		avail = 1e6
+	}
+	availIO := float64(p.fabric.Capacity()) - static
+	if availIO < 1e6 {
+		availIO = 1e6
+	}
+	other := ph.OtherFrac()
 
 	r := 1.0
-	var mcEp memctrl.Epoch
-	var fabEp interconnect.Epoch
+	var memDemand, ioDemand float64
 	for it := 0; it < 16; it++ {
-		memDemand := static + r*ph.MemBW
-		mcEp = p.mc.Evaluate(memDemand)
-		fabEp = p.fabric.Evaluate(static + r*ph.IOBW)
+		memDemand = static + r*ph.MemBW
+		ioDemand = static + r*ph.IOBW
+		lat := mcT.Latency(memDemand)
 
-		usable := p.mc.UsableBandwidth()
-		avail := usable - static
-		if avail < 1e6 {
-			avail = 1e6
-		}
 		bwSlow := 1.0
 		if ph.MemBW > 0 {
-			served := math.Min(r*ph.MemBW, avail)
+			served := min(r*ph.MemBW, avail)
 			if served < 1e6 {
 				served = 1e6
 			}
@@ -653,16 +688,12 @@ func (p *Platform) evalTick(ph workload.Phase, refLat float64) tickEval {
 			}
 		}
 		latSlow := 1.0
-		if refLat > 0 && !math.IsInf(mcEp.Latency, 1) {
-			latSlow = mcEp.Latency / refLat
+		if refLat > 0 && !math.IsInf(lat, 1) {
+			latSlow = lat / refLat
 		}
 		ioSlow := 1.0
 		if ph.IOBW > 0 {
-			availIO := p.fabric.Capacity() - static
-			if availIO < 1e6 {
-				availIO = 1e6
-			}
-			served := math.Min(r*ph.IOBW, availIO)
+			served := min(r*ph.IOBW, availIO)
 			if served < 1e6 {
 				served = 1e6
 			}
@@ -674,7 +705,7 @@ func (p *Platform) evalTick(ph workload.Phase, refLat float64) tickEval {
 
 		t := ph.CoreFrac*coreSlow + ph.GfxFrac*gfxSlow +
 			ph.MemLatFrac*latSlow + ph.MemBWFrac*bwSlow +
-			ph.IOFrac*ioSlow + ph.OtherFrac()
+			ph.IOFrac*ioSlow + other
 		if t < 1e-9 {
 			t = 1e-9
 		}
@@ -682,8 +713,9 @@ func (p *Platform) evalTick(ph workload.Phase, refLat float64) tickEval {
 		r = 0.5*r + 0.5*rNew
 	}
 	ev.r = r
-	ev.mcEp = mcEp
-	ev.fabEp = fabEp
+	ev.mcEp = p.mc.Resolve(&mcT, memDemand)
+	ev.fabEp = p.fabric.Resolve(&fabT, ioDemand)
+	mcLat := ev.mcEp.Latency
 
 	// LLC epoch for counters: split workload traffic between core and
 	// graphics agents by their compute-boundedness ratio.
@@ -696,8 +728,8 @@ func (p *Platform) evalTick(ph workload.Phase, refLat float64) tickEval {
 	// latency at the achieved progress rate: the latency-bound share of
 	// the CPI stack scaled by the loaded-vs-reference latency ratio.
 	finalLatSlow := 1.0
-	if refLat > 0 && !math.IsInf(mcEp.Latency, 1) {
-		finalLatSlow = mcEp.Latency / refLat
+	if refLat > 0 && !math.IsInf(mcLat, 1) {
+		finalLatSlow = mcLat / refLat
 	}
 	stallFrac := ph.MemLatFrac * finalLatSlow * r
 	ev.llcEp = p.llc.Evaluate(cache.Traffic{
@@ -705,8 +737,7 @@ func (p *Platform) evalTick(ph workload.Phase, refLat float64) tickEval {
 		GfxMissBytes:  wlBytes * gfxTraffic,
 		CoreHitBytes:  wlBytes * 2.5, // typical LLC hit:miss byte ratio
 		LatStallFrac:  stallFrac,
-	}, mcEp.Latency)
-	return ev
+	}, mcLat)
 }
 
 // sampleFor computes the tick's counter-file image, weighting
@@ -714,7 +745,7 @@ func (p *Platform) evalTick(ph workload.Phase, refLat float64) tickEval {
 // time simply contributes no events). The image covers the whole file,
 // so restoring it into the counter file is equivalent to the
 // historical per-counter writes.
-func (p *Platform) sampleFor(ev tickEval, c0, c2 float64) perfcounters.Sample {
+func (p *Platform) sampleFor(ev *tickEval, c0, c2 float64) perfcounters.Sample {
 	var s perfcounters.Sample
 	s[perfcounters.GfxLLCMisses] = ev.llcEp.GfxMisses * c0
 	s[perfcounters.LLCOccupancyTracer] = ev.llcEp.OccupancyTracer * c0
@@ -727,7 +758,7 @@ func (p *Platform) sampleFor(ev tickEval, c0, c2 float64) perfcounters.Sample {
 }
 
 // tickPower computes the tick's per-rail power.
-func (p *Platform) tickPower(ph workload.Phase, ev tickEval, c0, c2, deep float64, orig compute.Residency) [vf.NumRails]power.Watt {
+func (p *Platform) tickPower(ph *workload.Phase, ev *tickEval, c0, c2, deep float64, orig compute.Residency) [vf.NumRails]power.Watt {
 	var rails [vf.NumRails]power.Watt
 
 	// Split the deep fraction between C6 and C8 in their original

@@ -253,18 +253,18 @@ type Platform struct {
 	ladderIdx  map[vf.OperatingPoint]int
 	bonus      power.Watt
 
-	// refLats caches each phase's reference loaded latency (computed at
-	// the boot/high point, constant for the whole run).
-	refLats map[int]float64
-
 	// Steady-state tick memo (run.go): one resolved tickEval per phase,
 	// valid while tickProg — the programmable state feeding evalTick —
-	// is unchanged. memoReady marks the per-phase slices as sized for
-	// the current workload (pooled platforms recycle their backing
-	// arrays across runs). evalCalls counts full fixpoint evaluations.
+	// is unchanged. refLats holds each phase's reference loaded latency
+	// (computed at the boot/high point, constant for the whole run; NaN
+	// until first needed). memoReady marks the per-phase slices as
+	// sized for the current workload (pooled platforms recycle their
+	// backing arrays across runs). evalCalls counts full fixpoint
+	// evaluations.
 	tickProg  tickProg
 	tickMemo  []tickEval
 	tickValid []bool
+	refLats   []float64
 	memoReady bool
 	evalCalls int
 
@@ -292,7 +292,7 @@ func newPlatform(cfg Config) (*Platform, error) {
 	}
 	boot := cfg.Ladder[0]
 
-	p := &Platform{cfg: cfg, current: boot, refLats: make(map[int]float64)}
+	p := &Platform{cfg: cfg, current: boot}
 	p.worstIOFn = p.WorstCaseIOBudget
 	p.worstMemFn = p.WorstCaseMemBudget
 	p.ladderIdx = make(map[vf.OperatingPoint]int, len(cfg.Ladder))
