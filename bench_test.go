@@ -336,22 +336,3 @@ func BenchmarkSimulatorTick(b *testing.B) {
 	}
 	b.ReportMetric(cfg.Duration.Millis()*float64(b.N)/b.Elapsed().Seconds(), "sim_ms/s")
 }
-
-// BenchmarkSimulatorTickMemoOff is the same run with the steady-state
-// tick memo disabled: the fixpoint resolves on every tick, as before
-// the fast path. The sim_ms/s ratio to BenchmarkSimulatorTick is the
-// fast path's end-to-end speedup.
-func BenchmarkSimulatorTickMemoOff(b *testing.B) {
-	w, err := experiments.BenchWorkload()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := experiments.BenchConfigMemoOff(w)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.BenchRun(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(cfg.Duration.Millis()*float64(b.N)/b.Elapsed().Seconds(), "sim_ms/s")
-}

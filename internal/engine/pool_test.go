@@ -12,8 +12,9 @@ import (
 
 // poolJobs builds a heterogeneous batch that forces recycled platforms
 // to absorb every kind of config change: workload class, TDP, sample
-// interval, fast-path knobs, power tracing, and (via RecordEvents) the
-// fresh-assembly fallback.
+// interval, span batching and power tracing. The memo and event-log
+// test hooks are unexported; soc's TestRunnerReuseBitIdentical covers
+// them.
 func poolJobs(t *testing.T) []Job {
 	t.Helper()
 	mk := func(wl workload.Workload, p soc.Policy, mut func(*soc.Config)) Job {
@@ -40,10 +41,8 @@ func poolJobs(t *testing.T) []Job {
 		mk(workload.BatterySuite()[0], policy.NewCoScaleRedist(), func(c *soc.Config) {
 			c.SampleInterval = 500 * sim.Microsecond
 		}),
-		mk(workload.Stream(), policy.NewBaseline(), func(c *soc.Config) { c.DisableTickMemo = true }),
 		mk(spec("403.gcc"), policy.NewSysScaleDefault(), func(c *soc.Config) { c.DisableSpanBatching = true }),
 		mk(spec("400.perlbench"), policy.NewMemScaleRedist(), func(c *soc.Config) { c.TracePower = true }),
-		mk(spec("429.mcf"), policy.NewSysScaleDefault(), func(c *soc.Config) { c.RecordEvents = true }),
 	}
 }
 

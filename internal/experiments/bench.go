@@ -25,14 +25,5 @@ func BenchConfig(w workload.Workload) soc.Config {
 	return cfg
 }
 
-// BenchConfigMemoOff returns the same configuration with the
-// steady-state tick memo disabled — the reference for measuring the
-// fast path's speedup (results are bit-identical either way).
-func BenchConfigMemoOff(w workload.Workload) soc.Config {
-	cfg := BenchConfig(w)
-	cfg.DisableTickMemo = true
-	return cfg
-}
-
 // BenchRun executes one configuration.
 func BenchRun(cfg soc.Config) (soc.Result, error) { return soc.Run(cfg) }

@@ -39,8 +39,8 @@ func tortureWorkloads(t *testing.T) []workload.Workload {
 }
 
 // tortureJobs builds the torture batch: tortureSize jobs over a mixed
-// workload × policy grid, every config made distinct via Seed (so
-// nothing coalesces and stats count exactly), with the plan's fault
+// workload × policy grid, every config made distinct by a per-job
+// Duration step (so nothing coalesces and stats count exactly), with the plan's fault
 // kinds wired in as chaos policy wrappers. Stall jobs carry a per-job
 // deadline far below their stall, so they fail with ErrJobTimeout
 // deterministically. Returns the jobs and each job's planned kind.
@@ -59,8 +59,7 @@ func tortureJobs(t *testing.T) ([]engine.Job, []Kind) {
 		cfg := soc.DefaultConfig()
 		cfg.Workload = ws[i%len(ws)]
 		cfg.Policy = pols[i%len(pols)]()
-		cfg.Duration = 120 * sim.Millisecond
-		cfg.Seed = uint64(i) // distinct fingerprint per job
+		cfg.Duration = 120*sim.Millisecond + sim.Time(i)*cfg.SampleInterval // distinct fingerprint per job
 		job := engine.Job{Config: cfg}
 		kinds[i] = torturePlan.Kind(i)
 		switch kinds[i] {
@@ -239,8 +238,7 @@ func TestBrokenDiskTripsBreaker(t *testing.T) {
 		cfg := soc.DefaultConfig()
 		cfg.Workload = ws[i%len(ws)]
 		cfg.Policy = policy.NewBaseline()
-		cfg.Duration = 120 * sim.Millisecond
-		cfg.Seed = uint64(i)
+		cfg.Duration = 120*sim.Millisecond + sim.Time(i)*cfg.SampleInterval
 		jobs = append(jobs, engine.Job{Config: cfg})
 	}
 	if _, err := e.RunBatch(jobs); err != nil {

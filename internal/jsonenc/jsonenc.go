@@ -50,9 +50,6 @@ func AppendFloat(b []byte, f float64) (_ []byte, ok bool) {
 // AppendInt appends a decimal int64 (identical to encoding/json).
 func AppendInt(b []byte, v int64) []byte { return strconv.AppendInt(b, v, 10) }
 
-// AppendUint appends a decimal uint64 (identical to encoding/json).
-func AppendUint(b []byte, v uint64) []byte { return strconv.AppendUint(b, v, 10) }
-
 // AppendBool appends true or false.
 func AppendBool(b []byte, v bool) []byte { return strconv.AppendBool(b, v) }
 

@@ -57,9 +57,6 @@ func TestAppendScalarsMatchEncodingJSON(t *testing.T) {
 	if got := string(AppendInt(nil, -42)); got != "-42" {
 		t.Errorf("AppendInt(-42) = %s", got)
 	}
-	if got := string(AppendUint(nil, math.MaxUint64)); got != "18446744073709551615" {
-		t.Errorf("AppendUint(max) = %s", got)
-	}
 	if got := string(AppendBool(nil, true)); got != "true" {
 		t.Errorf("AppendBool(true) = %s", got)
 	}

@@ -43,7 +43,7 @@ func benchSteadyState(b *testing.B, disableSpan, disableMemo bool) {
 	cfg.Policy = highPinBench()
 	cfg.Duration = 500 * sim.Millisecond
 	cfg.DisableSpanBatching = disableSpan
-	cfg.DisableTickMemo = disableMemo
+	cfg.noTickMemo = disableMemo
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(cfg); err != nil {

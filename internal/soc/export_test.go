@@ -1,0 +1,11 @@
+package soc
+
+// Test hooks for the external soc_test package, which drives the real
+// governors (internal/policy imports soc) and so cannot set the
+// unexported Config switches directly.
+
+// SetNoTickMemo turns the steady-state tick memo off (v true) or on.
+func SetNoTickMemo(c *Config, v bool) { c.noTickMemo = v }
+
+// SetNoPBMMemo turns the PBM grant memo off (v true) or on.
+func SetNoPBMMemo(c *Config, v bool) { c.noPBMMemo = v }

@@ -77,7 +77,7 @@ func TestTickMemoTransitionDrainBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Policy = &delayedSwitch{n: 3}
-	cfg.DisableTickMemo = true
+	soc.SetNoTickMemo(&cfg, true)
 	plain, err := soc.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestTickMemoResultsBitIdentical(t *testing.T) {
 				t.Fatalf("%s/%s memo on: %v", w.Name, cfg.Policy.Name(), err)
 			}
 			cfg.Policy = mk()
-			cfg.DisableTickMemo = true
+			soc.SetNoTickMemo(&cfg, true)
 			plain, err := soc.Run(cfg)
 			if err != nil {
 				t.Fatalf("%s/%s memo off: %v", w.Name, cfg.Policy.Name(), err)

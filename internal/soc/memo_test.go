@@ -153,7 +153,7 @@ func TestTickMemoRunSkipsSteadyTicks(t *testing.T) {
 
 	// With the memo off but span batching on, the fixpoint resolves once
 	// per span — still far fewer than once per tick.
-	cfg.DisableTickMemo = true
+	cfg.noTickMemo = true
 	s, err := newPlatform(cfg)
 	if err != nil {
 		t.Fatal(err)

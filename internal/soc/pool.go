@@ -42,7 +42,7 @@ func (p *Platform) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if cfg.DRAMKind != p.cfg.DRAMKind || cfg.RecordEvents || p.log != nil {
+	if cfg.DRAMKind != p.cfg.DRAMKind || cfg.recordEvents || p.log != nil {
 		return fmt.Errorf("soc: platform cannot be recycled for this configuration")
 	}
 	boot := cfg.Ladder[0]

@@ -464,7 +464,7 @@ func (p *Platform) applyPBM(ph *workload.Phase, coreCap, gfxCap vf.Hz) (vf.Hz, v
 	if gfxCap > 0 && (req.GfxFreq == 0 || gfxCap < req.GfxFreq) {
 		req.GfxFreq = gfxCap
 	}
-	if m := &p.pbmMemo; !p.cfg.DisablePBMMemo && m.valid && req == m.req && p.budget.Compute() == m.budget &&
+	if m := &p.pbmMemo; !p.cfg.noPBMMemo && m.valid && req == m.req && p.budget.Compute() == m.budget &&
 		p.cores.Frequency() == m.coreState && p.gfx.Frequency() == m.gfxState &&
 		p.cores.DutyCycle() == m.duty {
 		return m.coreF, m.gfxF, nil
@@ -602,7 +602,7 @@ func (p *Platform) refreshTickMemo() {
 // and per-tick runs stay bit-identical.
 func (p *Platform) tickEvalFor(idx int, ph *workload.Phase) *tickEval {
 	ev := &p.tickMemo[idx]
-	if !p.cfg.DisableTickMemo && p.tickValid[idx] {
+	if !p.cfg.noTickMemo && p.tickValid[idx] {
 		p.mc.RestoreEpoch(ev.mcEp)
 		p.fabric.RestoreEpoch(ev.fabEp)
 		p.llc.RestoreEpoch(ev.llcEp)
@@ -610,7 +610,7 @@ func (p *Platform) tickEvalFor(idx int, ph *workload.Phase) *tickEval {
 	}
 	p.evalCalls++
 	p.evalTick(ev, ph, p.refLatOf(idx, ph))
-	if !p.cfg.DisableTickMemo {
+	if !p.cfg.noTickMemo {
 		p.tickValid[idx] = true
 	}
 	return ev

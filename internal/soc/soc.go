@@ -121,22 +121,8 @@ type Config struct {
 	// FixedGfxFreq pins the graphics engines. 0 = PBM-managed.
 	FixedGfxFreq vf.Hz
 
-	// Seed is part of the job's identity only: no model element reads
-	// it, so runs that differ only in Seed produce identical Results.
-	// It stays in the cache key until the spec's exactness knobs and
-	// identity fields are revisited in a new spec version.
-	Seed uint64
-
-	// RecordEvents enables the event log (flow tracing).
-	RecordEvents bool
 	// TracePower records a per-tick package power trace in the result.
 	TracePower bool
-
-	// DisableTickMemo turns off the steady-state tick memo and resolves
-	// the progress-rate fixpoint on every tick. Results are bit-identical
-	// either way (the memo is keyed by every input that feeds the
-	// evaluation); the knob exists for A/B verification and benchmarks.
-	DisableTickMemo bool
 
 	// DisableSpanBatching turns off the span-batched core and walks the
 	// run one tick at a time. Between policy decisions and phase edges
@@ -153,13 +139,17 @@ type Config struct {
 	// threshold. The knob exists for A/B verification and benchmarks.
 	DisableSpanBatching bool
 
-	// DisablePBMMemo turns off the PBM grant memo and re-runs the
-	// budget→P-state arbitration on every applyPBM call. The memo is
-	// exact — it only fires when the request, the compute budget, and
-	// the programmed compute state all match the previous outcome, so
-	// results are bit-identical either way; the knob keeps that claim
-	// falsifiable by A/B tests, like the other two fast paths.
-	DisablePBMMemo bool
+	// Test hooks, unexported because none of them changes a Result and
+	// so none belongs in the job's identity (the cache key). The two
+	// memos are exact: noTickMemo resolves the progress-rate fixpoint
+	// on every tick, and noPBMMemo re-runs the budget→P-state
+	// arbitration on every applyPBM call, so A/B tests can keep the
+	// bit-identity claims falsifiable. recordEvents wires an event log
+	// through the flow (flow tracing); such a platform is always
+	// assembled fresh.
+	noTickMemo   bool
+	noPBMMemo    bool
+	recordEvents bool
 }
 
 // DefaultConfig returns the Table 2 platform: 4.5W TDP, LPDDR3-1600,
@@ -173,7 +163,6 @@ func DefaultConfig() Config {
 		Duration:       2 * sim.Second,
 		EvalInterval:   30 * sim.Millisecond,
 		SampleInterval: 1 * sim.Millisecond,
-		Seed:           1,
 	}
 }
 
@@ -299,7 +288,7 @@ func newPlatform(cfg Config) (*Platform, error) {
 	p.fillLadderIndex()
 	p.clock = sim.NewClock(cfg.SampleInterval)
 	p.rails = vf.DefaultRails()
-	if cfg.RecordEvents {
+	if cfg.recordEvents {
 		p.log = sim.NewEventLog(0)
 	}
 
@@ -382,7 +371,8 @@ func newPlatform(cfg Config) (*Platform, error) {
 	return p, nil
 }
 
-// EventLog returns the run's event log (nil unless RecordEvents).
+// EventLog returns the run's event log (nil unless the config records
+// events, which only tests switch on).
 func (p *Platform) EventLog() *sim.EventLog { return p.log }
 
 // uncoreBudget is the fixed reservation for miscellaneous uncore logic.

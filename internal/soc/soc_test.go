@@ -303,7 +303,7 @@ func TestReservationClamp(t *testing.T) {
 func TestEventLogRecordsFlow(t *testing.T) {
 	cfg := testConfig(t, "416.gamess")
 	cfg.Policy = lowPin(false)
-	cfg.RecordEvents = true
+	cfg.recordEvents = true
 	cfg.Duration = 200 * sim.Millisecond
 	p, err := NewPlatform(cfg)
 	if err != nil {

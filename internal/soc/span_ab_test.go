@@ -153,7 +153,7 @@ func TestSpanBatchingEquivalence(t *testing.T) {
 				cfg.Duration = 300 * sim.Millisecond
 				cfg.Policy = mk()
 				cfg.DisableSpanBatching = disableSpan
-				cfg.DisableTickMemo = disableMemo
+				soc.SetNoTickMemo(&cfg, disableMemo)
 				r, err := soc.Run(cfg)
 				if err != nil {
 					t.Fatalf("%s span=%v memo=%v: %v", label, !disableSpan, !disableMemo, err)
@@ -179,7 +179,7 @@ func TestSpanBatchingEquivalence(t *testing.T) {
 			cfg.Workload = w
 			cfg.Duration = 300 * sim.Millisecond
 			cfg.Policy = mk()
-			cfg.DisablePBMMemo = true
+			soc.SetNoPBMMemo(&cfg, true)
 			pbmOff, err := soc.Run(cfg)
 			if err != nil {
 				t.Fatalf("%s pbm memo off: %v", label, err)

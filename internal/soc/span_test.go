@@ -71,7 +71,8 @@ func TestSpanTicksProperty(t *testing.T) {
 // poolConfigs is a heterogeneous config sequence that forces Reset to
 // absorb every kind of change: workload class (including battery
 // race-to-sleep), ladder, TDP, sample/eval interval, policy, fast-path
-// knobs, and power tracing.
+// knobs, power tracing, and (via recordEvents) the fresh-assembly
+// fallback.
 func poolConfigs(t *testing.T) []Config {
 	t.Helper()
 	spec := func(name string) workload.Workload {
@@ -115,7 +116,7 @@ func poolConfigs(t *testing.T) []Config {
 	c = base()
 	c.Workload = workload.Stream()
 	c.Policy = highPin()
-	c.DisableTickMemo = true
+	c.noTickMemo = true
 	cfgs = append(cfgs, c)
 
 	c = base()
@@ -128,6 +129,12 @@ func poolConfigs(t *testing.T) []Config {
 	c.Workload = spec("403.gcc")
 	c.Policy = lowPin(true)
 	c.TracePower = true
+	cfgs = append(cfgs, c)
+
+	c = base()
+	c.Workload = spec("429.mcf")
+	c.Policy = lowPin(true)
+	c.recordEvents = true
 	cfgs = append(cfgs, c)
 
 	return cfgs
@@ -190,7 +197,7 @@ func TestRunnerIncompatibleFallback(t *testing.T) {
 
 	traced := plain
 	traced.Policy = highPin()
-	traced.RecordEvents = true
+	traced.recordEvents = true
 
 	runner := NewRunner()
 	if _, err := runner.Run(plain); err != nil {

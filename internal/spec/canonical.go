@@ -30,14 +30,8 @@ const maxWrapDepth = 24
 // b with partial output appended; callers must discard it.
 func AppendConfig(b []byte, cfg soc.Config) (_ []byte, ok bool) {
 	// knobs
-	b = append(b, `{"knobs":{"disable_pbm_memo":`...)
-	b = jsonenc.AppendBool(b, cfg.DisablePBMMemo)
-	b = append(b, `,"disable_span_batching":`...)
+	b = append(b, `{"knobs":{"disable_span_batching":`...)
 	b = jsonenc.AppendBool(b, cfg.DisableSpanBatching)
-	// disable_span_cache has no config field behind it and is always
-	// false in canonical bytes (see Knobs).
-	b = append(b, `,"disable_span_cache":false,"disable_tick_memo":`...)
-	b = jsonenc.AppendBool(b, cfg.DisableTickMemo)
 
 	// platform
 	b = append(b, `},"platform":{"csr":{"camera":`...)
@@ -119,12 +113,8 @@ func AppendConfig(b []byte, cfg soc.Config) (_ []byte, ok bool) {
 	if b, ok = jsonenc.AppendFloat(b, float64(cfg.FixedGfxFreq)); !ok {
 		return b, false
 	}
-	b = append(b, `,"record_events":`...)
-	b = jsonenc.AppendBool(b, cfg.RecordEvents)
 	b = append(b, `,"sample_interval_ns":`...)
 	b = jsonenc.AppendInt(b, int64(cfg.SampleInterval))
-	b = append(b, `,"seed":`...)
-	b = jsonenc.AppendUint(b, cfg.Seed)
 	b = append(b, `,"trace_power":`...)
 	b = jsonenc.AppendBool(b, cfg.TracePower)
 

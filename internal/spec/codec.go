@@ -163,16 +163,10 @@ func Encode(cfg soc.Config) (Job, error) {
 		EvalIntervalNS:   int64(cfg.EvalInterval),
 		FixedCoreHz:      float64(cfg.FixedCoreFreq),
 		FixedGfxHz:       float64(cfg.FixedGfxFreq),
-		RecordEvents:     cfg.RecordEvents,
 		SampleIntervalNS: int64(cfg.SampleInterval),
-		Seed:             cfg.Seed,
 		TracePower:       cfg.TracePower,
 	}
-	job.Knobs = Knobs{
-		DisablePBMMemo:      cfg.DisablePBMMemo,
-		DisableSpanBatching: cfg.DisableSpanBatching,
-		DisableTickMemo:     cfg.DisableTickMemo,
-	}
+	job.Knobs = Knobs{DisableSpanBatching: cfg.DisableSpanBatching}
 	return job, nil
 }
 
@@ -181,8 +175,8 @@ func Encode(cfg soc.Config) (Job, error) {
 // result is validated through soc.Config.Validate (including the
 // policy's PolicyValidator), so a decoded config is a runnable one.
 func Decode(job Job) (soc.Config, error) {
-	if job.Version != Version {
-		return soc.Config{}, fmt.Errorf("spec: unsupported version %d (this build reads version %d)", job.Version, Version)
+	if job.Version != 1 && job.Version != Version {
+		return soc.Config{}, fmt.Errorf("spec: unsupported version %d (this build reads versions 1 and %d)", job.Version, Version)
 	}
 
 	var cfg soc.Config
@@ -233,13 +227,9 @@ func Decode(job Job) (soc.Config, error) {
 	cfg.SampleInterval = sim.Time(job.Run.SampleIntervalNS)
 	cfg.FixedCoreFreq = vf.Hz(job.Run.FixedCoreHz)
 	cfg.FixedGfxFreq = vf.Hz(job.Run.FixedGfxHz)
-	cfg.Seed = job.Run.Seed
-	cfg.RecordEvents = job.Run.RecordEvents
 	cfg.TracePower = job.Run.TracePower
 
-	cfg.DisablePBMMemo = job.Knobs.DisablePBMMemo
 	cfg.DisableSpanBatching = job.Knobs.DisableSpanBatching
-	cfg.DisableTickMemo = job.Knobs.DisableTickMemo
 
 	if err := cfg.Validate(); err != nil {
 		return soc.Config{}, err

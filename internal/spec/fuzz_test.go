@@ -2,6 +2,8 @@ package spec
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"sysscale/internal/policy"
@@ -37,6 +39,15 @@ func FuzzDecodeSpec(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+	}
+	// v1 documents, retired keys included.
+	v1, _ := filepath.Glob("testdata/v1/*.json")
+	for _, p := range v1 {
+		doc, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
 	}
 	f.Add([]byte(`{"version":1,"platform":{"dram":"LPDDR3"},"workload":{"builtin":"stream"},"policy":{"name":"sysscale"}}`))
 	f.Add([]byte(`{"version":1,"workload":{"trace":{"index":0,"trace":{"version":1,"workloads":[]}}}}`))

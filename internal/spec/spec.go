@@ -37,17 +37,20 @@
 //
 // # Versioning
 //
-// Version is 1. Decode rejects documents whose version field is
-// missing or different — forward compatibility is explicit re-encoding
-// by a build that understands both versions, never silent
+// Version is 2; Decode also accepts 1 and rejects anything else,
+// including a missing version. Forward compatibility is explicit
+// re-encoding by a build that understands both versions, never silent
 // reinterpretation, because the canonical bytes (and so every cache
-// key) are defined per version.
+// key) are defined per version: they carry the version, so a v2 key
+// never addresses an entry a v1 build wrote.
 //
-// knobs.disable_span_cache is accepted for v1 compatibility and
-// ignored: it switched off a simulator cache that no longer exists.
-// Decode drops it, Encode writes false, and the canonical bytes always
-// carry false, so documents that set it share the key of those that
-// do not.
+// Version 2 drops the v1 fields that cannot change a Result: run.seed,
+// run.record_events, knobs.disable_pbm_memo, knobs.disable_tick_memo
+// and knobs.disable_span_cache. They stay on the wire structs, so a
+// document of either version that sets them still decodes, but Decode
+// ignores them, Encode never writes them, and the canonical bytes
+// leave them out: a document that sets them shares the key of one that
+// does not.
 package spec
 
 import (
@@ -58,8 +61,9 @@ import (
 	"sysscale/internal/workload/gen"
 )
 
-// Version is the spec wire-format version this build reads and writes.
-const Version = 1
+// Version is the spec wire-format version this build writes. Decode
+// reads it and version 1.
+const Version = 2
 
 // numPanels mirrors the platform's display head count.
 const numPanels = ioengine.MaxPanels
@@ -136,27 +140,26 @@ type Policy struct {
 }
 
 // Run carries the simulation run parameters. Durations are in
-// nanoseconds (sim.Time's underlying unit).
+// nanoseconds (sim.Time's underlying unit). RecordEvents and Seed are
+// retired v1 fields, accepted and ignored (see the package doc).
 type Run struct {
 	DurationNS       int64   `json:"duration_ns"`
 	EvalIntervalNS   int64   `json:"eval_interval_ns"`
 	FixedCoreHz      float64 `json:"fixed_core_hz"`
 	FixedGfxHz       float64 `json:"fixed_gfx_hz"`
-	RecordEvents     bool    `json:"record_events"`
+	RecordEvents     bool    `json:"record_events,omitempty"` // retired
 	SampleIntervalNS int64   `json:"sample_interval_ns"`
-	Seed             uint64  `json:"seed"`
+	Seed             uint64  `json:"seed,omitempty"` // retired
 	TracePower       bool    `json:"trace_power"`
 }
 
-// Knobs carries the A/B verification knobs (soc.Config's Disable*
-// fields). They are part of the job identity: flipping one changes the
-// executed code path, and the benchmarks that compare paths must not
-// share cache entries. DisableSpanCache is the exception: it has no
-// soc.Config field behind it and is accepted, then ignored, so v1
-// documents that carry it still decode (see the package doc).
+// Knobs carries the A/B verification knobs. DisableSpanBatching is
+// part of the job identity: it changes results (by up to 1e-9
+// relative) and is the reference oracle. The other three are retired
+// v1 fields, accepted and ignored (see the package doc).
 type Knobs struct {
-	DisablePBMMemo      bool `json:"disable_pbm_memo"`
+	DisablePBMMemo      bool `json:"disable_pbm_memo,omitempty"` // retired
 	DisableSpanBatching bool `json:"disable_span_batching"`
-	DisableSpanCache    bool `json:"disable_span_cache"`
-	DisableTickMemo     bool `json:"disable_tick_memo"`
+	DisableSpanCache    bool `json:"disable_span_cache,omitempty"` // retired
+	DisableTickMemo     bool `json:"disable_tick_memo,omitempty"`  // retired
 }

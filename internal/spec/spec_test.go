@@ -127,9 +127,9 @@ func TestAppendConfigMatchesCanonicalJSON(t *testing.T) {
 			cfg := soc.DefaultConfig()
 			cfg.Workload = w
 			cfg.Policy = p
-			cfg.Seed = 42
+			cfg.FixedGfxFreq = 0.9 * vf.GHz
 			cfg.TracePower = true
-			cfg.DisablePBMMemo = true
+			cfg.DisableSpanBatching = true
 			job, err := Encode(cfg)
 			if err != nil {
 				t.Fatalf("Encode(%s/%s): %v", p.Name(), w.Name, err)
@@ -217,7 +217,7 @@ func TestDecodeRejectsBadSpecs(t *testing.T) {
 	}
 
 	bad := good
-	bad.Version = 2
+	bad.Version = Version + 1
 	if _, err := Decode(bad); err == nil {
 		t.Errorf("Decode accepted an unsupported version")
 	}

@@ -38,6 +38,7 @@ package sweepd
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -254,8 +255,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := JobResponse{Result: res}
-	if fp, err := spec.Fingerprint(js); err == nil {
-		resp.Fingerprint = fmt.Sprintf("%x", fp)
+	// The canonical bytes of the decoded config are Canonical(js), so
+	// this is spec.Fingerprint(js) without decoding the spec again.
+	if b, ok := spec.AppendConfig(nil, job.Config); ok {
+		resp.Fingerprint = fmt.Sprintf("%x", sha256.Sum256(b))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)

@@ -15,6 +15,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -108,8 +110,7 @@ func fastSpecs(t *testing.T, n int) []spec.Job {
 		} else {
 			cfg.Policy = policy.NewBaseline()
 		}
-		cfg.Duration = 50 * sim.Millisecond
-		cfg.Seed = uint64(i + 1)
+		cfg.Duration = 50*sim.Millisecond + sim.Time(i)*cfg.SampleInterval // distinct fingerprint per job
 		js, err := spec.Encode(cfg)
 		if err != nil {
 			t.Fatalf("encode spec %d: %v", i, err)
@@ -129,8 +130,7 @@ func slowSpecs(t *testing.T, n int, delayMS int64) []spec.Job {
 		cfg := soc.DefaultConfig()
 		cfg.Workload = suite[i%len(suite)]
 		cfg.Policy = &slowPolicy{inner: policy.NewBaseline(), DelayMS: delayMS}
-		cfg.Duration = 300 * sim.Millisecond
-		cfg.Seed = uint64(i + 1)
+		cfg.Duration = 300*sim.Millisecond + sim.Time(i)*cfg.SampleInterval // distinct fingerprint per job
 		js, err := spec.Encode(cfg)
 		if err != nil {
 			t.Fatalf("encode slow spec %d: %v", i, err)
@@ -235,35 +235,54 @@ func errCode(t *testing.T, resp *http.Response, wantStatus int) string {
 }
 
 // TestJobEndpoint: POST /v1/jobs returns the same result the engine
-// computes in-process, plus the spec's cache fingerprint.
+// computes in-process, plus spec.Fingerprint of the request body, for
+// a generated spec, the checked-in example specs and their v1 forms.
 func TestJobEndpoint(t *testing.T) {
 	_, ts := newServer(t, sweepd.Config{})
-	specs := fastSpecs(t, 1)
-	want := freshResults(t, specs)[0]
+	generated, err := json.Marshal(fastSpecs(t, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := [][]byte{generated}
+	examples, _ := filepath.Glob("../../examples/specs/*.json")
+	v1, _ := filepath.Glob("../spec/testdata/v1/*.json")
+	if len(examples) < 2 || len(v1) != len(examples) {
+		t.Fatalf("found %d example specs and %d v1 fixtures", len(examples), len(v1))
+	}
+	for _, p := range append(examples, v1...) {
+		body, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
 
-	body, _ := json.Marshal(specs[0])
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status %d: %s", resp.StatusCode, b)
-	}
-	var jr sweepd.JobResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(jr.Result, want) {
-		t.Errorf("wire result differs from in-process run")
-	}
-	fp, err := spec.Fingerprint(specs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jr.Fingerprint != fmt.Sprintf("%x", fp) {
-		t.Errorf("fingerprint %q, want %x", jr.Fingerprint, fp)
+	for i, body := range bodies {
+		js, err := spec.ReadJob(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := freshResults(t, []spec.Job{js})[0]
+		fp, err := spec.Fingerprint(js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jr sweepd.JobResponse
+		err = json.NewDecoder(resp.Body).Decode(&jr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("body %d: status %d, decode error %v", i, resp.StatusCode, err)
+		}
+		if !reflect.DeepEqual(jr.Result, want) {
+			t.Errorf("body %d: wire result differs from in-process run", i)
+		}
+		if jr.Fingerprint != fmt.Sprintf("%x", fp) {
+			t.Errorf("body %d: fingerprint %q, want %x", i, jr.Fingerprint, fp)
+		}
 	}
 }
 

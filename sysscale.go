@@ -60,12 +60,13 @@
 // grant while its inputs repeat, and batches runs of identical ticks
 // into closed-form spans bounded by policy epochs and phase edges, so
 // a run costs O(phases + decisions) rather than O(duration/
-// SampleInterval). Results are bit-identical with either memo on or
-// off; span batching agrees with the per-tick walk to ≤1e-9 relative
-// across the shipped suites (the paths differ only in floating-point
-// summation order). Config.DisableTickMemo, Config.DisablePBMMemo and
-// Config.DisableSpanBatching force the slow paths for A/B
-// verification and benchmarking. All of this state lives and dies
+// SampleInterval). The memos are exact and always on: their
+// off-switches are test hooks, not Config fields, so they never split
+// the result cache. Span batching agrees with the per-tick walk to
+// ≤1e-9 relative across the shipped suites (the paths differ only in
+// floating-point summation order); Config.DisableSpanBatching forces
+// the per-tick walk for A/B verification and benchmarking, and is part
+// of the cache key. All of this state lives and dies
 // with one run: runs share no simulation state, only the engine's
 // result cache. The engine recycles assembled platforms across batch
 // jobs through a sync.Pool, which is invisible to callers (a reset
@@ -496,8 +497,8 @@ type (
 	KnobsSpec = spec.Knobs
 )
 
-// SpecVersion is the job-spec wire-format version this build reads and
-// writes; DecodeSpec rejects any other version.
+// SpecVersion is the job-spec wire-format version this build writes;
+// DecodeSpec reads it and version 1, and rejects any other version.
 const SpecVersion = spec.Version
 
 // EncodeSpec serializes a runnable Config to its normalized spec:
