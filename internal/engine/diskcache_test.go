@@ -150,8 +150,8 @@ func TestDiskCacheCorruptEntryDegradesToMiss(t *testing.T) {
 	}
 }
 
-// TestDiskCacheUncacheableBypasses: jobs whose policy opts out of
-// memoization never touch the disk tier — no lookups, no entries.
+// TestDiskCacheUncacheableBypasses: jobs whose policy is not
+// registered never touch the disk tier — no lookups, no entries.
 func TestDiskCacheUncacheableBypasses(t *testing.T) {
 	dir := t.TempDir()
 	e := New(WithDiskCache(dir))

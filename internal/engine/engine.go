@@ -173,8 +173,8 @@ func WithCacheSize(n int) Option {
 // restarts, bit-identically (the entry payload is an exact binary
 // encoding of the soc.Result). Corrupt or truncated entries read as
 // misses, are pruned, and count in Stats.DiskErrors; they never poison
-// a result or abort a batch. Uncacheable jobs bypass the tier like
-// they bypass the LRU.
+// a result or abort a batch. Jobs whose policy is not registered have
+// no key and bypass the tier like they bypass the LRU.
 //
 // The store is opened by New; an open failure (unwritable dir) leaves
 // the engine fully functional without the disk tier and is reported by
@@ -253,17 +253,6 @@ type TransientError interface {
 	Transient() bool
 }
 
-// Uncacheable is an optional interface a policy implements to opt out
-// of memoization and coalescing. Policies whose Decide has observable
-// side effects beyond the returned decision (telemetry recorders such
-// as the experiment harness's step watcher) must implement it —
-// serving their run from cache would silently skip the observation.
-// Wrapper policies should expose `Unwrap() soc.Policy` so the engine
-// can see through them to a wrapped uncacheable policy.
-type Uncacheable interface {
-	Uncacheable()
-}
-
 // Stats is a snapshot of the engine's cache behaviour. It is plain
 // data, safe to retain and JSON-serializable (snake_case field names)
 // — CacheStats is the race-safe snapshot accessor, and its value is
@@ -311,8 +300,9 @@ type Stats struct {
 	Panics  int `json:"panics"`
 }
 
-// cacheKey is a config fingerprint (fingerprint.go): a sha256 digest,
-// comparable and heap-free.
+// cacheKey is a config fingerprint (spec.Key): a sha256 digest,
+// comparable and heap-free. A config without one — its policy is not
+// registered — always simulates and is never cached.
 type cacheKey = [32]byte
 
 // cacheEntry is one LRU-resident result.
@@ -689,7 +679,7 @@ func (e *Engine) runJobs(ctx context.Context, jobs []Job, deliver func(JobResult
 			tasks = append(tasks, &task{indices: []int{i}})
 			continue
 		}
-		key, cacheable := fingerprint(j.Config)
+		key, cacheable := spec.Key(j.Config)
 		if !cacheable {
 			tasks = append(tasks, &task{indices: []int{i}})
 			continue

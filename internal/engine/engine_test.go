@@ -9,6 +9,7 @@ import (
 	"sysscale/internal/policy"
 	"sysscale/internal/sim"
 	"sysscale/internal/soc"
+	"sysscale/internal/spec"
 	"sysscale/internal/workload"
 )
 
@@ -185,8 +186,8 @@ func TestDistinctConfigsDistinctKeys(t *testing.T) {
 	// key on the name.
 	b.Policy = policy.NewStaticPoint(1, false)
 
-	ka, oka := fingerprint(a)
-	kb, okb := fingerprint(b)
+	ka, oka := spec.Key(a)
+	kb, okb := spec.Key(b)
 	if !oka || !okb {
 		t.Fatal("static-point configs must be cacheable")
 	}
@@ -197,14 +198,15 @@ func TestDistinctConfigsDistinctKeys(t *testing.T) {
 	// And equal configs built independently must collide.
 	c := cfg
 	c.Policy = policy.NewStaticPoint(1, false)
-	kc, _ := fingerprint(c)
+	kc, _ := spec.Key(c)
 	if kb != kc {
 		t.Fatal("equal configs produced different fingerprints")
 	}
 }
 
 // countingPolicy wraps Baseline and counts Decide invocations — a side
-// effect, so it must opt out of caching.
+// effect, so it must never be cached. It is not registered, which is
+// what keeps it out of every cache tier.
 type countingPolicy struct {
 	inner soc.Policy
 	n     *atomic.Int64
@@ -212,7 +214,6 @@ type countingPolicy struct {
 
 func (c *countingPolicy) Name() string { return "counting" }
 func (c *countingPolicy) Reset()       { c.inner.Reset() }
-func (c *countingPolicy) Uncacheable() {}
 func (c *countingPolicy) Clone() soc.Policy {
 	return &countingPolicy{inner: c.inner.Clone(), n: c.n}
 }
@@ -252,9 +253,10 @@ func TestUncacheablePolicyAlwaysRuns(t *testing.T) {
 	}
 }
 
-// TestWrappedUncacheableStaysUncacheable: decorating an uncacheable
+// TestWrappedUncacheableStaysUncacheable: decorating an unregistered
 // policy (here with the ablation wrapper) must not silently re-enable
-// caching — the engine sees through Unwrap chains.
+// caching — the canonical encoder sees through registered wrappers to
+// the base, which has no codec.
 func TestWrappedUncacheableStaysUncacheable(t *testing.T) {
 	w, err := workload.SPEC("416.gamess")
 	if err != nil {

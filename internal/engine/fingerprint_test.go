@@ -32,8 +32,8 @@ func fpConfig(t *testing.T, p soc.Policy) soc.Config {
 // registry's duplicate rejection is the other half of this guarantee:
 // the two fixtures cannot register under one name in the first place.)
 func TestFingerprintDistinguishesSameNamedTypes(t *testing.T) {
-	ka, oka := fingerprint(fpConfig(t, &pkga.Pinned{Index: 1}))
-	kb, okb := fingerprint(fpConfig(t, &pkgb.Pinned{Index: 1}))
+	ka, oka := spec.Key(fpConfig(t, &pkga.Pinned{Index: 1}))
+	kb, okb := spec.Key(fpConfig(t, &pkgb.Pinned{Index: 1}))
 	if !oka || !okb {
 		t.Fatalf("fixture policies should be cacheable (got %t, %t)", oka, okb)
 	}
@@ -45,15 +45,15 @@ func TestFingerprintDistinguishesSameNamedTypes(t *testing.T) {
 // TestFingerprintStableForEqualConfigs guards the opposite direction:
 // equal configs (same type, same values) still collide onto one key.
 func TestFingerprintStableForEqualConfigs(t *testing.T) {
-	k1, ok1 := fingerprint(fpConfig(t, &pkga.Pinned{Index: 2}))
-	k2, ok2 := fingerprint(fpConfig(t, &pkga.Pinned{Index: 2}))
+	k1, ok1 := spec.Key(fpConfig(t, &pkga.Pinned{Index: 2}))
+	k2, ok2 := spec.Key(fpConfig(t, &pkga.Pinned{Index: 2}))
 	if !ok1 || !ok2 {
 		t.Fatal("configs should be cacheable")
 	}
 	if k1 != k2 {
 		t.Fatalf("equal configs produced distinct keys %x vs %x", k1, k2)
 	}
-	k3, _ := fingerprint(fpConfig(t, &pkga.Pinned{Index: 3}))
+	k3, _ := spec.Key(fpConfig(t, &pkga.Pinned{Index: 3}))
 	if k1 == k3 {
 		t.Fatal("distinct policy configurations share a cache key")
 	}
@@ -62,7 +62,7 @@ func TestFingerprintStableForEqualConfigs(t *testing.T) {
 // TestFingerprintUnregisteredUncacheable: a policy type outside the
 // registry has no canonical identity and must never be cached.
 func TestFingerprintUnregisteredUncacheable(t *testing.T) {
-	if _, cacheable := fingerprint(fpConfig(t, &anonymousPolicy{})); cacheable {
+	if _, cacheable := spec.Key(fpConfig(t, &anonymousPolicy{})); cacheable {
 		t.Fatal("unregistered policy type was cacheable")
 	}
 }
@@ -94,7 +94,7 @@ func TestFingerprintMatchesSpecFingerprint(t *testing.T) {
 	}
 	for _, p := range policies {
 		cfg := fpConfig(t, p)
-		key, cacheable := fingerprint(cfg)
+		key, cacheable := spec.Key(cfg)
 		if !cacheable {
 			t.Fatalf("%s: should be cacheable", p.Name())
 		}
@@ -115,25 +115,6 @@ func TestFingerprintMatchesSpecFingerprint(t *testing.T) {
 		}
 		if key != sha256.Sum256(canon) {
 			t.Errorf("%s: engine key is not sha256 of the canonical spec bytes", p.Name())
-		}
-	}
-}
-
-// BenchmarkFingerprint tracks the per-job keying cost on the sweep hot
-// path; the pooled canonical encode must stay allocation-free.
-func BenchmarkFingerprint(b *testing.B) {
-	w, err := workload.SPEC("473.astar")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := soc.DefaultConfig()
-	cfg.Workload = w
-	cfg.Policy = policy.NewSysScaleDefault()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := fingerprint(cfg); !ok {
-			b.Fatal("uncacheable")
 		}
 	}
 }

@@ -48,13 +48,6 @@ func init() {
 			}
 			return &Pinned{Index: p.Index}, nil
 		},
-		Encode: func(p soc.Policy) (any, bool) {
-			pp, ok := p.(*Pinned)
-			if !ok {
-				return nil, false
-			}
-			return params{Index: pp.Index}, true
-		},
 		AppendParams: func(b []byte, p soc.Policy) ([]byte, bool) {
 			pp, ok := p.(*Pinned)
 			if !ok {

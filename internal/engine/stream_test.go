@@ -169,7 +169,6 @@ func (p *cancelPolicy) Reset()       { p.inner.Reset() }
 func (p *cancelPolicy) Clone() soc.Policy {
 	return &cancelPolicy{inner: p.inner.Clone(), cancel: p.cancel, after: p.after}
 }
-func (p *cancelPolicy) Uncacheable() {}
 func (p *cancelPolicy) Decide(ctx soc.PolicyContext) soc.PolicyDecision {
 	p.calls++
 	if p.calls == p.after {

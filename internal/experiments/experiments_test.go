@@ -6,7 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"sysscale/internal/policy"
 	"sysscale/internal/sim"
+	"sysscale/internal/soc"
+	"sysscale/internal/spec"
+	"sysscale/internal/workload"
 )
 
 func TestTable1MatchesPaper(t *testing.T) {
@@ -435,6 +439,26 @@ func TestMultiPointShape(t *testing.T) {
 	// mid-memory workloads relative to the two-point ladder.
 	if gcc := rows["403.gcc"]; gcc.ThreePointGain >= gcc.TwoPointGain {
 		t.Errorf("gcc should lose on the 3-point ladder: %+v", gcc)
+	}
+}
+
+// TestStepWatcherHasNoKey: the watcher's Decide side effect must never
+// be skipped by a cache hit, and it is not, because it is not
+// registered: a watched config, bare or under a registered wrapper,
+// has no canonical bytes and hence no cache key.
+func TestStepWatcherHasNoKey(t *testing.T) {
+	cfg := soc.DefaultConfig()
+	w, err := workload.SPEC("403.gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workload = w
+	sw := newStepWatcher(policy.NewSysScaleDefault())
+	for _, p := range []soc.Policy{sw, policy.WithoutOptimizedMRC(sw)} {
+		cfg.Policy = p
+		if _, ok := spec.AppendConfig(nil, cfg); ok {
+			t.Errorf("%s: watched config has canonical bytes", p.Name())
+		}
 	}
 }
 

@@ -39,9 +39,10 @@ type MultiPointRow struct {
 
 // stepWatcher wraps a policy and records the largest single-interval
 // ladder step. Clones share the counter, so one watcher aggregates
-// across every job of a concurrent batch; recording is a side effect
-// of Decide, so the watcher opts out of result memoization (a cache
-// hit would skip the observation).
+// across every job of a concurrent batch. Recording is a side effect
+// of Decide, so the watcher is deliberately not registered with the
+// policy registry: its jobs have no cache key and always simulate (a
+// cache hit would skip the observation).
 type stepWatcher struct {
 	inner   soc.Policy
 	maxStep *atomic.Int64
@@ -54,7 +55,6 @@ func newStepWatcher(inner soc.Policy) *stepWatcher {
 func (w *stepWatcher) MaxStep() int { return int(w.maxStep.Load()) }
 func (w *stepWatcher) Name() string { return w.inner.Name() }
 func (w *stepWatcher) Reset()       { w.inner.Reset() }
-func (w *stepWatcher) Uncacheable() {}
 func (w *stepWatcher) Clone() soc.Policy {
 	return &stepWatcher{inner: w.inner.Clone(), maxStep: w.maxStep}
 }

@@ -31,10 +31,11 @@ const (
 const DefaultStall = 100 * time.Millisecond
 
 // Chaos wraps a soc.Policy and fires one injected fault at a chosen
-// decision index. It deliberately does not expose Unwrap and marks
-// itself Uncacheable, so the engine never serves a chaotic job from
-// any cache tier, never coalesces it onto a sibling, and re-runs it
-// fresh on every retry attempt.
+// decision index. It is deliberately not registered with the policy
+// registry (and does not expose Unwrap), so a chaotic config has no
+// canonical key: the engine never serves it from any cache tier, never
+// coalesces it onto a sibling, and re-runs it fresh on every retry
+// attempt.
 //
 // Attempt counting is shared across clones: the engine clones the
 // configured policy once per execution attempt, and every clone
@@ -67,10 +68,6 @@ func NewChaos(inner soc.Policy, mode Mode) *Chaos {
 
 // Name implements soc.Policy.
 func (c *Chaos) Name() string { return c.inner.Name() + "+chaos" }
-
-// Uncacheable opts chaotic jobs out of memoization and coalescing
-// (engine.Uncacheable, matched structurally).
-func (c *Chaos) Uncacheable() {}
 
 // Reset implements soc.Policy.
 func (c *Chaos) Reset() {

@@ -13,6 +13,7 @@ import (
 	"sysscale/internal/policy"
 	"sysscale/internal/sim"
 	"sysscale/internal/soc"
+	"sysscale/internal/spec"
 	"sysscale/internal/workload"
 )
 
@@ -275,6 +276,25 @@ func TestBrokenDiskTripsBreaker(t *testing.T) {
 	}
 	if engine.RunnersInFlight() != 0 {
 		t.Errorf("runnersInFlight = %d, want 0", engine.RunnersInFlight())
+	}
+}
+
+// TestChaosHasNoKey: Chaos stays out of every cache tier because it is
+// not registered, so a chaotic config, bare or under a registered
+// wrapper, has no canonical bytes and hence no cache key.
+func TestChaosHasNoKey(t *testing.T) {
+	cfg := soc.DefaultConfig()
+	w, err := workload.SPEC("470.lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workload = w
+	ch := NewChaos(policy.NewBaseline(), ModePanic)
+	for _, p := range []soc.Policy{ch, policy.WithoutOptimizedMRC(ch)} {
+		cfg.Policy = p
+		if _, ok := spec.AppendConfig(nil, cfg); ok {
+			t.Errorf("%s: chaotic config has canonical bytes", p.Name())
+		}
 	}
 }
 

@@ -11,11 +11,12 @@ import (
 
 // This file registers the codec for every governor family the
 // experiments use. Parameter structs mirror each family's exported
-// tuning knobs with snake_case JSON names; fields are declared in the
-// key order of the canonical encoding (alphabetical), and each
-// AppendParams emits exactly the bytes of the sorted, compacted
-// json.Marshal of the Encode value — codecs_test.go proves the
-// equivalence.
+// tuning knobs with snake_case JSON names; Decode overlays them on the
+// constructor defaults. Fields are declared in the key order of the
+// canonical encoding (alphabetical), and each AppendParams emits the
+// sorted, compact JSON of the live policy's fully-populated params —
+// TestAppendParamsCanonical (registry_test.go) proves the form and
+// TestDeconstructBuildRoundTrip that Decode inverts it.
 
 // BaselineParams is empty: the baseline has no tuning knobs.
 type BaselineParams struct{}
@@ -73,12 +74,6 @@ func init() {
 			}
 			return NewBaseline(), nil
 		},
-		Encode: func(p soc.Policy) (any, bool) {
-			if _, ok := p.(*Baseline); !ok {
-				return nil, false
-			}
-			return BaselineParams{}, true
-		},
 		AppendParams: func(b []byte, p soc.Policy) ([]byte, bool) {
 			if _, ok := p.(*Baseline); !ok {
 				return b, false
@@ -91,7 +86,17 @@ func init() {
 		Type: reflect.TypeOf(&SysScale{}),
 		Decode: func(params []byte) (soc.Policy, error) {
 			s := NewSysScaleDefault()
-			p := sysScaleParamsOf(s)
+			p := SysScaleParams{
+				HighScale: s.HighScale,
+				Thresholds: SysScaleThresholds{
+					DegradBound: s.Thr.DegradBound,
+					GfxMisses:   s.Thr.GfxMisses,
+					IORPQ:       s.Thr.IORPQ,
+					LLCStalls:   s.Thr.LLCStalls,
+					OccTracer:   s.Thr.OccTracer,
+					StaticBWThr: s.Thr.StaticBWThr,
+				},
+			}
 			if err := strictUnmarshal(params, &p); err != nil {
 				return nil, err
 			}
@@ -105,13 +110,6 @@ func init() {
 				DegradBound: p.Thresholds.DegradBound,
 			}
 			return s, nil
-		},
-		Encode: func(p soc.Policy) (any, bool) {
-			s, ok := p.(*SysScale)
-			if !ok {
-				return nil, false
-			}
-			return sysScaleParamsOf(s), true
 		},
 		AppendParams: func(b []byte, p soc.Policy) ([]byte, bool) {
 			s, ok := p.(*SysScale)
@@ -168,17 +166,6 @@ func init() {
 			m.UtilTarget = p.UtilTarget
 			return m, nil
 		},
-		Encode: func(p soc.Policy) (any, bool) {
-			m, ok := p.(*MemScale)
-			if !ok {
-				return nil, false
-			}
-			return MemScaleParams{
-				Redistribute: m.Redistribute,
-				StallThr:     m.StallThr,
-				UtilTarget:   m.UtilTarget,
-			}, true
-		},
 		AppendParams: func(b []byte, p soc.Policy) ([]byte, bool) {
 			m, ok := p.(*MemScale)
 			if !ok {
@@ -202,7 +189,14 @@ func init() {
 		Type: reflect.TypeOf(&CoScale{}),
 		Decode: func(params []byte) (soc.Policy, error) {
 			c := NewCoScale()
-			p := coScaleParamsOf(c)
+			p := CoScaleParams{
+				DemoteRatio:  c.DemoteRatio,
+				FloorHz:      float64(c.FloorFreq),
+				MemBoundThr:  c.MemBoundThr,
+				Redistribute: c.Redistribute,
+				StallThr:     c.StallThr,
+				UtilTarget:   c.UtilTarget,
+			}
 			if err := strictUnmarshal(params, &p); err != nil {
 				return nil, err
 			}
@@ -213,13 +207,6 @@ func init() {
 			c.StallThr = p.StallThr
 			c.UtilTarget = p.UtilTarget
 			return c, nil
-		},
-		Encode: func(p soc.Policy) (any, bool) {
-			c, ok := p.(*CoScale)
-			if !ok {
-				return nil, false
-			}
-			return coScaleParamsOf(c), true
 		},
 		AppendParams: func(b []byte, p soc.Policy) ([]byte, bool) {
 			c, ok := p.(*CoScale)
@@ -269,17 +256,6 @@ func init() {
 			s.Redistribute = p.Redistribute
 			return s, nil
 		},
-		Encode: func(p soc.Policy) (any, bool) {
-			s, ok := p.(*StaticPoint)
-			if !ok {
-				return nil, false
-			}
-			return StaticPointParams{
-				OptimizedMRC: s.OptimizedMRC,
-				PointIndex:   s.PointIndex,
-				Redistribute: s.Redistribute,
-			}, true
-		},
 		AppendParams: func(b []byte, p soc.Policy) ([]byte, bool) {
 			s, ok := p.(*StaticPoint)
 			if !ok {
@@ -303,31 +279,6 @@ func init() {
 		Type: reflect.TypeOf(&noRedist{}),
 		Wrap: WithoutRedistribution,
 	})
-}
-
-func sysScaleParamsOf(s *SysScale) SysScaleParams {
-	return SysScaleParams{
-		HighScale: s.HighScale,
-		Thresholds: SysScaleThresholds{
-			DegradBound: s.Thr.DegradBound,
-			GfxMisses:   s.Thr.GfxMisses,
-			IORPQ:       s.Thr.IORPQ,
-			LLCStalls:   s.Thr.LLCStalls,
-			OccTracer:   s.Thr.OccTracer,
-			StaticBWThr: s.Thr.StaticBWThr,
-		},
-	}
-}
-
-func coScaleParamsOf(c *CoScale) CoScaleParams {
-	return CoScaleParams{
-		DemoteRatio:  c.DemoteRatio,
-		FloorHz:      float64(c.FloorFreq),
-		MemBoundThr:  c.MemBoundThr,
-		Redistribute: c.Redistribute,
-		StallThr:     c.StallThr,
-		UtilTarget:   c.UtilTarget,
-	}
 }
 
 // appendFloatField appends a literal prefix (the key) followed by the

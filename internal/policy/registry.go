@@ -16,8 +16,9 @@ import (
 // back to them. It is what lets the job-spec layer (internal/spec)
 // round-trip soc.Config.Policy through JSON, and what the engine's
 // spec-derived cache key hashes instead of walking policy structs with
-// reflection: an unregistered policy simply has no canonical bytes and
-// its jobs are uncacheable.
+// reflection. Registration is a policy's only identity: an
+// unregistered policy has no canonical bytes, so its jobs always
+// simulate and are never cached.
 //
 // Names are a distinct namespace from Policy.Name(): Name() describes a
 // configured instance ("memscale-redist"), while the registry names a
@@ -28,8 +29,8 @@ import (
 
 // Codec serializes one policy family.
 type Codec struct {
-	// Type is the concrete (pointer) type the codec handles; Encode and
-	// AppendParams are dispatched on it.
+	// Type is the concrete (pointer) type the codec handles;
+	// AppendParams is dispatched on it.
 	Type reflect.Type
 
 	// Decode builds a policy from the spec's params JSON. Empty or nil
@@ -37,12 +38,10 @@ type Codec struct {
 	// constructor defaults; unknown fields are an error.
 	Decode func(params []byte) (soc.Policy, error)
 
-	// Encode returns the fully-populated typed params value for p. ok is
-	// false when p is not this codec's type.
-	Encode func(p soc.Policy) (params any, ok bool)
-
-	// AppendParams appends the canonical JSON of Encode(p) — keys
-	// sorted, no whitespace — without allocating. ok is false when p is
+	// AppendParams appends p's fully-populated params as canonical
+	// JSON — keys sorted, no whitespace, encoding/json's value
+	// renderings — without allocating. It is the only params encoder:
+	// spec.Encode and the cache key both use it. ok is false when p is
 	// not this codec's type or a parameter has no JSON rendering (NaN or
 	// infinite float), which makes the config uncacheable.
 	AppendParams func(b []byte, p soc.Policy) (_ []byte, ok bool)
@@ -51,7 +50,8 @@ type Codec struct {
 // Wrapper describes an ablation decorator that can appear in a spec's
 // policy "wrap" list.
 type Wrapper struct {
-	// Type is the concrete (pointer) type of the decorator.
+	// Type is the concrete (pointer) type of the decorator. It must
+	// have an Unwrap() soc.Policy method returning the decorated policy.
 	Type reflect.Type
 	// Wrap applies the decorator to a policy.
 	Wrap func(soc.Policy) soc.Policy
@@ -77,7 +77,7 @@ func Register(name string, c Codec) error {
 	if name == "" {
 		return fmt.Errorf("policy: register with empty name")
 	}
-	if c.Type == nil || c.Decode == nil || c.Encode == nil || c.AppendParams == nil {
+	if c.Type == nil || c.Decode == nil || c.AppendParams == nil {
 		return fmt.Errorf("policy: register %q with incomplete codec", name)
 	}
 	registry.mu.Lock()
@@ -94,13 +94,17 @@ func Register(name string, c Codec) error {
 }
 
 // RegisterWrapper adds an ablation decorator under name, with the same
-// duplicate rejection as Register.
+// duplicate rejection as Register. A Type without Unwrap is rejected:
+// the spec layer could not see through it to the base policy.
 func RegisterWrapper(name string, w Wrapper) error {
 	if name == "" {
 		return fmt.Errorf("policy: register wrapper with empty name")
 	}
 	if w.Type == nil || w.Wrap == nil {
 		return fmt.Errorf("policy: register wrapper %q with incomplete descriptor", name)
+	}
+	if !w.Type.Implements(reflect.TypeFor[interface{ Unwrap() soc.Policy }]()) {
+		return fmt.Errorf("policy: wrapper %q type %v has no Unwrap() soc.Policy method", name, w.Type)
 	}
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
@@ -196,34 +200,6 @@ func Build(name string, params []byte, wrap []string) (soc.Policy, error) {
 		p = w.Wrap(p)
 	}
 	return p, nil
-}
-
-// Deconstruct decomposes a live policy into its registered family name,
-// typed params, and outermost-first wrapper names — the encode half of
-// the spec layer's policy section. ok is false when the base policy (or
-// any decorator on the way down) is not registered.
-func Deconstruct(p soc.Policy) (name string, params any, wrap []string, ok bool) {
-	for {
-		wname, isWrap := WrapperNameFor(p)
-		if !isWrap {
-			break
-		}
-		u, hasUnwrap := p.(interface{ Unwrap() soc.Policy })
-		if !hasUnwrap {
-			return "", nil, nil, false
-		}
-		wrap = append(wrap, wname)
-		p = u.Unwrap()
-	}
-	name, c, found := CodecFor(p)
-	if !found {
-		return "", nil, nil, false
-	}
-	params, ok = c.Encode(p)
-	if !ok {
-		return "", nil, nil, false
-	}
-	return name, params, wrap, true
 }
 
 // strictUnmarshal decodes params JSON into v, rejecting unknown fields

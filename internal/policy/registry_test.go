@@ -13,7 +13,6 @@ func TestRegisterRejectsDuplicateName(t *testing.T) {
 	c := Codec{
 		Type:         reflect.TypeOf(&testOnlyPolicy{}),
 		Decode:       func([]byte) (soc.Policy, error) { return &testOnlyPolicy{}, nil },
-		Encode:       func(p soc.Policy) (any, bool) { _, ok := p.(*testOnlyPolicy); return struct{}{}, ok },
 		AppendParams: func(b []byte, p soc.Policy) ([]byte, bool) { return append(b, '{', '}'), true },
 	}
 	// "sysscale" is taken by the init registration.
@@ -29,7 +28,7 @@ func TestRegisterRejectsDuplicateName(t *testing.T) {
 }
 
 func TestRegisterRejectsDuplicateWrapper(t *testing.T) {
-	w := Wrapper{Type: reflect.TypeOf(&testOnlyPolicy{}), Wrap: func(p soc.Policy) soc.Policy { return p }}
+	w := Wrapper{Type: reflect.TypeOf(&testOnlyWrapper{}), Wrap: func(p soc.Policy) soc.Policy { return p }}
 	if err := RegisterWrapper("no-mrc", w); err == nil {
 		t.Fatalf("RegisterWrapper accepted a duplicate name")
 	}
@@ -48,6 +47,19 @@ func TestRegisterRejectsIncompleteCodec(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsWrapperWithoutUnwrap: a wrapper the spec layer
+// cannot see through would make every config using it silently
+// uncacheable, so registration refuses it.
+func TestRegisterRejectsWrapperWithoutUnwrap(t *testing.T) {
+	w := Wrapper{Type: reflect.TypeOf(&testOnlyPolicy{}), Wrap: func(p soc.Policy) soc.Policy { return p }}
+	if err := RegisterWrapper("test-no-unwrap", w); err == nil {
+		t.Fatalf("RegisterWrapper accepted a type without Unwrap() soc.Policy")
+	}
+	if _, ok := LookupWrapper("test-no-unwrap"); ok {
+		t.Fatalf("rejected wrapper was registered anyway")
+	}
+}
+
 type testOnlyPolicy struct{}
 
 func (*testOnlyPolicy) Name() string      { return "test-only" }
@@ -56,6 +68,11 @@ func (*testOnlyPolicy) Clone() soc.Policy { return &testOnlyPolicy{} }
 func (*testOnlyPolicy) Decide(soc.PolicyContext) soc.PolicyDecision {
 	return soc.PolicyDecision{}
 }
+
+// testOnlyWrapper has the Unwrap method a registered wrapper needs.
+type testOnlyWrapper struct{ testOnlyPolicy }
+
+func (*testOnlyWrapper) Unwrap() soc.Policy { return &testOnlyPolicy{} }
 
 // registryPolicies covers every family and wrapper combination the
 // experiments use.
@@ -72,29 +89,6 @@ func registryPolicies() []soc.Policy {
 		WithoutOptimizedMRC(NewSysScaleDefault()),
 		WithoutRedistribution(NewSysScaleDefault()),
 		WithoutRedistribution(WithoutOptimizedMRC(NewSysScaleDefault())),
-	}
-}
-
-func TestDeconstructBuildRoundTrip(t *testing.T) {
-	for _, p := range registryPolicies() {
-		name, params, wrap, ok := Deconstruct(p)
-		if !ok {
-			t.Fatalf("Deconstruct(%s): not registered", p.Name())
-		}
-		raw, err := json.Marshal(params)
-		if err != nil {
-			t.Fatalf("marshal %s params: %v", name, err)
-		}
-		back, err := Build(name, raw, wrap)
-		if err != nil {
-			t.Fatalf("Build(%s): %v", name, err)
-		}
-		if got, want := back.Name(), p.Name(); got != want {
-			t.Errorf("round-trip of %s: Name() = %q, want %q", name, got, want)
-		}
-		if !reflect.DeepEqual(back, p) {
-			t.Errorf("round-trip of %s: rebuilt policy differs: %#v vs %#v", name, back, p)
-		}
 	}
 }
 
@@ -137,50 +131,111 @@ func TestBuildRejectsUnknown(t *testing.T) {
 	}
 }
 
-// TestAppendParamsCanonical proves each codec's zero-alloc appender
-// emits exactly the sorted-and-compacted json.Marshal of its Encode
-// value — the equivalence the spec layer's canonical-bytes contract
-// rests on.
-func TestAppendParamsCanonical(t *testing.T) {
+// appendCase is one policy decomposed through the registry: the base
+// policy's codec, the params source and the wrapper chain Build must
+// reapply to get want back.
+type appendCase struct {
+	name       string
+	codec      Codec
+	want, base soc.Policy
+	wrap       []string
+}
+
+// appendCases decomposes every registryPolicies entry into its base
+// and wrapper names. Each base also appears with every exported field
+// moved off its default, so a parameter the appender omits cannot hide
+// behind the constructor default that Decode fills in.
+func appendCases(t *testing.T) []appendCase {
+	t.Helper()
+	var cases []appendCase
 	for _, p := range registryPolicies() {
-		base := p
+		base, wrap := p, []string(nil)
 		for {
-			u, ok := base.(interface{ Unwrap() soc.Policy })
+			wname, ok := WrapperNameFor(base)
 			if !ok {
 				break
 			}
-			base = u.Unwrap()
+			wrap = append(wrap, wname)
+			base = base.(interface{ Unwrap() soc.Policy }).Unwrap()
 		}
 		name, c, ok := CodecFor(base)
 		if !ok {
 			t.Fatalf("CodecFor(%s): not registered", base.Name())
 		}
-		params, ok := c.Encode(base)
+		moved := base.Clone()
+		bumpExported(reflect.ValueOf(moved).Elem())
+		cases = append(cases,
+			appendCase{name, c, p, base, wrap},
+			appendCase{name, c, moved, moved, nil})
+	}
+	return cases
+}
+
+// TestDeconstructBuildRoundTrip proves Build inverts the registry's
+// decomposition of a policy: Build(name, AppendParams(p), wrap)
+// rebuilds a policy DeepEqual to p.
+func TestDeconstructBuildRoundTrip(t *testing.T) {
+	for _, tc := range appendCases(t) {
+		params, ok := tc.codec.AppendParams(nil, tc.base)
 		if !ok {
-			t.Fatalf("%s: Encode rejected its own type", name)
+			t.Fatalf("%s: AppendParams rejected its own type", tc.name)
 		}
-		want, err := canonicalJSON(params)
+		back, err := Build(tc.name, params, tc.wrap)
 		if err != nil {
-			t.Fatalf("%s: canonicalize: %v", name, err)
+			t.Fatalf("Build(%s, %s, %v): %v", tc.name, params, tc.wrap, err)
 		}
-		got, ok := c.AppendParams(nil, base)
-		if !ok {
-			t.Fatalf("%s: AppendParams rejected its own type", name)
+		if got, want := back.Name(), tc.want.Name(); got != want {
+			t.Errorf("round-trip of %s: Name() = %q, want %q", tc.name, got, want)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: AppendParams = %s, want %s", name, got, want)
+		if !reflect.DeepEqual(back, tc.want) {
+			t.Errorf("round-trip of %s: rebuilt policy differs: %#v vs %#v", tc.want.Name(), back, tc.want)
 		}
 	}
 }
 
-// canonicalJSON marshals v, then re-marshals through a number-
-// preserving decode so object keys come out sorted and whitespace-free
-// while numeric literals stay byte-identical.
-func canonicalJSON(v any) ([]byte, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
+// TestAppendParamsCanonical proves each codec's appender, the only
+// params encoder, emits canonical JSON: already sorted and compact, so
+// re-marshaling it changes no byte. The spec layer's canonical-bytes
+// contract rests on this.
+func TestAppendParamsCanonical(t *testing.T) {
+	for _, tc := range appendCases(t) {
+		params, ok := tc.codec.AppendParams(nil, tc.base)
+		if !ok {
+			t.Fatalf("%s: AppendParams rejected its own type", tc.name)
+		}
+		canon, err := canonicalJSON(params)
+		if err != nil {
+			t.Fatalf("%s: canonicalize %s: %v", tc.name, params, err)
+		}
+		if !bytes.Equal(params, canon) {
+			t.Errorf("%s: AppendParams = %s, want canonical %s", tc.name, params, canon)
+		}
 	}
+}
+
+// bumpExported moves every exported scalar field under v (which must
+// be settable) to a different value.
+func bumpExported(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if v.Type().Field(i).IsExported() {
+				bumpExported(v.Field(i))
+			}
+		}
+	case reflect.Float64:
+		v.SetFloat(v.Float()*2 + 1)
+	case reflect.Int:
+		v.SetInt(v.Int() + 1)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	}
+}
+
+// canonicalJSON re-marshals raw through a number-preserving decode so
+// object keys come out sorted and whitespace-free while numeric
+// literals stay byte-identical.
+func canonicalJSON(raw []byte) ([]byte, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber()
 	var tree any

@@ -3,6 +3,7 @@ package spec
 import (
 	"crypto/sha256"
 	"fmt"
+	"sync"
 
 	"sysscale/internal/jsonenc"
 	"sysscale/internal/policy"
@@ -18,9 +19,9 @@ import (
 // two byte-for-byte equal, so the cheap path and the documented
 // definition can never drift apart.
 
-// maxWrapDepth bounds the policy wrapper walk, mirroring the engine's
-// Unwrap depth bound: a pathological self-wrapping policy makes the
-// config unencodable rather than hanging the encoder.
+// maxWrapDepth bounds the policy wrapper walk: a pathological
+// self-wrapping policy makes the config unencodable rather than
+// hanging the encoder. Real chains are one or two deep.
 const maxWrapDepth = 24
 
 // AppendConfig appends cfg's canonical spec bytes to b. ok is false
@@ -131,26 +132,10 @@ func AppendConfig(b []byte, cfg soc.Config) (_ []byte, ok bool) {
 // appendPolicy emits the policy object: the registered family name,
 // canonical params, and the wrapper list when decorators are present.
 func appendPolicy(b []byte, p soc.Policy) (_ []byte, ok bool) {
-	if p == nil {
+	var stack [maxWrapDepth]string
+	base, wrap, ok := unwrapPolicy(p, stack[:0])
+	if !ok {
 		return b, false
-	}
-	// Find the base policy under the decorators without materializing
-	// the wrapper list ("name" sorts before "wrap").
-	base := p
-	wrapped := false
-	for depth := 0; ; depth++ {
-		if depth > maxWrapDepth {
-			return b, false
-		}
-		if _, isWrap := policy.WrapperNameFor(base); !isWrap {
-			break
-		}
-		u, hasUnwrap := base.(interface{ Unwrap() soc.Policy })
-		if !hasUnwrap {
-			return b, false
-		}
-		wrapped = true
-		base = u.Unwrap()
 	}
 	name, codec, found := policy.CodecFor(base)
 	if !found {
@@ -162,24 +147,38 @@ func appendPolicy(b []byte, p soc.Policy) (_ []byte, ok bool) {
 	if b, ok = codec.AppendParams(b, base); !ok {
 		return b, false
 	}
-	if wrapped {
+	if len(wrap) > 0 {
 		b = append(b, `,"wrap":[`...)
-		first := true
-		for w := p; w != base; {
-			wname, isWrap := policy.WrapperNameFor(w)
-			if !isWrap {
-				return b, false
-			}
-			if !first {
+		for i, w := range wrap {
+			if i > 0 {
 				b = append(b, ',')
 			}
-			first = false
-			b = jsonenc.AppendString(b, wname)
-			w = w.(interface{ Unwrap() soc.Policy }).Unwrap()
+			b = jsonenc.AppendString(b, w)
 		}
 		b = append(b, ']')
 	}
 	return append(b, '}'), true
+}
+
+// unwrapPolicy is the one walk down a policy's wrapper chain. It
+// appends the registered wrapper names to wrap, outermost first, and
+// returns the policy under them. ok is false for a nil policy or a
+// chain deeper than maxWrapDepth. Registration guarantees every
+// registered wrapper has Unwrap, so the first unregistered link is the
+// base; whether the base is registered is the caller's check.
+func unwrapPolicy(p soc.Policy, wrap []string) (base soc.Policy, _ []string, ok bool) {
+	for depth := 0; p != nil; depth++ {
+		name, isWrap := policy.WrapperNameFor(p)
+		if !isWrap {
+			return p, wrap, true
+		}
+		if depth == maxWrapDepth {
+			break
+		}
+		wrap = append(wrap, name)
+		p = p.(interface{ Unwrap() soc.Policy }).Unwrap()
+	}
+	return nil, wrap, false
 }
 
 // appendWorkload emits the inline workload in workload's JSON wire
@@ -295,3 +294,30 @@ func Fingerprint(job Job) ([sha256.Size]byte, error) {
 	}
 	return sha256.Sum256(b), nil
 }
+
+// Key returns sha256(AppendConfig(cfg)): the cache key of a live
+// config, equal to the Fingerprint of its encoded spec. ok is false
+// when the config has no canonical form — its policy is not
+// registered, an enum is out of range, or a float has no JSON
+// rendering — and such a job is never cached. Key renders into a
+// pooled buffer and hashes with the one-shot sha256.Sum256, so it does
+// not allocate in steady state.
+func Key(cfg soc.Config) (key [sha256.Size]byte, ok bool) {
+	w := bufPool.Get().(*renderBuf)
+	b, ok := AppendConfig(w.buf[:0], cfg)
+	if ok {
+		key = sha256.Sum256(b)
+	}
+	w.buf = b
+	bufPool.Put(w)
+	return key, ok
+}
+
+// renderBuf is a pooled render buffer for Key and Encode's params:
+// Key runs once per job on the sweep hot path, and a typical canonical
+// encoding is ~1.5KB.
+type renderBuf struct {
+	buf []byte
+}
+
+var bufPool = sync.Pool{New: func() any { return &renderBuf{buf: make([]byte, 0, 2048)} }}

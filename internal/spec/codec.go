@@ -1,7 +1,7 @@
 package spec
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -103,7 +103,9 @@ func knownClass(c workload.Class) bool {
 // workload inlined, every field explicit, the policy decomposed into
 // its registered family name, fully-populated parameters and wrapper
 // list. It fails when the config references something the spec layer
-// cannot name — an unregistered policy type or an out-of-range enum.
+// cannot name — an unregistered policy type or an out-of-range enum —
+// or that AppendConfig could not render either: a wrapper chain past
+// the depth bound or a policy parameter with no JSON rendering.
 func Encode(cfg soc.Config) (Job, error) {
 	job := Job{Version: Version}
 
@@ -148,15 +150,25 @@ func Encode(cfg soc.Config) (Job, error) {
 	if cfg.Policy == nil {
 		return Job{}, fmt.Errorf("spec: nil policy")
 	}
-	name, params, wrap, ok := policy.Deconstruct(cfg.Policy)
+	base, wrap, ok := unwrapPolicy(cfg.Policy, nil)
 	if !ok {
-		return Job{}, fmt.Errorf("spec: policy type %T is not registered", cfg.Policy)
+		return Job{}, fmt.Errorf("spec: policy %T has no base policy within %d wrappers", cfg.Policy, maxWrapDepth)
 	}
-	raw, err := json.Marshal(params)
-	if err != nil {
-		return Job{}, fmt.Errorf("spec: marshal %s params: %w", name, err)
+	name, codec, ok := policy.CodecFor(base)
+	if !ok {
+		return Job{}, fmt.Errorf("spec: policy type %T is not registered", base)
 	}
-	job.Policy = Policy{Name: name, Params: raw, Wrap: wrap}
+	// Render into a pooled buffer and keep an exact-size copy: one
+	// allocation, where appending to nil would grow the slice several
+	// times.
+	w := bufPool.Get().(*renderBuf)
+	params, ok := codec.AppendParams(w.buf[:0], base)
+	job.Policy = Policy{Name: name, Params: bytes.Clone(params), Wrap: wrap}
+	w.buf = params
+	bufPool.Put(w)
+	if !ok {
+		return Job{}, fmt.Errorf("spec: %s params have no JSON rendering", name)
+	}
 
 	job.Run = Run{
 		DurationNS:       int64(cfg.Duration),

@@ -96,19 +96,15 @@ func TestFingerprintIsResultIdentity(t *testing.T) {
 			}
 		}
 		bumpLeaves(t, reflect.ValueOf(&cfg).Elem(), "Config", func(path string) { moved(path, cfg) })
-		name, params, wrap, ok := policy.Deconstruct(cfg.Policy)
-		if !ok {
-			t.Fatalf("%s: policy not registered", label)
+		enc, err := Encode(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
-		pv := reflect.New(reflect.TypeOf(params)).Elem()
-		pv.Set(reflect.ValueOf(params))
-		bumpLeaves(t, pv, "params", func(path string) {
-			raw, err := json.Marshal(pv.Interface())
-			if err != nil {
-				t.Fatal(err)
-			}
+		pol := enc.Policy
+		bumpJSONLeaves(t, pol.Params, func(path string, params []byte) {
 			c := cfg
-			if c.Policy, err = policy.Build(name, raw, wrap); err != nil {
+			var err error
+			if c.Policy, err = policy.Build(pol.Name, params, pol.Wrap); err != nil {
 				t.Fatalf("%s: %s: %v", label, path, err)
 			}
 			moved(path, c)
@@ -216,6 +212,65 @@ func bumpLeaves(t *testing.T, v reflect.Value, path string, visit func(path stri
 	default:
 		t.Fatalf("%s: unhandled kind %v", path, v.Kind())
 	}
+}
+
+// bumpJSONLeaves is bumpLeaves for a JSON document: it changes each
+// number, bool and string leaf of raw in turn, by the same rules, and
+// calls visit with the leaf's path and the re-marshaled document.
+func bumpJSONLeaves(t *testing.T, raw []byte, visit func(path string, doc []byte)) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var root any
+	if err := dec.Decode(&root); err != nil {
+		t.Fatal(err)
+	}
+	emit := func(path string) {
+		doc, err := json.Marshal(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		visit(path, doc)
+	}
+	var walk func(v any, path string, set func(any))
+	walk = func(v any, path string, set func(any)) {
+		var bumped any
+		switch x := v.(type) {
+		case map[string]any:
+			for k, e := range x {
+				walk(e, path+"."+k, func(n any) { x[k] = n })
+			}
+			return
+		case []any:
+			for i, e := range x {
+				walk(e, path+"["+strconv.Itoa(i)+"]", func(n any) { x[i] = n })
+			}
+			return
+		case json.Number:
+			if i, err := x.Int64(); err == nil {
+				if i > 0 {
+					i--
+				} else {
+					i = 1
+				}
+				bumped = json.Number(strconv.FormatInt(i, 10))
+			} else if f, err := x.Float64(); err == nil {
+				bumped = json.Number(strconv.FormatFloat(f*2+1, 'g', -1, 64))
+			} else {
+				t.Fatalf("%s: %v", path, err)
+			}
+		case bool:
+			bumped = !x
+		case string:
+			bumped = x + "x"
+		default:
+			t.Fatalf("%s: unhandled JSON value %T", path, v)
+		}
+		set(bumped)
+		emit(path)
+		set(v)
+	}
+	walk(root, "params", func(n any) { root = n })
 }
 
 // readJobFile reads one spec document.

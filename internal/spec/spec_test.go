@@ -335,13 +335,60 @@ func TestAppendConfigRejectsNaN(t *testing.T) {
 	}
 }
 
+// TestAppendConfigDepthBound: Encode and AppendConfig share one
+// wrapper walk, so they accept exactly the same chains — up to
+// maxWrapDepth wrappers — and reject the same ones beyond it.
 func TestAppendConfigDepthBound(t *testing.T) {
-	cfg := baseConfig(t)
-	for i := 0; i < maxWrapDepth+2; i++ {
-		cfg.Policy = policy.WithoutOptimizedMRC(cfg.Policy)
+	for _, depth := range []int{0, 1, maxWrapDepth - 1, maxWrapDepth, maxWrapDepth + 1, maxWrapDepth + 2} {
+		cfg := baseConfig(t)
+		for i := 0; i < depth; i++ {
+			cfg.Policy = policy.WithoutOptimizedMRC(cfg.Policy)
+		}
+		want := depth <= maxWrapDepth
+		_, appended := AppendConfig(nil, cfg)
+		job, err := Encode(cfg)
+		if appended != want || (err == nil) != want {
+			t.Errorf("depth %d: AppendConfig ok %t, Encode err %v; want both to accept: %t", depth, appended, err, want)
+			continue
+		}
+		if want {
+			if got := len(job.Policy.Wrap); got != depth {
+				t.Errorf("depth %d: Encode wrap list has %d names", depth, got)
+			}
+			if _, err := Canonical(job); err != nil {
+				t.Errorf("depth %d: Canonical(Encode(cfg)): %v", depth, err)
+			}
+		}
 	}
-	if _, ok := AppendConfig(nil, cfg); ok {
-		t.Errorf("AppendConfig accepted a wrapper chain beyond the depth bound")
+}
+
+// TestKeyAllocs pins the cache key at zero allocations per job: it
+// runs once per job on the sweep hot path.
+func TestKeyAllocs(t *testing.T) {
+	cfg := baseConfig(t)
+	cfg.Policy = policy.WithoutRedistribution(policy.NewSysScaleDefault())
+	if _, ok := Key(cfg); !ok {
+		t.Fatal("config has no key")
+	}
+	if n := testing.AllocsPerRun(100, func() { Key(cfg) }); n != 0 {
+		t.Errorf("Key allocates %v times per call, want 0", n)
+	}
+}
+
+// BenchmarkKey tracks the per-job keying cost on the sweep hot path.
+func BenchmarkKey(b *testing.B) {
+	w, err := workload.SPEC("473.astar")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := soc.DefaultConfig()
+	cfg.Workload = w
+	cfg.Policy = policy.NewSysScaleDefault()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ok := Key(cfg); !ok {
+			b.Fatal("uncacheable")
+		}
 	}
 }
 

@@ -56,7 +56,8 @@ type DoneInfo struct {
 
 // JobResponse is the body of a successful POST /v1/jobs: the result
 // plus the job's canonical fingerprint (hex; its cache identity across
-// the fleet). Fingerprint is empty for uncacheable jobs.
+// the fleet). Fingerprint is empty for jobs whose policy is not
+// registered.
 type JobResponse struct {
 	Fingerprint string     `json:"fingerprint,omitempty"`
 	Result      soc.Result `json:"result"`

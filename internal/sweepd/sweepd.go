@@ -38,7 +38,6 @@ package sweepd
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -255,10 +254,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := JobResponse{Result: res}
-	// The canonical bytes of the decoded config are Canonical(js), so
-	// this is spec.Fingerprint(js) without decoding the spec again.
-	if b, ok := spec.AppendConfig(nil, job.Config); ok {
-		resp.Fingerprint = fmt.Sprintf("%x", sha256.Sum256(b))
+	// The key of the decoded config is spec.Fingerprint(js), without
+	// decoding the spec again.
+	if key, ok := spec.Key(job.Config); ok {
+		resp.Fingerprint = fmt.Sprintf("%x", key)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)

@@ -74,13 +74,6 @@ func init() {
 			}
 			return &slowPolicy{inner: policy.NewBaseline(), DelayMS: p.DelayMS}, nil
 		},
-		Encode: func(p soc.Policy) (any, bool) {
-			sp, ok := p.(*slowPolicy)
-			if !ok {
-				return nil, false
-			}
-			return slowParams{DelayMS: sp.DelayMS}, true
-		},
 		AppendParams: func(b []byte, p soc.Policy) ([]byte, bool) {
 			sp, ok := p.(*slowPolicy)
 			if !ok {

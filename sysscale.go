@@ -543,20 +543,25 @@ func JobFromSpec(job JobSpec) (Job, error) { return engine.FromSpec(job) }
 
 // Policy registry types: how policy families serialize in job specs.
 type (
-	// PolicyCodec decodes/encodes one policy family's typed parameters.
+	// PolicyCodec serializes one policy family: its concrete Type,
+	// Decode (params JSON to a policy) and AppendParams (a live policy
+	// to its canonical params JSON, the only params encoder).
 	PolicyCodec = policy.Codec
 	// PolicyWrapper builds one ablation wrapper by name.
 	PolicyWrapper = policy.Wrapper
 )
 
 // RegisterPolicy adds a policy family to the spec registry under name.
-// Registration is what gives a policy type a serialized identity —
-// and an engine cache key; unregistered policy types still run but
-// never cache. Duplicate names or duplicate concrete types are
+// Registration is a policy type's only serialized identity and engine
+// cache key: unregistered policy types still run but never cache, and
+// there is no other way to opt in or out. A codec needs Type, Decode
+// and AppendParams. Duplicate names or duplicate concrete types are
 // rejected, so two packages cannot silently alias one identity.
 func RegisterPolicy(name string, c PolicyCodec) error { return policy.Register(name, c) }
 
-// RegisterPolicyWrapper adds an ablation wrapper to the registry.
+// RegisterPolicyWrapper adds an ablation wrapper to the registry. The
+// wrapper's Type must have an Unwrap() Policy method returning the
+// decorated policy; registration rejects one without it.
 func RegisterPolicyWrapper(name string, w PolicyWrapper) error {
 	return policy.RegisterWrapper(name, w)
 }
