@@ -249,10 +249,11 @@ func benchEngineSweep(b *testing.B, workers int) {
 		jobs[i] = sysscale.Job{Config: c}
 	}
 	eng := sysscale.NewEngine(sysscale.WithParallelism(workers), sysscale.WithCache(false))
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.RunBatch(jobs); err != nil {
+		if _, err := eng.RunBatchContext(ctx, jobs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -269,7 +270,7 @@ func BenchmarkEngineSequential(b *testing.B) { benchEngineSweep(b, 1) }
 func BenchmarkEngineParallel(b *testing.B) { benchEngineSweep(b, runtime.GOMAXPROCS(0)) }
 
 // BenchmarkEngineStream runs the BenchmarkEngineParallel sweep through
-// Engine.Stream instead of RunBatch: same jobs, same worker bound,
+// Engine.Stream instead of RunBatchContext: same jobs, same worker bound,
 // results consumed (and dropped) as they complete. The gate pins this
 // next to the batch path so the streaming delivery layer — channel
 // sends, per-job clones — can never silently regress relative to it.

@@ -33,8 +33,9 @@
 // -cache-dir layers the persistent on-disk result tier under the
 // engine's in-memory cache: results are keyed by the canonical spec
 // fingerprint and survive process restarts, so repeating a sweep (or
-// sharing the directory between machines) serves it from disk instead
-// of re-simulating. Corrupt entries degrade to counted misses. A final
+// sharing the directory between machines of the same GOARCH; results
+// are bit-identical only within one architecture) serves it from disk
+// instead of re-simulating. Corrupt entries degrade to counted misses. A final
 // "cache:" line reports both tiers, with a stderr warning when the
 // tier's circuit breaker is open (results not persisting).
 //

@@ -47,23 +47,24 @@ func Example_quickstart() {
 }
 
 // Example_runBatch is the doc.go batch snippet: one Policy value backs
-// every config (the engine clones it per job) and results come back in
+// every job (the engine clones it per job) and results come back in
 // input order.
 func Example_runBatch() {
+	eng := sysscale.NewEngine()
 	sys := sysscale.NewSysScale()
-	var cfgs []sysscale.Config
+	var jobs []sysscale.Job
 	for _, w := range sysscale.GraphicsSuite() {
 		cfg := sysscale.DefaultConfig()
 		cfg.Workload = w
 		cfg.Policy = sys
-		cfgs = append(cfgs, cfg)
+		jobs = append(jobs, sysscale.Job{Config: cfg})
 	}
-	results, err := sysscale.RunBatch(cfgs) // results[i] ↔ cfgs[i]
+	results, err := eng.RunBatchContext(context.Background(), jobs) // results[i] ↔ jobs[i]
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("results:", len(results))
-	fmt.Println("in input order:", results[0].Workload == cfgs[0].Workload.Name)
+	fmt.Println("in input order:", results[0].Workload == jobs[0].Config.Workload.Name)
 	// Output:
 	// results: 3
 	// in input order: true
@@ -76,7 +77,7 @@ func Example_sweep() {
 	rs, err := sysscale.NewSweep().
 		Policies(sysscale.NewBaseline(), sysscale.NewSysScale()).
 		Workloads(sysscale.BatterySuite()...).
-		RunContext(context.Background(), sysscale.DefaultEngine())
+		RunContext(context.Background(), sysscale.NewEngine())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,18 +94,19 @@ func Example_sweep() {
 }
 
 // Example_stream consumes a sweep as it completes: one JobResult per
-// config, tagged with its input index, in O(parallelism) memory.
+// job, tagged with its input index, in O(parallelism) memory.
 func Example_stream() {
+	eng := sysscale.NewEngine()
 	sys := sysscale.NewSysScale()
-	var cfgs []sysscale.Config
+	var jobs []sysscale.Job
 	for _, w := range sysscale.GraphicsSuite() {
 		cfg := sysscale.DefaultConfig()
 		cfg.Workload = w
 		cfg.Policy = sys
-		cfgs = append(cfgs, cfg)
+		jobs = append(jobs, sysscale.Job{Config: cfg})
 	}
-	delivered := make([]bool, len(cfgs))
-	for jr := range sysscale.StreamBatch(context.Background(), cfgs) {
+	delivered := make([]bool, len(jobs))
+	for jr := range eng.Stream(context.Background(), jobs) {
 		if jr.Err != nil {
 			log.Fatal(jr.Err)
 		}
@@ -134,7 +136,8 @@ func Example_cancellation() {
 
 	bad := cfg
 	bad.Duration = -1
-	_, err = sysscale.RunBatch([]sysscale.Config{cfg, bad})
+	jobs := []sysscale.Job{{Config: cfg}, {Config: bad}}
+	_, err = sysscale.NewEngine().RunBatchContext(context.Background(), jobs)
 	var je *sysscale.JobError
 	fmt.Println("invalid config:", errors.Is(err, sysscale.ErrInvalidConfig))
 	fmt.Println("failed job index:", func() int { errors.As(err, &je); return je.Index }())

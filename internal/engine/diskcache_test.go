@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -47,7 +48,7 @@ func TestDiskCacheFreshEngineServesFromDisk(t *testing.T) {
 	if err := first.DiskCacheError(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := first.RunBatch(jobs)
+	want, err := first.RunBatchContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestDiskCacheFreshEngineServesFromDisk(t *testing.T) {
 	}
 
 	second := New(WithDiskCache(dir))
-	got, err := second.RunBatch(jobs)
+	got, err := second.RunBatchContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestDiskCacheFreshEngineServesFromDisk(t *testing.T) {
 
 	// A third batch on the same engine is served from the promoted
 	// in-memory entries — no further disk traffic.
-	if _, err := second.RunBatch(jobs); err != nil {
+	if _, err := second.RunBatchContext(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	ts := second.CacheStats()
@@ -97,7 +98,7 @@ func TestDiskCacheCorruptEntryDegradesToMiss(t *testing.T) {
 	jobs := diskJobs(t)
 
 	first := New(WithDiskCache(dir))
-	want, err := first.RunBatch(jobs)
+	want, err := first.RunBatchContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestDiskCacheCorruptEntryDegradesToMiss(t *testing.T) {
 	}
 
 	second := New(WithDiskCache(dir))
-	got, err := second.RunBatch(jobs)
+	got, err := second.RunBatchContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("corrupt disk tier aborted the batch: %v", err)
 	}
@@ -142,7 +143,7 @@ func TestDiskCacheCorruptEntryDegradesToMiss(t *testing.T) {
 
 	// The re-simulations were written back: a third engine hits disk.
 	third := New(WithDiskCache(dir))
-	if _, err := third.RunBatch(jobs); err != nil {
+	if _, err := third.RunBatchContext(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	if st := third.CacheStats(); st.DiskHits != len(jobs) {
@@ -164,7 +165,7 @@ func TestDiskCacheUncacheableBypasses(t *testing.T) {
 	cfg.Workload = w
 	cfg.Policy = &countingPolicy{inner: policy.NewSysScaleDefault(), n: new(atomic.Int64)}
 	cfg.Duration = 300 * sim.Millisecond
-	if _, err := e.RunBatch([]Job{{Config: cfg}, {Config: cfg}}); err != nil {
+	if _, err := e.RunBatchContext(context.Background(), []Job{{Config: cfg}, {Config: cfg}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,7 +194,7 @@ func TestDiskCacheOpenFailure(t *testing.T) {
 		t.Errorf("DiskCacheError nil for a cache dir that is a file")
 	}
 	jobs := diskJobs(t)[:1]
-	if _, err := e.RunBatch(jobs); err != nil {
+	if _, err := e.RunBatchContext(context.Background(), jobs); err != nil {
 		t.Fatalf("engine without disk tier failed: %v", err)
 	}
 	if st := e.CacheStats(); st.DiskHits != 0 || st.DiskMisses != 0 {

@@ -13,10 +13,9 @@
 // jobs go out to the worker pool and one JobResult per job is
 // delivered as each simulation completes. Stream exposes it on a
 // channel, so an unbounded sweep runs in O(parallelism) result
-// memory; RunBatch/RunBatchContext are thin collectors over the same
-// core that deliver straight into the ordered results slice (no
-// channel handoff on the batch hot path) and restore fail-fast
-// semantics. All entry points accept a context: cancellation stops
+// memory; RunBatchContext is a thin collector over the same core
+// that delivers straight into the ordered results slice (no channel
+// handoff on the batch hot path) and restores fail-fast semantics. All entry points accept a context: cancellation stops
 // feeding queued work, unwinds in-flight simulations within one
 // policy epoch, and returns every pooled platform cleanly.
 //
@@ -213,8 +212,8 @@ func WithDiskBreaker(threshold int, probe time.Duration) Option {
 // default). A job over its deadline unwinds within one policy epoch,
 // returns its pooled platform, and fails with an ErrJobTimeout-classed
 // *JobError — a genuine per-job failure, distinct from batch
-// cancellation (fail-fast RunBatch reports it; Stream delivers it;
-// RunBatchPartial records it).
+// cancellation (fail-fast RunBatchContext reports it; Stream delivers
+// it).
 func WithJobTimeout(d time.Duration) Option {
 	return func(e *Engine) { e.jobTimeout = d }
 }
@@ -463,15 +462,9 @@ func (e *Engine) ClearCache() {
 	e.mu.Unlock()
 }
 
-// Run simulates one configuration through the engine (memoized). It is
-// the engine-backed replacement for soc.Run and can be passed anywhere
-// a soc.RunFunc is expected.
-func (e *Engine) Run(cfg soc.Config) (soc.Result, error) {
-	return e.RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cancellation: a cancelled run unwinds within
-// one policy epoch and returns ctx.Err().
+// RunContext simulates one configuration through the engine
+// (memoized). A cancelled run unwinds within one policy epoch and
+// returns ctx.Err().
 func (e *Engine) RunContext(ctx context.Context, cfg soc.Config) (soc.Result, error) {
 	rs, err := e.RunBatchContext(ctx, []Job{{Config: cfg}})
 	if err != nil {
@@ -488,25 +481,20 @@ type task struct {
 	indices   []int
 }
 
-// RunBatch executes the jobs with bounded parallelism and returns their
-// results in input order. The batch is deterministic: the returned
-// slice is identical to running each job sequentially through soc.Run,
-// whatever the worker count. On the first failure the engine stops
-// feeding work, cancels in-flight simulations, and returns a *JobError
-// identifying the lowest-indexed failed job; no partial results are
-// returned.
-func (e *Engine) RunBatch(jobs []Job) ([]soc.Result, error) {
-	return e.RunBatchContext(context.Background(), jobs)
-}
-
-// RunBatchContext is RunBatch with cancellation: once ctx is done the
-// engine stops feeding queued jobs, in-flight simulations unwind
-// within one policy epoch, every pooled platform is returned, and the
-// call reports ctx.Err() (so errors.Is(err, context.Canceled) holds
-// for a cancelled batch).
+// RunBatchContext executes the jobs with bounded parallelism and
+// returns their results in input order. The batch is deterministic:
+// the returned slice is identical to running each job sequentially
+// through soc.Run, whatever the worker count. On the first failure the
+// engine stops feeding work, cancels in-flight simulations, and
+// returns a *JobError identifying the lowest-indexed failed job; no
+// partial results are returned. Once ctx is done the engine stops
+// feeding queued jobs, in-flight simulations unwind within one policy
+// epoch, every pooled platform is returned, and the call reports
+// ctx.Err() (so errors.Is(err, context.Canceled) holds for a cancelled
+// batch).
 func (e *Engine) RunBatchContext(ctx context.Context, jobs []Job) ([]soc.Result, error) {
 	// Nil-policy jobs are rejected up front — before any simulation
-	// runs — preserving the historical RunBatch contract.
+	// runs — preserving the historical batch contract.
 	for i, j := range jobs {
 		if j.Config.Policy == nil {
 			return nil, &JobError{Index: i, Config: j.Config, Err: fmt.Errorf("%w: nil policy", soc.ErrInvalidConfig)}
@@ -612,46 +600,8 @@ func (e *Engine) Stream(ctx context.Context, jobs []Job) <-chan JobResult {
 	return out
 }
 
-// RunBatchPartial executes the jobs with bounded parallelism and
-// returns one JobResult per job, in input order, never failing the
-// batch: each job independently carries its Result or its *JobError.
-// This is the sweep-service shape — one bad job (invalid config,
-// panic, timeout) must not void a 10k-job sweep — where RunBatch's
-// fail-fast contract is for callers who treat any failure as fatal.
-//
-// Cancellation still stops the batch: jobs overtaken by ctx — never
-// started, or unwound in flight — report ctx's error (cancellation
-// collateral, identifiable with errors.Is(err, context.Canceled) /
-// context.DeadlineExceeded), while jobs that genuinely failed keep
-// their own errors. The slice always has len(jobs) entries.
-func (e *Engine) RunBatchPartial(ctx context.Context, jobs []Job) []JobResult {
-	out := make([]JobResult, len(jobs))
-	delivered := make([]bool, len(jobs))
-	// Each index is delivered (and therefore written) by exactly one
-	// goroutine, so the direct writes need no lock; runJobs returning
-	// is the happens-before edge that publishes them.
-	e.runJobs(ctx, jobs, func(jr JobResult) bool {
-		out[jr.Index] = jr
-		delivered[jr.Index] = true
-		return true
-	})
-	for i := range out {
-		if !delivered[i] {
-			// Never delivered: the batch was cancelled before this job
-			// completed. Report the collateral explicitly.
-			err := ctx.Err()
-			if err == nil {
-				err = context.Canceled
-			}
-			out[i] = JobResult{Err: &JobError{Index: i, Config: jobs[i].Config, Err: err}}
-		}
-		out[i].Index = i
-	}
-	return out
-}
-
-// runJobs is the shared streaming core behind Stream, RunBatchContext
-// and RunBatchPartial: resolve cache hits, coalesce in-batch duplicates,
+// runJobs is the shared streaming core behind Stream and
+// RunBatchContext: resolve cache hits, coalesce in-batch duplicates,
 // fan the remaining tasks out over the worker pool, and hand every
 // job's JobResult to deliver as it completes. deliver is called
 // concurrently from the workers (and from the resolve loop for cache
@@ -761,7 +711,7 @@ feed:
 
 // runnerPool recycles assembled platforms across jobs and batches:
 // each worker checks a soc.Runner out for the duration of one
-// simulation, so steady-state RunBatch traffic stops paying for MRC
+// simulation, so steady-state batch traffic stops paying for MRC
 // retraining, component assembly, and per-run slice/map allocations.
 // Runners are goroutine-exclusive while checked out, and a recycled
 // platform is reset to a state bit-identical with fresh assembly, so

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -72,7 +73,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 8} {
 		e := New(WithParallelism(workers))
-		got, err := e.RunBatch(jobs)
+		got, err := e.RunBatchContext(context.Background(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestSharedPolicyInstanceAcrossBatch(t *testing.T) {
 		jobs = append(jobs, Job{Config: cfg})
 	}
 	e := New(WithParallelism(4))
-	rs, err := e.RunBatch(jobs)
+	rs, err := e.RunBatchContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +125,11 @@ func TestCacheMemoizesAcrossBatches(t *testing.T) {
 	cfg.Duration = 300 * sim.Millisecond
 
 	e := New()
-	first, err := e.Run(cfg)
+	first, err := e.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.Run(cfg)
+	second, err := e.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestBatchCoalescesDuplicates(t *testing.T) {
 	cfg.Duration = 300 * sim.Millisecond
 
 	e := New(WithParallelism(2))
-	rs, err := e.RunBatch([]Job{{Config: cfg}, {Config: cfg}, {Config: cfg}})
+	rs, err := e.RunBatchContext(context.Background(), []Job{{Config: cfg}, {Config: cfg}, {Config: cfg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,14 +235,14 @@ func TestUncacheablePolicyAlwaysRuns(t *testing.T) {
 	cfg.Duration = 300 * sim.Millisecond
 
 	e := New()
-	if _, err := e.RunBatch([]Job{{Config: cfg}, {Config: cfg}}); err != nil {
+	if _, err := e.RunBatchContext(context.Background(), []Job{{Config: cfg}, {Config: cfg}}); err != nil {
 		t.Fatal(err)
 	}
 	first := p.n.Load()
 	if first == 0 {
 		t.Fatal("policy never ran")
 	}
-	if _, err := e.Run(cfg); err != nil {
+	if _, err := e.RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if p.n.Load() != first+first/2 {
@@ -269,11 +270,11 @@ func TestWrappedUncacheableStaysUncacheable(t *testing.T) {
 	cfg.Duration = 300 * sim.Millisecond
 
 	e := New()
-	if _, err := e.Run(cfg); err != nil {
+	if _, err := e.RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	first := p.n.Load()
-	if _, err := e.Run(cfg); err != nil {
+	if _, err := e.RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if p.n.Load() != 2*first {
@@ -296,7 +297,7 @@ func TestClearCache(t *testing.T) {
 	cfg.Duration = 300 * sim.Millisecond
 
 	e := New()
-	if _, err := e.Run(cfg); err != nil {
+	if _, err := e.RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.CacheStats(); st.Entries != 1 {
@@ -306,7 +307,7 @@ func TestClearCache(t *testing.T) {
 	if st := e.CacheStats(); st.Entries != 0 {
 		t.Fatalf("entries = %d after ClearCache, want 0", st.Entries)
 	}
-	if _, err := e.Run(cfg); err != nil {
+	if _, err := e.RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.CacheStats(); st.Misses != 2 {
@@ -328,7 +329,7 @@ func TestFailFast(t *testing.T) {
 	badCfg.Duration = -1 * sim.Second // fails Validate inside soc.Run
 
 	e := New(WithParallelism(2))
-	rs, err := e.RunBatch([]Job{{Config: okCfg}, {Config: badCfg}, {Config: okCfg}})
+	rs, err := e.RunBatchContext(context.Background(), []Job{{Config: okCfg}, {Config: badCfg}, {Config: okCfg}})
 	if err == nil {
 		t.Fatal("batch with invalid job returned no error")
 	}
@@ -343,7 +344,7 @@ func TestFailFast(t *testing.T) {
 func TestNilPolicyRejected(t *testing.T) {
 	cfg := soc.DefaultConfig()
 	e := New()
-	if _, err := e.RunBatch([]Job{{Config: cfg}}); err == nil {
+	if _, err := e.RunBatchContext(context.Background(), []Job{{Config: cfg}}); err == nil {
 		t.Fatal("nil-policy job accepted")
 	}
 }

@@ -2,15 +2,73 @@ package engine
 
 import (
 	"crypto/sha256"
+	"encoding/json"
+	"reflect"
+	"strconv"
 	"testing"
 
-	"sysscale/internal/engine/fptest/pkga"
-	"sysscale/internal/engine/fptest/pkgb"
 	"sysscale/internal/policy"
 	"sysscale/internal/soc"
 	"sysscale/internal/spec"
 	"sysscale/internal/workload"
 )
+
+// pinnedA and pinnedB are minimal no-op policies with one field layout
+// and one Name label. Each registers under its own spec name, so only
+// the registered name tells their cache keys apart.
+type (
+	pinnedA struct{ pinned }
+	pinnedB struct{ pinned }
+)
+
+type pinned struct{ Index int }
+
+func (*pinned) Name() string                                { return "pinned" }
+func (*pinned) Reset()                                      {}
+func (*pinned) Decide(soc.PolicyContext) soc.PolicyDecision { return soc.PolicyDecision{} }
+func (p *pinned) index() int                                { return p.Index }
+
+func (p *pinnedA) Clone() soc.Policy { c := *p; return &c }
+func (p *pinnedB) Clone() soc.Policy { c := *p; return &c }
+
+func init() {
+	for name, build := range map[string]func(int) soc.Policy{
+		"fptest-pinned-a": func(i int) soc.Policy { return &pinnedA{pinned{i}} },
+		"fptest-pinned-b": func(i int) soc.Policy { return &pinnedB{pinned{i}} },
+	} {
+		if err := policy.Register(name, pinnedCodec(build)); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// pinnedCodec is the codec of the family whose policies build makes:
+// params {"index":N}.
+func pinnedCodec(build func(index int) soc.Policy) policy.Codec {
+	typ := reflect.TypeOf(build(0))
+	return policy.Codec{
+		Type: typ,
+		Decode: func(raw []byte) (soc.Policy, error) {
+			var p struct {
+				Index int `json:"index"`
+			}
+			if len(raw) > 0 {
+				if err := json.Unmarshal(raw, &p); err != nil {
+					return nil, err
+				}
+			}
+			return build(p.Index), nil
+		},
+		AppendParams: func(b []byte, p soc.Policy) ([]byte, bool) {
+			if reflect.TypeOf(p) != typ {
+				return b, false
+			}
+			b = append(b, `{"index":`...)
+			b = strconv.AppendInt(b, int64(p.(interface{ index() int }).index()), 10)
+			return append(b, '}'), true
+		},
+	}
+}
 
 // fpConfig builds one valid config around the given policy.
 func fpConfig(t *testing.T, p soc.Policy) soc.Config {
@@ -26,14 +84,14 @@ func fpConfig(t *testing.T, p soc.Policy) soc.Config {
 }
 
 // TestFingerprintDistinguishesSameNamedTypes: two policy types with
-// identical Go names, labels and field values — registered under
+// identical labels, field layouts and field values — registered under
 // distinct spec names — must map to different cache keys, or the
 // engine would return one policy's cached Results for the other. (The
 // registry's duplicate rejection is the other half of this guarantee:
 // the two fixtures cannot register under one name in the first place.)
 func TestFingerprintDistinguishesSameNamedTypes(t *testing.T) {
-	ka, oka := spec.Key(fpConfig(t, &pkga.Pinned{Index: 1}))
-	kb, okb := spec.Key(fpConfig(t, &pkgb.Pinned{Index: 1}))
+	ka, oka := spec.Key(fpConfig(t, &pinnedA{pinned{1}}))
+	kb, okb := spec.Key(fpConfig(t, &pinnedB{pinned{1}}))
 	if !oka || !okb {
 		t.Fatalf("fixture policies should be cacheable (got %t, %t)", oka, okb)
 	}
@@ -45,15 +103,15 @@ func TestFingerprintDistinguishesSameNamedTypes(t *testing.T) {
 // TestFingerprintStableForEqualConfigs guards the opposite direction:
 // equal configs (same type, same values) still collide onto one key.
 func TestFingerprintStableForEqualConfigs(t *testing.T) {
-	k1, ok1 := spec.Key(fpConfig(t, &pkga.Pinned{Index: 2}))
-	k2, ok2 := spec.Key(fpConfig(t, &pkga.Pinned{Index: 2}))
+	k1, ok1 := spec.Key(fpConfig(t, &pinnedA{pinned{2}}))
+	k2, ok2 := spec.Key(fpConfig(t, &pinnedA{pinned{2}}))
 	if !ok1 || !ok2 {
 		t.Fatal("configs should be cacheable")
 	}
 	if k1 != k2 {
 		t.Fatalf("equal configs produced distinct keys %x vs %x", k1, k2)
 	}
-	k3, _ := spec.Key(fpConfig(t, &pkga.Pinned{Index: 3}))
+	k3, _ := spec.Key(fpConfig(t, &pinnedA{pinned{3}}))
 	if k1 == k3 {
 		t.Fatal("distinct policy configurations share a cache key")
 	}
@@ -86,8 +144,8 @@ func (*anonymousPolicy) Decide(soc.PolicyContext) soc.PolicyDecision {
 // pins that directly).
 func TestFingerprintMatchesSpecFingerprint(t *testing.T) {
 	policies := []soc.Policy{
-		&pkga.Pinned{Index: 1},
-		&pkgb.Pinned{Index: 1},
+		&pinnedA{pinned{1}},
+		&pinnedB{pinned{1}},
 		policy.NewSysScaleDefault(),
 		policy.NewCoScaleRedist(),
 		policy.WithoutRedistribution(policy.NewSysScaleDefault()),

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"sysscale/internal/policy"
@@ -36,7 +37,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 	run := func(cfg soc.Config) {
 		t.Helper()
-		if _, err := e.Run(cfg); err != nil {
+		if _, err := e.RunContext(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
 	}

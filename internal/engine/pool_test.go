@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestPooledPlatformReuseBitIdentical(t *testing.T) {
 	for _, par := range []int{1, 4, 16} {
 		e := New(WithParallelism(par), WithCache(false))
 		for round := 0; round < 3; round++ {
-			got, err := e.RunBatch(jobs)
+			got, err := e.RunBatchContext(context.Background(), jobs)
 			if err != nil {
 				t.Fatalf("parallel=%d round=%d: %v", par, round, err)
 			}

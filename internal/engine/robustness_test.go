@@ -87,7 +87,7 @@ func TestPanicIsolation(t *testing.T) {
 	jobs = append(jobs, Job{Config: bad})
 
 	e := New(WithParallelism(4))
-	_, err := e.RunBatch(jobs)
+	_, err := e.RunBatchContext(context.Background(), jobs)
 	if err == nil {
 		t.Fatalf("batch with a panicking policy returned nil error")
 	}
@@ -113,7 +113,7 @@ func TestPanicIsolation(t *testing.T) {
 	}
 
 	// The engine survives: a clean batch on the same engine succeeds.
-	rs, err := e.RunBatch(jobs[:3])
+	rs, err := e.RunBatchContext(context.Background(), jobs[:3])
 	if err != nil {
 		t.Fatalf("clean batch after a panic failed: %v", err)
 	}
@@ -158,16 +158,23 @@ func TestStreamDeliversPanicInBand(t *testing.T) {
 
 // TestJobTimeout: a job over its deadline fails with ErrJobTimeout — a
 // genuine, reported failure, distinct from context.DeadlineExceeded —
-// through both the per-job and the engine-wide knobs, and fail-fast
-// RunBatch reports it rather than eating it as collateral.
+// through both the per-job and the engine-wide knobs; Stream delivers
+// it, and fail-fast RunBatchContext reports it rather than eating it as
+// collateral.
 func TestJobTimeout(t *testing.T) {
 	slow := robustnessConfig(t, "470.lbm")
 	slow.Policy = &slowPolicy{inner: policy.NewBaseline(), sleep: 30 * time.Millisecond}
 
 	t.Run("per-job", func(t *testing.T) {
 		e := New()
-		rs := e.RunBatchPartial(context.Background(), []Job{{Config: slow, Timeout: 20 * time.Millisecond}})
-		err := rs[0].Err
+		var errs []error
+		for jr := range e.Stream(context.Background(), []Job{{Config: slow, Timeout: 20 * time.Millisecond}}) {
+			errs = append(errs, jr.Err)
+		}
+		if len(errs) != 1 {
+			t.Fatalf("stream delivered %d results for 1 job", len(errs))
+		}
+		err := errs[0]
 		if !errors.Is(err, ErrJobTimeout) {
 			t.Fatalf("err = %v, want ErrJobTimeout", err)
 		}
@@ -178,7 +185,7 @@ func TestJobTimeout(t *testing.T) {
 
 	t.Run("engine-wide", func(t *testing.T) {
 		e := New(WithJobTimeout(20 * time.Millisecond))
-		_, err := e.RunBatch([]Job{{Config: slow}})
+		_, err := e.RunBatchContext(context.Background(), []Job{{Config: slow}})
 		var je *JobError
 		if !errors.As(err, &je) || !errors.Is(err, ErrJobTimeout) {
 			t.Fatalf("fail-fast batch err = %v, want *JobError wrapping ErrJobTimeout", err)
@@ -187,7 +194,7 @@ func TestJobTimeout(t *testing.T) {
 
 	t.Run("fast-jobs-unaffected", func(t *testing.T) {
 		e := New(WithJobTimeout(10 * time.Second))
-		if _, err := e.RunBatch([]Job{{Config: robustnessConfig(t, "416.gamess")}}); err != nil {
+		if _, err := e.RunBatchContext(context.Background(), []Job{{Config: robustnessConfig(t, "416.gamess")}}); err != nil {
 			t.Fatalf("generous timeout failed a fast job: %v", err)
 		}
 	})
@@ -197,7 +204,8 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
-// TestRunBatchPartial: every job gets a JobResult — results for the
+// TestRunBatchPartial pins the partial-batch contract, which Stream
+// serves: every job gets exactly one JobResult — results for the
 // healthy, typed errors for the sick — and the batch never fails as a
 // whole.
 func TestRunBatchPartial(t *testing.T) {
@@ -215,13 +223,18 @@ func TestRunBatchPartial(t *testing.T) {
 		{Config: robustnessConfig(t, "470.lbm")},
 	}
 	e := New(WithParallelism(4))
-	rs := e.RunBatchPartial(context.Background(), jobs)
-	if len(rs) != len(jobs) {
-		t.Fatalf("%d results for %d jobs", len(rs), len(jobs))
+	rs := make([]JobResult, len(jobs))
+	seen := make([]bool, len(jobs))
+	for jr := range e.Stream(context.Background(), jobs) {
+		if jr.Index < 0 || jr.Index >= len(jobs) || seen[jr.Index] {
+			t.Fatalf("job index %d out of range or delivered twice", jr.Index)
+		}
+		seen[jr.Index] = true
+		rs[jr.Index] = jr
 	}
-	for i, jr := range rs {
-		if jr.Index != i {
-			t.Errorf("result %d carries index %d", i, jr.Index)
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("job %d never delivered", i)
 		}
 	}
 	if rs[0].Err != nil || rs[0].Result.Score <= 0 {
@@ -241,19 +254,17 @@ func TestRunBatchPartial(t *testing.T) {
 		t.Errorf("trailing good job failed: %v", rs[4].Err)
 	}
 
-	// A pre-cancelled context: every job reports cancellation
-	// collateral, identifiable as such, and the slice is still full
-	// length.
+	// A pre-cancelled context: the stream still closes, and nothing it
+	// delivers is cancellation collateral.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rs = e.RunBatchPartial(ctx, jobs)
-	if len(rs) != len(jobs) {
-		t.Fatalf("cancelled partial batch returned %d results", len(rs))
-	}
-	for i, jr := range rs {
-		if !errors.Is(jr.Err, context.Canceled) {
-			t.Errorf("job %d err = %v, want context.Canceled collateral", i, jr.Err)
+	for jr := range e.Stream(ctx, jobs) {
+		if errors.Is(jr.Err, context.Canceled) {
+			t.Errorf("job %d delivered cancellation collateral: %v", jr.Index, jr.Err)
 		}
+	}
+	if got := RunnersInFlight(); got != 0 {
+		t.Fatalf("runnersInFlight = %d, want 0", got)
 	}
 }
 
@@ -287,11 +298,11 @@ func TestDiskFullKeepsMemoryTierIdentical(t *testing.T) {
 	}
 
 	noDisk := New(WithParallelism(2))
-	want, err := noDisk.RunBatch(jobs)
+	want, err := noDisk.RunBatchContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2, err := noDisk.RunBatch(jobs) // warm pass: all memory hits
+	want2, err := noDisk.RunBatchContext(context.Background(), jobs) // warm pass: all memory hits
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +311,11 @@ func TestDiskFullKeepsMemoryTierIdentical(t *testing.T) {
 	// Breaker off: every write must individually hit the full disk so
 	// the stats comparison is exact.
 	eFull := New(WithParallelism(2), WithDiskTier(full), WithDiskBreaker(0, 0))
-	got, err := eFull.RunBatch(jobs)
+	got, err := eFull.RunBatchContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("full-disk batch failed: %v (ENOSPC must never fail jobs)", err)
 	}
-	got2, err := eFull.RunBatch(jobs)
+	got2, err := eFull.RunBatchContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -79,7 +80,7 @@ func TestStatsSnapshotRaceClean(t *testing.T) {
 			c.Workload = w
 			jobs = append(jobs, Job{Config: c})
 		}
-		if _, err := e.RunBatch(jobs); err != nil {
+		if _, err := e.RunBatchContext(context.Background(), jobs); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -37,7 +37,7 @@ func TestStreamDeliversEveryJobOnce(t *testing.T) {
 	// Duplicate a few jobs so coalescing paths stream too.
 	jobs = append(jobs, jobs[0], jobs[3], jobs[3])
 
-	want, err := New(WithParallelism(1)).RunBatch(jobs)
+	want, err := New(WithParallelism(1)).RunBatchContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestStreamDeliversEveryJobOnce(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		e := New(WithParallelism(workers))
 		// Warm part of the cache so some deliveries are cache hits.
-		if _, err := e.RunBatch(jobs[:4]); err != nil {
+		if _, err := e.RunBatchContext(context.Background(), jobs[:4]); err != nil {
 			t.Fatal(err)
 		}
 		seen := make([]bool, len(jobs))
@@ -80,7 +80,7 @@ func TestStreamDeliversEveryJobOnce(t *testing.T) {
 // very platforms that were abandoned mid-run.
 func TestStreamMidBatchCancel(t *testing.T) {
 	jobs := mixedJobs(t)
-	reference, err := New(WithParallelism(1), WithCache(false)).RunBatch(jobs)
+	reference, err := New(WithParallelism(1), WithCache(false)).RunBatchContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestStreamMidBatchCancel(t *testing.T) {
 
 		// The abandoned platforms went back to the pool mid-run; the
 		// next batch must reset them bit-identically to fresh assembly.
-		got, err := e.RunBatch(jobs)
+		got, err := e.RunBatchContext(context.Background(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestBatchErrorIsTyped(t *testing.T) {
 	bad.Config.Duration = -1 * sim.Second
 	jobs[1] = bad
 
-	_, err := New(WithParallelism(2)).RunBatch(jobs)
+	_, err := New(WithParallelism(2)).RunBatchContext(context.Background(), jobs)
 	if err == nil {
 		t.Fatal("batch with invalid job returned no error")
 	}
@@ -208,33 +208,56 @@ func TestBatchErrorIsTyped(t *testing.T) {
 	}
 }
 
-// TestStreamPerJobErrors pins the streaming error contract: a failed
-// job arrives as a JobResult with a *JobError and the remaining jobs
-// still run to completion.
+// TestStreamPerJobErrors: every failed job delivers a matching
+// *JobError in band — an invalid config or a nil policy wrapping
+// soc.ErrInvalidConfig, a panicking policy as *PanicError — without
+// stopping the stream: every job, including the healthy one queued
+// after the failures, is delivered exactly once.
 func TestStreamPerJobErrors(t *testing.T) {
-	jobs := mixedJobs(t)[:4]
+	all := mixedJobs(t)
+	trailing := all[4] // a healthy job queued after the failures
+	jobs := all[:4]
 	bad := jobs[2]
 	bad.Config.Duration = -1 * sim.Second
 	jobs[2] = bad
-	jobs = append(jobs, Job{}) // nil policy
+	panicking := jobs[3]
+	panicking.Config.Policy = newPanicPolicy(0)
+	jobs = append(jobs,
+		Job{}, // nil policy
+		panicking,
+		trailing,
+	)
 
-	var failed, ok int
+	got := make(map[int]JobResult, len(jobs))
 	for jr := range New(WithParallelism(2)).Stream(context.Background(), jobs) {
+		if _, dup := got[jr.Index]; dup {
+			t.Fatalf("job %d delivered twice", jr.Index)
+		}
+		got[jr.Index] = jr
 		if jr.Err == nil {
-			ok++
 			continue
 		}
-		failed++
 		var je *JobError
 		if !errors.As(jr.Err, &je) || je.Index != jr.Index {
 			t.Fatalf("job %d error %v is not a matching *JobError", jr.Index, jr.Err)
 		}
-		if !errors.Is(jr.Err, soc.ErrInvalidConfig) {
-			t.Fatalf("job %d error %v does not wrap soc.ErrInvalidConfig", jr.Index, jr.Err)
+	}
+	if len(got) != len(jobs) {
+		t.Fatalf("stream delivered %d of %d jobs", len(got), len(jobs))
+	}
+	for _, i := range []int{0, 1, 3, 6} {
+		if got[i].Err != nil || got[i].Result.Score <= 0 {
+			t.Errorf("good job %d: err %v, score %v", i, got[i].Err, got[i].Result.Score)
 		}
 	}
-	if failed != 2 || ok != len(jobs)-2 {
-		t.Fatalf("stream with 2 bad jobs delivered %d failures / %d successes, want 2 / %d", failed, ok, len(jobs)-2)
+	for _, i := range []int{2, 4} {
+		if !errors.Is(got[i].Err, soc.ErrInvalidConfig) {
+			t.Errorf("job %d error %v does not wrap soc.ErrInvalidConfig", i, got[i].Err)
+		}
+	}
+	var pe *PanicError
+	if !errors.As(got[5].Err, &pe) {
+		t.Errorf("panicking job error %v, want *PanicError", got[5].Err)
 	}
 }
 

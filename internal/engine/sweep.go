@@ -101,14 +101,10 @@ func (s *Sweep) Configs() []soc.Config {
 	return cfgs
 }
 
-// Run executes the sweep on the engine and returns the ResultSet.
-func (s *Sweep) Run(e *Engine) (*ResultSet, error) {
-	return s.RunContext(context.Background(), e)
-}
-
-// RunContext is Run with cancellation, inheriting the engine batch
-// semantics: fail-fast with a *JobError on the first failed cell,
-// ctx.Err() pass-through on cancellation.
+// RunContext executes the sweep on the engine and returns the
+// ResultSet, inheriting the engine batch semantics: fail-fast with a
+// *JobError on the first failed cell, ctx.Err() pass-through on
+// cancellation.
 func (s *Sweep) RunContext(ctx context.Context, e *Engine) (*ResultSet, error) {
 	if len(s.workloads) == 0 || len(s.policies) == 0 {
 		return nil, fmt.Errorf("%w: sweep needs at least one workload and one policy", soc.ErrInvalidConfig)

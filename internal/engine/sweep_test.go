@@ -66,7 +66,7 @@ func TestSweepConfigsLayout(t *testing.T) {
 func TestSweepMatchesRunBatch(t *testing.T) {
 	s := sweepFixture(t)
 	e := New(WithParallelism(4))
-	rs, err := s.Run(e)
+	rs, err := s.RunContext(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSweepMatchesRunBatch(t *testing.T) {
 	for i, c := range cfgs {
 		jobs[i] = Job{Config: c}
 	}
-	flat, err := New(WithParallelism(1)).RunBatch(jobs)
+	flat, err := New(WithParallelism(1)).RunBatchContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSweepMatchesRunBatch(t *testing.T) {
 // TestSweepComparisons pins the comparison-matrix helpers against the
 // scalar helpers they wrap.
 func TestSweepComparisons(t *testing.T) {
-	rs, err := sweepFixture(t).Run(New())
+	rs, err := sweepFixture(t).RunContext(context.Background(), New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +136,10 @@ func TestSweepComparisons(t *testing.T) {
 // TestSweepEmptyAxesRejected pins the typed error on a degenerate
 // sweep.
 func TestSweepEmptyAxesRejected(t *testing.T) {
-	if _, err := NewSweep().Policies(policy.NewBaseline()).Run(New()); !errors.Is(err, soc.ErrInvalidConfig) {
+	if _, err := NewSweep().Policies(policy.NewBaseline()).RunContext(context.Background(), New()); !errors.Is(err, soc.ErrInvalidConfig) {
 		t.Fatalf("workload-less sweep returned %v, want ErrInvalidConfig", err)
 	}
-	if _, err := NewSweep().Workloads(mixedSuite(t)...).Run(New()); !errors.Is(err, soc.ErrInvalidConfig) {
+	if _, err := NewSweep().Workloads(mixedSuite(t)...).RunContext(context.Background(), New()); !errors.Is(err, soc.ErrInvalidConfig) {
 		t.Fatalf("policy-less sweep returned %v, want ErrInvalidConfig", err)
 	}
 }

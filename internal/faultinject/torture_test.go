@@ -112,7 +112,7 @@ func TestTortureBatch(t *testing.T) {
 		if kinds[i] != KindNone {
 			continue
 		}
-		r, err := base.Run(j.Config)
+		r, err := base.RunContext(context.Background(), j.Config)
 		if err != nil {
 			t.Fatalf("baseline job %d: %v", i, err)
 		}
@@ -135,18 +135,12 @@ func TestTortureBatch(t *testing.T) {
 				engine.WithDiskBreaker(0, 0), // bare tier: exact per-job error accounting
 			)
 
-			results := e.RunBatchPartial(context.Background(), jobs)
+			results := streamAll(t, e, jobs)
 			if got := engine.RunnersInFlight(); got != 0 {
 				t.Fatalf("runnersInFlight = %d after batch, want 0", got)
 			}
-			if len(results) != len(jobs) {
-				t.Fatalf("%d results for %d jobs", len(results), len(jobs))
-			}
 
 			for i, jr := range results {
-				if jr.Index != i {
-					t.Fatalf("result %d carries index %d", i, jr.Index)
-				}
 				switch kinds[i] {
 				case KindNone:
 					if jr.Err != nil {
@@ -213,6 +207,24 @@ func TestTortureBatch(t *testing.T) {
 	}
 }
 
+// streamAll drains e.Stream over jobs into input order, failing the
+// test unless every index is delivered exactly once.
+func streamAll(t *testing.T, e *engine.Engine, jobs []engine.Job) []engine.JobResult {
+	t.Helper()
+	out := make([]engine.JobResult, len(jobs))
+	delivered := make([]int, len(jobs))
+	for jr := range e.Stream(context.Background(), jobs) {
+		out[jr.Index] = jr
+		delivered[jr.Index]++
+	}
+	for i, n := range delivered {
+		if n != 1 {
+			t.Fatalf("job %d delivered %d times, want exactly once", i, n)
+		}
+	}
+	return out
+}
+
 // TestBrokenDiskTripsBreaker proves the dying-disk contract: once the
 // tier fails DefaultBreakerThreshold-consecutive operations, the
 // breaker trips within those N jobs, all further I/O stops, and
@@ -242,7 +254,7 @@ func TestBrokenDiskTripsBreaker(t *testing.T) {
 		cfg.Duration = 120*sim.Millisecond + sim.Time(i)*cfg.SampleInterval
 		jobs = append(jobs, engine.Job{Config: cfg})
 	}
-	if _, err := e.RunBatch(jobs); err != nil {
+	if _, err := e.RunBatchContext(context.Background(), jobs); err != nil {
 		t.Fatalf("degraded-disk batch failed: %v (disk faults must never fail jobs)", err)
 	}
 	// At parallelism 1 the op sequence is Get,Put per job: exactly
@@ -262,7 +274,7 @@ func TestBrokenDiskTripsBreaker(t *testing.T) {
 	faulty.SetBroken(false)
 	time.Sleep(80 * time.Millisecond)
 	e.ClearCache() // force disk lookups (results are memoized in the LRU)
-	if _, err := e.RunBatch(jobs[:10]); err != nil {
+	if _, err := e.RunBatchContext(context.Background(), jobs[:10]); err != nil {
 		t.Fatalf("post-heal batch failed: %v", err)
 	}
 	if st := e.CacheStats(); st.DiskDegraded {
@@ -319,7 +331,7 @@ func TestRetryTransient(t *testing.T) {
 	ch.FailFirst = 2
 	cfg.Policy = ch
 	e := engine.New(engine.WithRetry(3, 0))
-	got, err := e.Run(cfg)
+	got, err := e.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("job failed despite retries: %v", err)
 	}
@@ -352,7 +364,7 @@ func TestRetryClassification(t *testing.T) {
 		ch := NewChaos(policy.NewBaseline(), ModePanic)
 		cfg.Policy = ch
 		e := engine.New(engine.WithRetry(5, 0))
-		_, err := e.Run(cfg)
+		_, err := e.RunContext(context.Background(), cfg)
 		var pe *engine.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("err = %v, want *PanicError", err)
@@ -371,7 +383,7 @@ func TestRetryClassification(t *testing.T) {
 		cfg.Policy = policy.NewBaseline()
 		cfg.Duration = -1 // rejected by Validate
 		e := engine.New(engine.WithRetry(5, 0))
-		if _, err := e.Run(cfg); !errors.Is(err, soc.ErrInvalidConfig) {
+		if _, err := e.RunContext(context.Background(), cfg); !errors.Is(err, soc.ErrInvalidConfig) {
 			t.Fatalf("err = %v, want ErrInvalidConfig", err)
 		}
 		if st := e.CacheStats(); st.Retries != 0 {
@@ -401,7 +413,7 @@ func TestRetryTimeoutsOptIn(t *testing.T) {
 
 	ch, job := build()
 	e := engine.New(engine.WithRetry(2, 0), engine.WithRetryTimeouts(true))
-	rs := e.RunBatchPartial(context.Background(), []engine.Job{job})
+	rs := streamAll(t, e, []engine.Job{job})
 	if rs[0].Err != nil {
 		t.Fatalf("timed-out job not recovered by retry: %v", rs[0].Err)
 	}
@@ -411,7 +423,7 @@ func TestRetryTimeoutsOptIn(t *testing.T) {
 
 	ch, job = build()
 	e = engine.New(engine.WithRetry(2, 0)) // timeouts NOT opted in
-	rs = e.RunBatchPartial(context.Background(), []engine.Job{job})
+	rs = streamAll(t, e, []engine.Job{job})
 	if !errors.Is(rs[0].Err, engine.ErrJobTimeout) {
 		t.Fatalf("err = %v, want ErrJobTimeout", rs[0].Err)
 	}
@@ -443,7 +455,7 @@ func TestTornWriteHealsAsCorruption(t *testing.T) {
 	cfg.Duration = 120 * sim.Millisecond
 
 	e := engine.New(engine.WithDiskTier(faulty))
-	want, err := e.Run(cfg)
+	want, err := e.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +466,7 @@ func TestTornWriteHealsAsCorruption(t *testing.T) {
 	// A fresh engine over the same (torn) directory: the read detects
 	// the corruption, prunes, degrades to a miss, and re-simulates.
 	e2 := engine.New(engine.WithDiskCache(dir))
-	got, err := e2.Run(cfg)
+	got, err := e2.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,9 +145,9 @@ func freshResults(t *testing.T, specs []spec.Job) []soc.Result {
 		}
 		jobs[i] = j
 	}
-	res, err := engine.New().RunBatch(jobs)
+	res, err := engine.New().RunBatchContext(context.Background(), jobs)
 	if err != nil {
-		t.Fatalf("reference RunBatch: %v", err)
+		t.Fatalf("reference RunBatchContext: %v", err)
 	}
 	return res
 }
@@ -280,8 +280,8 @@ func TestJobEndpoint(t *testing.T) {
 }
 
 // TestSweepStreamBitIdentical: a sweep's NDJSON results, reordered by
-// input index, are byte-for-byte the JSON of an in-process RunBatch on
-// a fresh engine.
+// input index, are byte-for-byte the JSON of an in-process
+// RunBatchContext on a fresh engine.
 func TestSweepStreamBitIdentical(t *testing.T) {
 	_, ts := newServer(t, sweepd.Config{})
 	specs := fastSpecs(t, 6)

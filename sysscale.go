@@ -23,36 +23,33 @@
 // same configuration with sysscale.NewBaseline() and using
 // PerfImprovement / PowerReduction on the two results.
 //
-// Suite sweeps go through RunBatch, which fans the independent
-// simulations out over a worker pool (bounded by GOMAXPROCS by
-// default) and returns results in input order. One Policy value can
-// back every config — the engine clones it per job:
+// Batches go through an Engine: a bounded worker pool (GOMAXPROCS
+// workers by default) with a memoizing result cache, so repeated
+// configurations (baselines shared across comparisons) simulate once.
+// RunBatchContext returns results in input order and fails fast with a
+// *JobError on the first failed job. One Policy value can back every
+// config — the engine clones it per job:
 //
+//	eng := sysscale.NewEngine()
 //	sys := sysscale.NewSysScale()
-//	var cfgs []sysscale.Config
+//	var jobs []sysscale.Job
 //	for _, w := range sysscale.SPECSuite() {
 //		cfg := sysscale.DefaultConfig()
 //		cfg.Workload = w
 //		cfg.Policy = sys
-//		cfgs = append(cfgs, cfg)
+//		jobs = append(jobs, sysscale.Job{Config: cfg})
 //	}
-//	results, err := sysscale.RunBatch(cfgs) // results[i] ↔ cfgs[i]
+//	results, err := eng.RunBatchContext(ctx, jobs) // results[i] ↔ jobs[i]
 //
-// For explicit control over parallelism and memoization, construct an
-// engine: sysscale.NewEngine(sysscale.WithParallelism(4)).RunBatch(...).
-// Repeated configurations (baselines shared across comparisons) are
-// simulated once and served from the engine's result cache afterwards.
-//
-// The Run API v2 surface adds cancellation, streaming and sweep
-// composition on top: RunContext/RunBatchContext thread a
-// context.Context into the simulation loop (a cancelled run unwinds
-// within one policy epoch), Stream delivers per-job results as they
-// complete so unbounded sweeps run in O(parallelism) memory, NewSweep
-// builds policy × workload cross-products with comparison matrices,
-// and failures carry types — *JobError, ErrInvalidConfig,
-// context.Canceled — instead of strings. The quick-start snippets
-// above, and one example per pillar, are compiled and run as Example
-// functions under examples/.
+// Every engine entry point takes a context.Context, threaded into the
+// simulation loop: a cancelled run unwinds within one policy epoch.
+// Engine.Stream delivers per-job results as they complete, with
+// per-job failures in band, so unbounded sweeps run in O(parallelism)
+// memory; NewSweep builds policy × workload cross-products with
+// comparison matrices; and failures carry types — *JobError,
+// ErrInvalidConfig, context.Canceled — instead of strings. The
+// snippets above, and one example per pillar, are compiled and run as
+// Example functions under examples/.
 //
 // Inside a run, the simulator memoizes the per-tick fixpoint
 // evaluation while the platform programming is unchanged between PMU
@@ -79,7 +76,6 @@ import (
 	"io"
 	"time"
 
-	"sysscale/internal/core"
 	"sysscale/internal/dram"
 	"sysscale/internal/engine"
 	"sysscale/internal/ioengine"
@@ -128,8 +124,6 @@ type (
 	Watt = power.Watt
 	// Time is simulated time in nanoseconds.
 	Time = sim.Time
-	// Thresholds are SysScale's calibrated decision thresholds.
-	Thresholds = core.Thresholds
 	// DisplayCSR is the IO peripheral configuration register file.
 	DisplayCSR = ioengine.CSR
 )
@@ -172,9 +166,6 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	return soc.RunContext(ctx, cfg)
 }
 
-// MustRun is Run that panics on error.
-func MustRun(cfg Config) Result { return soc.MustRun(cfg) }
-
 // ErrInvalidConfig is wrapped by every configuration-validation
 // failure: errors.Is(err, ErrInvalidConfig) separates "this config can
 // never run" from runtime failures such as cancellation.
@@ -188,7 +179,7 @@ type (
 	// Job is one unit of Engine batch work.
 	Job = engine.Job
 	// JobResult is one job's streamed outcome: input index plus Result
-	// or error, delivered by Stream as each simulation completes.
+	// or error, delivered by Engine.Stream as each simulation completes.
 	JobResult = engine.JobResult
 	// JobError reports which batch job failed and why; errors.As
 	// recovers it from any batch-path error, and its chain exposes
@@ -223,16 +214,18 @@ func WithParallelism(n int) EngineOption { return engine.WithParallelism(n) }
 func WithCache(enabled bool) EngineOption { return engine.WithCache(enabled) }
 
 // WithCacheSize bounds the engine's result cache to n entries, evicted
-// least-recently-used (n <= 0 selects DefaultCacheSize).
+// least-recently-used (n <= 0 selects the default bound, 8192).
 func WithCacheSize(n int) EngineOption { return engine.WithCacheSize(n) }
 
 // WithDiskCache layers a persistent, content-addressed on-disk result
 // tier under the engine's in-memory LRU, rooted at dir. Entries are
 // keyed by the canonical spec fingerprint (SpecFingerprint), so
-// results persist across process restarts and may be shared between
-// machines; entries are written atomically and checksummed, and a
-// corrupt entry reads as a miss (pruned and counted in
-// EngineStats.DiskErrors) — never a wrong result. The tier is
+// results persist across process restarts. Results, and so entries,
+// are bit-identical only between hosts of the same GOARCH (floating-
+// point contraction differs between architectures), so share a cache
+// directory only between such hosts. Entries are written atomically
+// and checksummed, and a corrupt entry reads as a miss (pruned and
+// counted in EngineStats.DiskErrors) — never a wrong result. The tier is
 // size-bounded, oldest entries reclaimed first. If the store cannot be
 // opened the engine runs without it; check Engine.DiskCacheError after
 // NewEngine when the directory comes from user input.
@@ -271,92 +264,12 @@ var ErrJobTimeout = engine.ErrJobTimeout
 // and reflected by EngineStats.DiskDegraded.
 var ErrDiskDegraded = engine.ErrDiskDegraded
 
-// DefaultCacheSize is the result cache's default entry bound.
-const DefaultCacheSize = engine.DefaultCacheSize
-
-// defaultEngine backs the package-level batch entry points (RunBatch,
-// RunBatchContext, Stream), so batch results are memoized
-// process-wide.
-var defaultEngine = engine.New()
-
-// DefaultEngine returns the process-wide engine behind RunBatch,
-// RunBatchContext and Stream, for cache statistics and direct batch
-// submission. Its result cache is bounded (DefaultCacheSize results,
-// LRU-evicted), so unbounded sweeps through the package-level entry
-// points cycle cache memory instead of growing it.
-func DefaultEngine() *Engine { return defaultEngine }
-
-// ClearCache drops every result memoized by the default engine. The
-// cache is bounded, so this is about reclaiming memory promptly, not
-// about preventing growth.
-func ClearCache() { defaultEngine.ClearCache() }
-
-// CacheStats snapshots the default engine's cache counters: result
-// hits/misses/evictions and the disk tier's traffic.
-func CacheStats() EngineStats { return defaultEngine.CacheStats() }
-
-// RunBatch simulates the configurations concurrently with bounded
-// parallelism and returns their results in input order. The batch is
-// deterministic: whatever the worker count, the results are identical
-// to running each config sequentially through Run. Policies are cloned
-// per job, so configs may share one Policy value. On the first failure
-// RunBatch stops scheduling work and returns a *JobError identifying
-// the failed job.
-//
-// The shared engine memoizes results in a bounded LRU (see
-// DefaultEngine), so repeated baselines across figures simulate once.
-func RunBatch(cfgs []Config) ([]Result, error) {
-	return RunBatchContext(context.Background(), cfgs)
-}
-
-// RunBatchContext is RunBatch with cancellation: once ctx is done the
-// engine stops scheduling jobs, in-flight simulations unwind within
-// one policy epoch, every pooled platform is returned, and the call
-// reports ctx.Err().
-func RunBatchContext(ctx context.Context, cfgs []Config) ([]Result, error) {
-	return defaultEngine.RunBatchContext(ctx, jobsFor(cfgs))
-}
-
-// StreamBatch simulates the configurations through the default engine
-// and delivers one JobResult per config as each completes (completion
-// order; JobResult.Index maps back to cfgs). Unlike RunBatch, results
-// are not accumulated: an unbounded sweep runs in O(parallelism)
-// result memory — modulo the default engine's cache; see
-// DefaultEngine — and per-job failures arrive as JobResult.Err
-// without stopping the stream. The consumer must drain the channel to
-// its close or cancel ctx; abandoning the channel with a live ctx
-// leaks the stream's workers (see Engine.Stream for the full
-// contract). (The name avoids Stream, which is the STREAM
-// microbenchmark workload.)
-func StreamBatch(ctx context.Context, cfgs []Config) <-chan JobResult {
-	return defaultEngine.Stream(ctx, jobsFor(cfgs))
-}
-
-// RunBatchPartial simulates the configurations through the default
-// engine and returns one JobResult per config, in input order, never
-// failing the batch: each entry independently carries its Result or
-// its *JobError (invalid config, panic, timeout). This is the sweep-
-// service shape — one bad job must not void the sweep — where
-// RunBatch's fail-fast contract is for callers who treat any failure
-// as fatal.
-func RunBatchPartial(ctx context.Context, cfgs []Config) []JobResult {
-	return defaultEngine.RunBatchPartial(ctx, jobsFor(cfgs))
-}
-
-func jobsFor(cfgs []Config) []Job {
-	jobs := make([]Job, len(cfgs))
-	for i, c := range cfgs {
-		jobs[i] = Job{Config: c}
-	}
-	return jobs
-}
-
 // NewSweep starts a policy × workload cross-product builder:
 //
 //	rs, err := sysscale.NewSweep().
 //		Policies(sysscale.NewBaseline(), sysscale.NewSysScale()).
 //		Workloads(sysscale.SPECSuite()...).
-//		RunContext(ctx, sysscale.DefaultEngine())
+//		RunContext(ctx, sysscale.NewEngine())
 //	gain := rs.PerfImprovement(0) // matrix vs the baseline column
 func NewSweep() *Sweep { return engine.NewSweep() }
 
@@ -367,12 +280,6 @@ func NewBaseline() Policy { return policy.NewBaseline() }
 // NewSysScale returns the SysScale governor with the default
 // calibration.
 func NewSysScale() Policy { return policy.NewSysScaleDefault() }
-
-// NewSysScaleWithThresholds returns SysScale with custom thresholds.
-func NewSysScaleWithThresholds(t Thresholds) Policy { return policy.NewSysScale(t) }
-
-// DefaultThresholds returns the baked default calibration.
-func DefaultThresholds() Thresholds { return policy.DefaultThresholds() }
 
 // NewMemScale returns the MemScale [16] reimplementation; redistribute
 // selects the -Redist variant of §6.
@@ -401,14 +308,8 @@ func NewStaticPoint(index int, redistribute bool) Policy {
 // SPEC returns one SPEC CPU2006 workload by name (e.g. "470.lbm").
 func SPEC(name string) (Workload, error) { return workload.SPEC(name) }
 
-// SPECNames lists the modeled SPEC CPU2006 benchmarks.
-func SPECNames() []string { return workload.SPECNames() }
-
 // SPECSuite returns all 29 single-threaded SPEC CPU2006 workloads.
 func SPECSuite() []Workload { return workload.SPECSuite() }
-
-// SPECSuiteMT returns the multi-threaded (rate) variants.
-func SPECSuiteMT() []Workload { return workload.SPECSuiteMT() }
 
 // GraphicsSuite returns the three 3DMark workloads.
 func GraphicsSuite() []Workload { return workload.GraphicsSuite() }
@@ -440,9 +341,6 @@ type (
 // DefaultGenConfig returns the default generator parameters for a seed.
 func DefaultGenConfig(seed uint64) GenConfig { return gen.DefaultConfig(seed) }
 
-// GenerateWorkload emits one workload from the configuration.
-func GenerateWorkload(cfg GenConfig) Workload { return gen.Generate(cfg) }
-
 // GenerateWorkloads emits n workloads from one configuration.
 func GenerateWorkloads(cfg GenConfig, n int) []Workload { return gen.GenerateN(cfg, n) }
 
@@ -458,7 +356,6 @@ func SplitPhases(prob float64) Mutator            { return gen.SplitPhases(prob)
 func JitterDurations(frac float64) Mutator        { return gen.JitterDurations(frac) }
 func ScaleBW(lo, hi float64) Mutator              { return gen.ScaleBW(lo, hi) }
 func InjectIdle(prob float64, dwell Time) Mutator { return gen.InjectIdle(prob, dwell) }
-func ChainMutators(ms ...Mutator) Mutator         { return gen.Chain(ms...) }
 
 // NewWorkloadTrace records n generated workloads with provenance.
 func NewWorkloadTrace(cfg GenConfig, n int) WorkloadTrace { return gen.NewTrace(cfg, n) }
@@ -497,10 +394,6 @@ type (
 	KnobsSpec = spec.Knobs
 )
 
-// SpecVersion is the job-spec wire-format version this build writes;
-// DecodeSpec reads it and version 1, and rejects any other version.
-const SpecVersion = spec.Version
-
 // EncodeSpec serializes a runnable Config to its normalized spec:
 // workload inlined, every field explicit, policy parameters fully
 // populated. It fails for policy types not known to the registry.
@@ -512,7 +405,7 @@ func DecodeSpec(job JobSpec) (Config, error) { return spec.Decode(job) }
 
 // ReadJobSpec / WriteJobSpec persist job specs as JSON. ReadJobSpec
 // rejects unknown fields; WriteJobSpec emits an indented, readable
-// rendering (not the canonical encoding — see CanonicalSpec).
+// rendering (not the canonical encoding — see SpecFingerprint).
 func ReadJobSpec(r io.Reader) (JobSpec, error)    { return spec.ReadJob(r) }
 func WriteJobSpec(w io.Writer, job JobSpec) error { return spec.WriteJob(w, job) }
 
@@ -526,19 +419,13 @@ func ReadJobSpecs(r io.Reader) ([]JobSpec, error) { return spec.ReadJobs(r) }
 // slurped into memory.
 const MaxSpecBytes = spec.MaxDocBytes
 
-// CanonicalSpec returns the job's canonical bytes: the JSON of its
-// normalized form with keys sorted and whitespace removed. Two specs
-// describing the same simulation (a built-in named vs the same
-// workload inlined) canonicalize identically.
-func CanonicalSpec(job JobSpec) ([]byte, error) { return spec.Canonical(job) }
-
 // SpecFingerprint returns sha256 of the canonical spec bytes — the
 // engine's cache key for the decoded job, reproducible by any process
 // that can normalize, sort and compact the same JSON.
 func SpecFingerprint(job JobSpec) ([sha256.Size]byte, error) { return spec.Fingerprint(job) }
 
 // JobFromSpec decodes a spec into an engine Job (DecodeSpec + wrap),
-// for batch submission through Engine.RunBatch or Stream.
+// for batch submission through Engine.RunBatchContext or Engine.Stream.
 func JobFromSpec(job JobSpec) (Job, error) { return engine.FromSpec(job) }
 
 // Policy registry types: how policy families serialize in job specs.
@@ -566,9 +453,6 @@ func RegisterPolicyWrapper(name string, w PolicyWrapper) error {
 	return policy.RegisterWrapper(name, w)
 }
 
-// PolicyNames lists the registered policy family names, sorted.
-func PolicyNames() []string { return policy.Names() }
-
 // BuiltinWorkload resolves a shipped workload by name (matched
 // case-insensitively across every suite) — the lookup behind spec
 // files' {"workload":{"builtin":...}} and the CLIs' -workload flags.
@@ -576,17 +460,6 @@ func BuiltinWorkload(name string) (Workload, error) { return workload.Builtin(na
 
 // BuiltinWorkloadNames lists every name BuiltinWorkload accepts.
 func BuiltinWorkloadNames() []string { return workload.BuiltinNames() }
-
-// HighPoint and LowPoint return the paper's two shipped operating
-// points (Table 1).
-func HighPoint() OperatingPoint { return vf.HighPoint() }
-func LowPoint() OperatingPoint  { return vf.LowPoint() }
-
-// TwoPointLadder returns the shipped two-point ladder.
-func TwoPointLadder() []OperatingPoint { return vf.TwoPointLadder() }
-
-// LadderLPDDR3 returns the three-point LPDDR3 ladder (§7.4).
-func LadderLPDDR3() []OperatingPoint { return vf.LadderLPDDR3() }
 
 // PerfImprovement returns r's performance improvement over base.
 func PerfImprovement(r, base Result) float64 { return soc.PerfImprovement(r, base) }

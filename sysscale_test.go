@@ -46,7 +46,6 @@ func TestAllPoliciesRun(t *testing.T) {
 	policies := []sysscale.Policy{
 		sysscale.NewBaseline(),
 		sysscale.NewSysScale(),
-		sysscale.NewSysScaleWithThresholds(sysscale.DefaultThresholds()),
 		sysscale.NewMemScale(false),
 		sysscale.NewMemScale(true),
 		sysscale.NewCoScale(false),
@@ -69,11 +68,8 @@ func TestAllPoliciesRun(t *testing.T) {
 }
 
 func TestSuitesExposed(t *testing.T) {
-	if len(sysscale.SPECSuite()) != 29 || len(sysscale.SPECNames()) != 29 {
+	if len(sysscale.SPECSuite()) != 29 {
 		t.Fatal("SPEC suite incomplete")
-	}
-	if len(sysscale.SPECSuiteMT()) != 29 {
-		t.Fatal("SPEC MT suite incomplete")
 	}
 	if len(sysscale.GraphicsSuite()) != 3 {
 		t.Fatal("graphics suite incomplete")
@@ -86,15 +82,18 @@ func TestSuitesExposed(t *testing.T) {
 	}
 }
 
+// TestOperatingPointsExposed reads the paper's two operating points
+// (Table 1) through the default config's ladder, highest first.
 func TestOperatingPointsExposed(t *testing.T) {
-	if sysscale.HighPoint().DDR != 1.6*sysscale.GHz {
+	ladder := sysscale.DefaultConfig().Ladder
+	if len(ladder) != 2 {
+		t.Fatalf("default ladder has %d points, want 2", len(ladder))
+	}
+	if ladder[0].DDR != 1.6*sysscale.GHz {
 		t.Fatal("high point wrong")
 	}
-	if sysscale.LowPoint().DDR != 1.06*sysscale.GHz {
+	if ladder[1].DDR != 1.06*sysscale.GHz {
 		t.Fatal("low point wrong")
-	}
-	if len(sysscale.TwoPointLadder()) != 2 || len(sysscale.LadderLPDDR3()) != 3 {
-		t.Fatal("ladders wrong")
 	}
 }
 
@@ -103,9 +102,15 @@ func TestBatteryThroughPublicAPI(t *testing.T) {
 	cfg.Workload = sysscale.BatterySuite()[3] // video playback
 	cfg.Duration = sysscale.Second
 	cfg.Policy = sysscale.NewBaseline()
-	base := sysscale.MustRun(cfg)
+	base, err := sysscale.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Policy = sysscale.NewSysScale()
-	sys := sysscale.MustRun(cfg)
+	sys, err := sysscale.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !sys.PerfMet {
 		t.Fatal("fixed demand missed")
 	}
@@ -114,12 +119,13 @@ func TestBatteryThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesRun verifies the concurrent batch facade returns
+// TestRunBatchMatchesRun verifies an engine batch returns
 // input-ordered results identical to sequential Run calls, with one
 // shared policy value across all configs.
 func TestRunBatchMatchesRun(t *testing.T) {
 	sys := sysscale.NewSysScale()
 	var cfgs []sysscale.Config
+	var jobs []sysscale.Job
 	for _, name := range []string{"416.gamess", "470.lbm", "473.astar"} {
 		w, err := sysscale.SPEC(name)
 		if err != nil {
@@ -130,8 +136,10 @@ func TestRunBatchMatchesRun(t *testing.T) {
 		cfg.Policy = sys
 		cfg.Duration = 300 * sysscale.Millisecond
 		cfgs = append(cfgs, cfg)
+		jobs = append(jobs, sysscale.Job{Config: cfg})
 	}
-	batch, err := sysscale.RunBatch(cfgs)
+	ctx := context.Background()
+	batch, err := sysscale.NewEngine().RunBatchContext(ctx, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +157,7 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	}
 
 	eng := sysscale.NewEngine(sysscale.WithParallelism(2))
-	again, err := eng.RunBatch([]sysscale.Job{{Config: cfgs[0]}, {Config: cfgs[0]}})
+	again, err := eng.RunBatchContext(ctx, []sysscale.Job{{Config: cfgs[0]}, {Config: cfgs[0]}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +258,7 @@ func TestGeneratorThroughPublicAPI(t *testing.T) {
 
 // TestRunAPIv2Surface exercises the v2 entry points end to end through
 // the facade: context cancellation, streaming, the sweep builder, the
-// default-engine cache controls, and the typed error taxonomy.
+// engine cache controls, and the typed error taxonomy.
 func TestRunAPIv2Surface(t *testing.T) {
 	w, err := sysscale.SPEC("416.gamess")
 	if err != nil {
@@ -276,15 +284,19 @@ func TestRunAPIv2Surface(t *testing.T) {
 	if _, err := sysscale.RunContext(dead, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled RunContext returned %v", err)
 	}
-	if _, err := sysscale.RunBatchContext(dead, []sysscale.Config{cfg}); !errors.Is(err, context.Canceled) {
+	eng := sysscale.NewEngine()
+	job := sysscale.Job{Config: cfg}
+	if _, err := eng.RunContext(dead, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Engine.RunContext returned %v", err)
+	}
+	if _, err := eng.RunBatchContext(dead, []sysscale.Job{job}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled RunBatchContext returned %v", err)
 	}
 
-	// StreamBatch delivers every config exactly once with batch-equal
-	// results.
-	cfgs := []sysscale.Config{cfg, cfg, cfg}
+	// Stream delivers every job exactly once with batch-equal results.
+	jobs := []sysscale.Job{job, job, job}
 	seen := 0
-	for jr := range sysscale.StreamBatch(context.Background(), cfgs) {
+	for jr := range eng.Stream(context.Background(), jobs) {
 		if jr.Err != nil {
 			t.Fatalf("job %d: %v", jr.Index, jr.Err)
 		}
@@ -293,19 +305,16 @@ func TestRunAPIv2Surface(t *testing.T) {
 		}
 		seen++
 	}
-	if seen != len(cfgs) {
-		t.Fatalf("stream delivered %d of %d jobs", seen, len(cfgs))
+	if seen != len(jobs) {
+		t.Fatalf("stream delivered %d of %d jobs", seen, len(jobs))
 	}
 
-	// The default engine is observable and drainable.
-	if sysscale.DefaultEngine() == nil {
-		t.Fatal("DefaultEngine is nil")
-	}
-	if s := sysscale.CacheStats(); s.Entries == 0 {
+	// The engine's cache is observable and drainable.
+	if s := eng.CacheStats(); s.Entries == 0 {
 		t.Fatalf("cache empty after batches: %+v", s)
 	}
-	sysscale.ClearCache()
-	if s := sysscale.CacheStats(); s.Entries != 0 {
+	eng.ClearCache()
+	if s := eng.CacheStats(); s.Entries != 0 {
 		t.Fatalf("ClearCache left %d entries", s.Entries)
 	}
 
@@ -314,7 +323,7 @@ func TestRunAPIv2Surface(t *testing.T) {
 		Policies(sysscale.NewBaseline(), sysscale.NewSysScale()).
 		Workloads(w).
 		Configure(func(c *sysscale.Config) { c.Duration = 300 * sysscale.Millisecond }).
-		RunContext(context.Background(), sysscale.DefaultEngine())
+		RunContext(context.Background(), eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +336,7 @@ func TestRunAPIv2Surface(t *testing.T) {
 	// the job; cancellation is distinguishable.
 	bad := cfg
 	bad.Duration = -1
-	_, err = sysscale.RunBatch([]sysscale.Config{cfg, bad})
+	_, err = eng.RunBatchContext(context.Background(), []sysscale.Job{job, {Config: bad}})
 	var je *sysscale.JobError
 	if !errors.As(err, &je) || je.Index != 1 {
 		t.Fatalf("batch error %v does not identify job 1 via *JobError", err)
@@ -356,7 +365,7 @@ func TestDiskCacheThroughPublicAPI(t *testing.T) {
 	if err := first.DiskCacheError(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := first.Run(cfg)
+	want, err := first.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +374,7 @@ func TestDiskCacheThroughPublicAPI(t *testing.T) {
 	}
 
 	second := sysscale.NewEngine(sysscale.WithDiskCache(dir))
-	got, err := second.Run(cfg)
+	got, err := second.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +388,7 @@ func TestDiskCacheThroughPublicAPI(t *testing.T) {
 }
 
 // TestRobustnessThroughPublicAPI: the fault-hardening surface —
-// RunBatchPartial keeps good results when a sibling job fails,
+// Engine.Stream keeps good results when a sibling job fails,
 // WithJobTimeout turns an over-budget run into an ErrJobTimeout-classed
 // *JobError (distinct from cancellation collateral), and the exported
 // error types are the ones the engine actually produces.
@@ -396,16 +405,22 @@ func TestRobustnessThroughPublicAPI(t *testing.T) {
 	bad := good
 	bad.Duration = -1
 
-	// RunBatchPartial returns every job: index 1 fails with a typed
-	// *JobError wrapping ErrInvalidConfig, indexes 0 and 2 succeed and
-	// match a clean run bit for bit.
+	// Stream delivers every job: index 1 fails with a typed *JobError
+	// wrapping ErrInvalidConfig, indexes 0 and 2 succeed and match a
+	// clean run bit for bit.
 	want, err := sysscale.Run(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := sysscale.RunBatchPartial(context.Background(), []sysscale.Config{good, bad, good})
-	if len(out) != 3 {
-		t.Fatalf("RunBatchPartial returned %d results, want 3", len(out))
+	jobs := []sysscale.Job{{Config: good}, {Config: bad}, {Config: good}}
+	out := make([]sysscale.JobResult, len(jobs))
+	n := 0
+	for jr := range sysscale.NewEngine().Stream(context.Background(), jobs) {
+		out[jr.Index] = jr
+		n++
+	}
+	if n != 3 {
+		t.Fatalf("Stream delivered %d results, want 3", n)
 	}
 	for _, i := range []int{0, 2} {
 		if out[i].Err != nil || !reflect.DeepEqual(out[i].Result, want) {
@@ -421,7 +436,7 @@ func TestRobustnessThroughPublicAPI(t *testing.T) {
 	// ErrJobTimeout — and never masquerades as context cancellation, so
 	// batch collateral filters cannot swallow it.
 	hard := sysscale.NewEngine(sysscale.WithJobTimeout(time.Nanosecond))
-	if _, err := hard.Run(good); !errors.Is(err, sysscale.ErrJobTimeout) {
+	if _, err := hard.RunContext(context.Background(), good); !errors.Is(err, sysscale.ErrJobTimeout) {
 		t.Fatalf("nanosecond-budget run returned %v, want ErrJobTimeout", err)
 	} else if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		t.Fatalf("ErrJobTimeout %v must not match the context sentinels", err)
@@ -433,7 +448,7 @@ func TestRobustnessThroughPublicAPI(t *testing.T) {
 		sysscale.WithRetry(2, 0),
 		sysscale.WithRetryTimeouts(true),
 	)
-	got, err := soft.Run(good)
+	got, err := soft.RunContext(context.Background(), good)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("hardened engine diverged from clean run (err %v)", err)
 	}
