@@ -170,6 +170,9 @@ func (c CSR) StaticBandwidth() float64 {
 // this platform.
 type Engines struct {
 	csr CSR
+	// static is csr.StaticBandwidth(), cached by Configure: the register
+	// file only changes there, and Power reads it on every call.
+	static float64
 
 	cdyn      float64
 	leakAtNom float64
@@ -189,13 +192,20 @@ func NewEngines() *Engines {
 func (e *Engines) CSR() CSR { return e.csr }
 
 // Configure writes the register file (models an OS/driver update).
-func (e *Engines) Configure(csr CSR) { e.csr = csr }
+func (e *Engines) Configure(csr CSR) {
+	e.csr = csr
+	e.static = csr.StaticBandwidth()
+}
+
+// StaticBandwidth returns the configured register file's static
+// bandwidth demand (CSR.StaticBandwidth, computed once per Configure).
+func (e *Engines) StaticBandwidth() float64 { return e.static }
 
 // Power returns the IO engines' draw at the given rail voltage and
 // interconnect clock, with activity proportional to the static demand
 // they are streaming.
 func (e *Engines) Power(v vf.Volt, clock vf.Hz) power.Watt {
-	activity := e.csr.StaticBandwidth() / referencePeak
+	activity := e.static / referencePeak
 	if activity > 1 {
 		activity = 1
 	}

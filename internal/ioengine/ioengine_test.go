@@ -104,3 +104,25 @@ func TestStrings(t *testing.T) {
 		t.Fatal("camera strings wrong")
 	}
 }
+
+// TestStaticBandwidthFollowsConfigure pins the cache Configure keeps:
+// the engines' static bandwidth, and the power derived from it, track
+// every rewrite of the register file.
+func TestStaticBandwidthFollowsConfigure(t *testing.T) {
+	e := NewEngines()
+	if e.StaticBandwidth() != 0 {
+		t.Fatalf("unconfigured engines report %g B/s", e.StaticBandwidth())
+	}
+	busy := CSR{Panels: [MaxPanels]Panel{{Res: Display4K, RefreshHz: 60}}, Camera: Camera1080p}
+	for _, csr := range []CSR{SingleHDLaptop(), busy, {}, SingleHDLaptop()} {
+		e.Configure(csr)
+		if got, want := e.StaticBandwidth(), csr.StaticBandwidth(); got != want {
+			t.Fatalf("%+v: cached static bandwidth %g, want %g", csr, got, want)
+		}
+		fresh := NewEngines()
+		fresh.Configure(csr)
+		if got, want := e.Power(0.9, 0.6e9), fresh.Power(0.9, 0.6e9); got != want {
+			t.Fatalf("%+v: reconfigured engines draw %v, fresh ones %v", csr, got, want)
+		}
+	}
+}

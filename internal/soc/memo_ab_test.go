@@ -12,6 +12,7 @@ import (
 	"sysscale/internal/sim"
 	"sysscale/internal/soc"
 	"sysscale/internal/workload"
+	"sysscale/internal/workload/gen"
 )
 
 // delayedSwitch holds the current point until its nth decision, then
@@ -137,5 +138,60 @@ func TestTickMemoResultsBitIdentical(t *testing.T) {
 					w.Name, plain.Policy, memoed, plain)
 			}
 		}
+	}
+}
+
+// TestTickMemoPopulationBitIdentical extends the memo oracle to a
+// generated population (generator seed 1, the Monte Carlo sweep's) under
+// the four closed-loop policies. Every run must be DeepEqual with the
+// memo on and off and pass Result.Check, and most spans of the memoized
+// runs must actually be served from a slot's span image, so the
+// comparison exercises the image rather than the full integration.
+func TestTickMemoPopulationBitIdentical(t *testing.T) {
+	n := 200
+	if testing.Short() {
+		n = 50
+	}
+	policies := []func() soc.Policy{
+		func() soc.Policy { return policy.NewBaseline() },
+		func() soc.Policy { return policy.NewSysScaleDefault() },
+		func() soc.Policy { return policy.NewMemScaleRedist() },
+		func() soc.Policy { return policy.NewCoScaleRedist() },
+	}
+	r := soc.NewRunner()
+	var served, spans int
+	for _, w := range gen.GenerateN(gen.DefaultConfig(1), n) {
+		for _, mk := range policies {
+			cfg := soc.DefaultConfig()
+			cfg.Workload = w
+			cfg.Duration = max(2*w.TotalDuration(), 2*sim.Second)
+			cfg.Policy = mk()
+
+			memoed, err := r.Run(cfg)
+			if err != nil {
+				t.Fatalf("%s/%s memo on: %v", w.Name, cfg.Policy.Name(), err)
+			}
+			hits, total := soc.SpanImageStats(r)
+			served += hits
+			spans += total
+			if err := memoed.Check(1e-12); err != nil {
+				t.Errorf("%s/%s: %v", w.Name, memoed.Policy, err)
+			}
+
+			cfg.Policy = mk()
+			soc.SetNoTickMemo(&cfg, true)
+			plain, err := soc.Run(cfg)
+			if err != nil {
+				t.Fatalf("%s/%s memo off: %v", w.Name, cfg.Policy.Name(), err)
+			}
+			if !reflect.DeepEqual(memoed, plain) {
+				t.Errorf("%s/%s: results diverge with the tick memo\nmemo on:  %+v\nmemo off: %+v",
+					w.Name, plain.Policy, memoed, plain)
+			}
+		}
+	}
+	t.Logf("%d of %d spans served from the span image", served, spans)
+	if 2*served <= spans {
+		t.Fatalf("only %d of %d spans served from the span image; the comparison is near-vacuous", served, spans)
 	}
 }

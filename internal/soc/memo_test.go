@@ -252,3 +252,86 @@ func TestPhaseCursorMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestTickMemoKeyCoversPowerInputs pins the programming the span image
+// reads beyond the fixpoint. Two core programmings with equal effective
+// frequency resolve the same fixpoint but draw different power (the
+// power model sees the P-state and the duty cycle separately), and the
+// IO engine and DDRIO models read the live V_SA and V_IO rails. Each
+// change must invalidate the slot, re-integrate the next span instead
+// of serving the stale image, and change the span's rails.
+func TestTickMemoKeyCoversPowerInputs(t *testing.T) {
+	p := memoTestPlatform(t)
+	ph := &p.cfg.Workload.Phases[0]
+	tickSec := p.cfg.SampleInterval.Seconds()
+	span := func() spanDelta {
+		var d spanDelta
+		p.integrateSpan(&d, 0, ph, 0, tickSec, 8)
+		return d
+	}
+	program := func(f vf.Hz, duty float64) {
+		t.Helper()
+		if err := p.cores.SetPState(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.cores.SetDutyCycle(duty); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// expectReintegrated checks that the span after a reprogramming
+	// re-ran the fixpoint, refilled the image rather than serving it,
+	// and that the next span is served from the refilled image.
+	expectReintegrated := func(step string, before spanDelta, evals, served int) spanDelta {
+		t.Helper()
+		p.refreshTickMemo()
+		after := span()
+		if p.evalCalls != evals+1 {
+			t.Fatalf("%s: evalTick ran %d times, want %d", step, p.evalCalls, evals+1)
+		}
+		if p.imageSpans != served {
+			t.Fatalf("%s: span served from the image programmed before the change", step)
+		}
+		if after.rails == before.rails {
+			t.Fatalf("%s: rails unchanged %v; the step does not exercise the key", step, after.rails)
+		}
+		if again := span(); again != after || p.imageSpans != served+1 {
+			t.Fatalf("%s: next span not served from the refilled image", step)
+		}
+		return after
+	}
+
+	program(2*vf.GHz, 0.5)
+	p.refreshTickMemo()
+	first := span()
+	if again := span(); again != first || p.imageSpans != 1 {
+		t.Fatalf("steady-state span not served from the image (%d image spans)", p.imageSpans)
+	}
+
+	effBefore := p.cores.EffectiveFrequency()
+	program(1*vf.GHz, 1)
+	if got := p.cores.EffectiveFrequency(); got != effBefore {
+		t.Fatalf("effective frequency %v, want %v: the step must hold it fixed", got, effBefore)
+	}
+	d := expectReintegrated("same effective frequency, different P-state and duty", first, p.evalCalls, p.imageSpans)
+	if d.dWork != first.dWork {
+		t.Fatalf("work %v, want %v: equal effective frequency must resolve the same fixpoint", d.dWork, first.dWork)
+	}
+
+	for _, step := range []struct {
+		name string
+		rail vf.RailID
+		v    vf.Volt
+	}{
+		{"V_SA change", vf.RailVSA, vf.LowPoint().VSA},
+		{"V_IO change", vf.RailVIO, vf.LowPoint().VIO},
+	} {
+		before := d
+		if _, err := p.rails.Get(step.rail).Set(step.v); err != nil {
+			t.Fatal(err)
+		}
+		d = expectReintegrated(step.name, before, p.evalCalls, p.imageSpans)
+		if d.rails[step.rail] == before.rails[step.rail] {
+			t.Fatalf("%s: the rail's own draw did not move", step.name)
+		}
+	}
+}

@@ -26,9 +26,10 @@ func (p *Platform) fillLadderIndex() {
 // reallocating its components. Every piece of mutable state — clocks,
 // rail voltages, DRAM timing image and self-refresh statistics,
 // controller/fabric/LLC rolling epochs, compute P-states, counters,
-// meters, budget, flow statistics, the reference-latency cache, and
-// the tick memo — is restored to exactly what newPlatform(cfg) would
-// build, so a recycled platform produces bit-identical Results.
+// meters, budget, flow statistics, the worst-case reservation table,
+// the reference-latency cache, and the tick memo — is restored to
+// exactly what newPlatform(cfg) would build, so a recycled platform
+// produces bit-identical Results.
 //
 // Structural changes a reset cannot absorb (a different DRAM
 // technology, which needs retrained MRC images, or event recording,
@@ -75,7 +76,8 @@ func (p *Platform) Reset(cfg Config) error {
 	p.counters.Reset()
 	p.meters.Reset()
 
-	io, mem := p.clampReservations(p.WorstCaseIOBudget(boot), p.WorstCaseMemBudget(boot))
+	p.fillWorstCase()
+	io, mem := p.clampReservations(p.worst[0].io, p.worst[0].mem)
 	if err := p.budget.Reset(cfg.TDP, io, mem, uncoreBudget); err != nil {
 		return err
 	}
@@ -97,6 +99,8 @@ func (p *Platform) Reset(cfg Config) error {
 	p.tickProg = tickProg{}
 	p.memoReady = false
 	p.evalCalls = 0
+	p.spans = 0
+	p.imageSpans = 0
 	p.pbmMemo = pbmMemo{}
 	return nil
 }

@@ -45,17 +45,14 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 // simulator.
 type RunFunc func(Config) (Result, error)
 
-// MustRun is Run that panics on error, for benchmarks and examples
-// whose configs are statically known-good.
-func MustRun(cfg Config) Result {
-	r, err := Run(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// tickEval is the resolved state of one simulation tick.
+// tickEval is the resolved state of one simulation tick, and the tick
+// memo's per-phase slot. The fields up to c2BW are the fixpoint
+// evaluation evalTick writes. img is the stall-free span image
+// integrateSpan derives from them: the counter sample, the rails, and
+// the per-tick work and active-time products of a span with no DVFS
+// stall charge. It is a pure function of the evaluation, the phase and
+// the programming tickProg keys on, so it stays valid exactly as long
+// as the evaluation does; evalTick clears imgOK.
 type tickEval struct {
 	r      float64 // progress rate relative to reference (C0)
 	mcEp   memctrl.Epoch
@@ -64,6 +61,11 @@ type tickEval struct {
 	c2Util float64 // memory utilization during C2 (static traffic only)
 	c2IO   float64 // fabric utilization during C2
 	c2BW   float64 // achieved memory bytes during C2
+
+	// img holds one tick's increments (dWork and dActive not yet
+	// multiplied by a span length); imgOK marks it filled.
+	img   spanDelta
+	imgOK bool
 }
 
 func (p *Platform) run(ctx context.Context) (Result, error) {
@@ -304,8 +306,22 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 // accumulator increments, pre-multiplied by the span length. It writes
 // every field of *d in place, so the delta is never copied on its way
 // to the caller.
+//
+// A stall-free span whose memo slot already holds the span image is
+// served from it: the image stores effRate*c0*tickSec and c0*tickSec,
+// and Go evaluates effRate*c0*tickSec*fn left to right, so multiplying
+// the stored product by fn rounds exactly as computing it afresh. A
+// span carrying a stall charge neither reads nor fills the image.
 func (p *Platform) integrateSpan(d *spanDelta, idx int, ph *workload.Phase, stallFrac, tickSec, fn float64) {
 	ev := p.tickEvalFor(idx, ph)
+	p.spans++
+	if stallFrac == 0 && ev.imgOK {
+		p.imageSpans++
+		*d = ev.img
+		d.dWork *= fn
+		d.dActive *= fn
+		return
+	}
 	effRate := ev.r * (1 - stallFrac)
 
 	// C-state residency; fixed-demand workloads stretch or shrink
@@ -331,10 +347,16 @@ func (p *Platform) integrateSpan(d *spanDelta, idx int, ph *workload.Phase, stal
 	deep := (resid.C6 + resid.C8) * idleScale
 
 	d.sample = p.sampleFor(ev, c0, c2)
-	d.dWork = effRate * c0 * tickSec * fn
-	d.dActive = c0 * tickSec * fn
+	d.dWork = effRate * c0 * tickSec
+	d.dActive = c0 * tickSec
 	d.perfOK = perfOK
 	d.rails = p.tickPower(ph, ev, c0, c2, deep, resid)
+	if stallFrac == 0 {
+		ev.img = *d
+		ev.imgOK = true
+	}
+	d.dWork *= fn
+	d.dActive *= fn
 }
 
 // spanDelta is one span's integration outcome: the accumulator
@@ -342,7 +364,8 @@ func (p *Platform) integrateSpan(d *spanDelta, idx int, ph *workload.Phase, stal
 // run loop derives from the rails or the span's clocks (the domain
 // power sums, residency time, core and graphics frequency sums).
 // Increments are stored pre-multiplied (rate × residency × tickSec ×
-// n), so a span of n ticks adds one float64 per accumulator.
+// n), so a span of n ticks adds one float64 per accumulator; the span
+// image in a memo slot holds the same struct at n = 1, unmultiplied.
 type spanDelta struct {
 	// sample is the counter-file image the span latches n times.
 	sample perfcounters.Sample
@@ -388,10 +411,10 @@ func (p *Platform) setBonus(b power.Watt) {
 func (p *Platform) executeDecision(dec PolicyDecision) error {
 	io, mem := dec.IOBudget, dec.MemBudget
 	if io <= 0 {
-		io = p.WorstCaseIOBudget(p.cfg.Ladder[0])
+		io = p.worst[0].io
 	}
 	if mem <= 0 {
-		mem = p.WorstCaseMemBudget(p.cfg.Ladder[0])
+		mem = p.worst[0].mem
 	}
 	io, mem = p.clampReservations(io, mem)
 	return p.pbm.SetIOMemoryBudget(io, mem)
@@ -513,22 +536,33 @@ func gfxShareFor(ph *workload.Phase) float64 {
 // --- per-tick evaluation ---
 
 // tickProg captures every piece of programmable platform state that
-// feeds evalTick. Between policy decisions nothing in it changes, so
-// the fixpoint resolves to an identical tickEval for a given phase —
-// that is what makes the steady-state tick memo sound. The struct is
-// comparable; equality of two snapshots means evalTick is a pure
-// function of the phase index alone.
+// feeds evalTick, sampleFor and tickPower. Between policy decisions
+// nothing in it changes, so a phase's memo slot — the fixpoint
+// evaluation and the span image derived from it — is identical on
+// every span; that is what makes the steady-state tick memo sound.
+// The struct is comparable; equality of two snapshots means a slot is
+// a pure function of the phase index alone. The key may be finer than
+// the slot's true inputs (that only costs re-evaluations), never
+// coarser.
 type tickProg struct {
-	// point determines the MC/fabric/DRAM clocks and rail voltages.
+	// point determines the MC/fabric/DRAM clocks and their voltages;
+	// the transition flow leaves the DRAM out of self-refresh.
 	point vf.OperatingPoint
 	// timing is the live DRAM register image: an optimized image and a
 	// detuned boot image at the same point evaluate differently
 	// (Observation 4), so the image itself is part of the key.
 	timing dram.Timing
-	// coreEff and gfxF are the compute clocks the fixpoint slows
-	// against (effective frequency folds in the HDC duty cycle).
-	coreEff vf.Hz
-	gfxF    vf.Hz
+	// coreF, duty and gfxF are the compute programming. The fixpoint
+	// slows against the effective core frequency (coreF × duty), but
+	// the power model reads the P-state and the duty cycle separately,
+	// so two programmings with equal effective frequency differ here.
+	// The core and graphics voltages follow from their frequencies.
+	coreF vf.Hz
+	duty  float64
+	gfxF  vf.Hz
+	// vsa and vio are the live V_SA and V_IO rail voltages the IO
+	// engine and DDRIO power models read.
+	vsa, vio vf.Volt
 	// bonus and the domain budget programming feed evalTick only
 	// through the granted P-states above, but are included so any
 	// executeDecision/applyPBM reprogramming conservatively
@@ -541,13 +575,16 @@ type tickProg struct {
 // programming snapshots the current tick-evaluation inputs.
 func (p *Platform) programming() tickProg {
 	return tickProg{
-		point:   p.current,
-		timing:  p.dev.Timing(),
-		coreEff: p.cores.EffectiveFrequency(),
-		gfxF:    p.gfx.Frequency(),
-		bonus:   p.bonus,
-		ioB:     p.budget.IO(),
-		memB:    p.budget.Memory(),
+		point:  p.current,
+		timing: p.dev.Timing(),
+		coreF:  p.cores.Frequency(),
+		duty:   p.cores.DutyCycle(),
+		gfxF:   p.gfx.Frequency(),
+		vsa:    p.rails.Voltage(vf.RailVSA),
+		vio:    p.rails.Voltage(vf.RailVIO),
+		bonus:  p.bonus,
+		ioB:    p.budget.IO(),
+		memB:   p.budget.Memory(),
 	}
 }
 
@@ -625,8 +662,7 @@ func (p *Platform) refLatOf(idx int, ph *workload.Phase) float64 {
 	if l := p.refLats[idx]; !math.IsNaN(l) {
 		return l
 	}
-	static := p.ioeng.CSR().StaticBandwidth()
-	ep := p.refMC.Evaluate(static + ph.MemBW)
+	ep := p.refMC.Evaluate(p.ioeng.StaticBandwidth() + ph.MemBW)
 	p.refLats[idx] = ep.Latency
 	return ep.Latency
 }
@@ -645,7 +681,8 @@ func (p *Platform) refLatOf(idx int, ph *workload.Phase) float64 {
 // used, which leaves both components' rolling epochs exactly as
 // evaluating them on every iteration would.
 func (p *Platform) evalTick(ev *tickEval, ph *workload.Phase, refLat float64) {
-	static := p.ioeng.CSR().StaticBandwidth()
+	ev.imgOK = false
+	static := p.ioeng.StaticBandwidth()
 	mcT := p.mc.Terms()
 	fabT := p.fabric.Terms()
 

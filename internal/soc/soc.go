@@ -242,29 +242,37 @@ type Platform struct {
 	ladderIdx  map[vf.OperatingPoint]int
 	bonus      power.Watt
 
-	// Steady-state tick memo (run.go): one resolved tickEval per phase,
-	// valid while tickProg — the programmable state feeding evalTick —
-	// is unchanged. refLats holds each phase's reference loaded latency
-	// (computed at the boot/high point, constant for the whole run; NaN
-	// until first needed). memoReady marks the per-phase slices as
-	// sized for the current workload (pooled platforms recycle their
-	// backing arrays across runs). evalCalls counts full fixpoint
-	// evaluations.
-	tickProg  tickProg
-	tickMemo  []tickEval
-	tickValid []bool
-	refLats   []float64
-	memoReady bool
-	evalCalls int
+	// Steady-state tick memo (run.go): one tickEval slot per phase —
+	// the resolved fixpoint plus its stall-free span image — valid
+	// while tickProg, the programmable state feeding evalTick,
+	// sampleFor and tickPower, is unchanged. refLats holds each phase's
+	// reference loaded latency (computed at the boot/high point,
+	// constant for the whole run; NaN until first needed). memoReady
+	// marks the per-phase slices as sized for the current workload
+	// (pooled platforms recycle their backing arrays across runs).
+	// evalCalls counts full fixpoint evaluations, spans integrated
+	// spans, and imageSpans the spans served from a slot's span image.
+	tickProg   tickProg
+	tickMemo   []tickEval
+	tickValid  []bool
+	refLats    []float64
+	memoReady  bool
+	evalCalls  int
+	spans      int
+	imageSpans int
 
 	// pbm grant memo (run.go): skips the budget→P-state search when the
 	// request, the compute budget, and the currently programmed compute
 	// state all match the previous applyPBM outcome.
 	pbmMemo pbmMemo
 
-	// worstIOFn/worstMemFn are the worst-case budget tables as method
-	// values, bound once at assembly so the policy-epoch context
-	// carries them without allocating two closures per decision.
+	// worst is the PBM reservation table: the worst-case IO and memory
+	// budgets of every ladder point, in ladder order, filled at
+	// assembly and on Reset (budgets.go). worstIOFn/worstMemFn serve it
+	// as method values, bound once at assembly so the policy-epoch
+	// context carries them without allocating two closures per
+	// decision.
+	worst      []worstCase
 	worstIOFn  func(vf.OperatingPoint) power.Watt
 	worstMemFn func(vf.OperatingPoint) power.Watt
 }
@@ -282,8 +290,8 @@ func newPlatform(cfg Config) (*Platform, error) {
 	boot := cfg.Ladder[0]
 
 	p := &Platform{cfg: cfg, current: boot}
-	p.worstIOFn = p.WorstCaseIOBudget
-	p.worstMemFn = p.WorstCaseMemBudget
+	p.worstIOFn = p.worstIO
+	p.worstMemFn = p.worstMem
 	p.ladderIdx = make(map[vf.OperatingPoint]int, len(cfg.Ladder))
 	p.fillLadderIndex()
 	p.clock = sim.NewClock(cfg.SampleInterval)
@@ -330,6 +338,7 @@ func newPlatform(cfg Config) (*Platform, error) {
 	p.counters = perfcounters.New()
 	p.meters = power.NewMeterBank()
 	p.dramPow = dram.DefaultPowerParams()
+	p.fillWorstCase()
 
 	// Program rails to the boot point.
 	if _, err := p.rails.Get(vf.RailVSA).Set(boot.VSA); err != nil {
@@ -340,7 +349,7 @@ func newPlatform(cfg Config) (*Platform, error) {
 	}
 
 	// Budget: boot reservations are the worst case at the boot point.
-	io, mem := p.clampReservations(p.WorstCaseIOBudget(boot), p.WorstCaseMemBudget(boot))
+	io, mem := p.clampReservations(p.worst[0].io, p.worst[0].mem)
 	p.budget, err = power.NewBudget(cfg.TDP, io, mem, uncoreBudget)
 	if err != nil {
 		return nil, err

@@ -46,6 +46,17 @@ func (p *testPolicy) Decide(ctx PolicyContext) PolicyDecision {
 	}
 }
 
+// mustRun is Run that fails the test on error, for configs the test
+// builds known-good.
+func mustRun(t *testing.T, cfg Config) Result {
+	t.Helper()
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func highPin() *testPolicy { return &testPolicy{index: 0, optimizedMRC: true} }
 func lowPin(redist bool) *testPolicy {
 	return &testPolicy{index: 1, redistribute: redist, optimizedMRC: true}
@@ -150,9 +161,9 @@ func TestConfigValidation(t *testing.T) {
 func TestLowPointSavesPowerOnLightWorkload(t *testing.T) {
 	cfg := testConfig(t, "416.gamess")
 	cfg.FixedCoreFreq = 1.2 * vf.GHz
-	base := MustRun(cfg)
+	base := mustRun(t, cfg)
 	cfg.Policy = lowPin(false)
-	low := MustRun(cfg)
+	low := mustRun(t, cfg)
 	if low.AvgPower >= base.AvgPower {
 		t.Fatalf("low point did not save power: %v vs %v", low.AvgPower, base.AvgPower)
 	}
@@ -165,9 +176,9 @@ func TestLowPointSavesPowerOnLightWorkload(t *testing.T) {
 func TestLowPointHurtsMemoryBoundWorkload(t *testing.T) {
 	cfg := testConfig(t, "470.lbm")
 	cfg.FixedCoreFreq = 1.2 * vf.GHz
-	base := MustRun(cfg)
+	base := mustRun(t, cfg)
 	cfg.Policy = lowPin(false)
-	low := MustRun(cfg)
+	low := mustRun(t, cfg)
 	if drop := 1 - low.Score/base.Score; drop < 0.03 {
 		t.Fatalf("lbm lost only %.1f%% at the low point; expected a real penalty", drop*100)
 	}
@@ -175,9 +186,9 @@ func TestLowPointHurtsMemoryBoundWorkload(t *testing.T) {
 
 func TestRedistributionRaisesCoreFrequency(t *testing.T) {
 	cfg := testConfig(t, "416.gamess")
-	base := MustRun(cfg)
+	base := mustRun(t, cfg)
 	cfg.Policy = lowPin(true)
-	red := MustRun(cfg)
+	red := mustRun(t, cfg)
 	if red.AvgCoreFreq <= base.AvgCoreFreq {
 		t.Fatalf("redistribution did not raise the cores: %v vs %v", red.AvgCoreFreq, base.AvgCoreFreq)
 	}
@@ -193,7 +204,7 @@ func TestTransitionsAreCountedAndBounded(t *testing.T) {
 	cfg.Workload = w
 	cfg.Duration = 300 * sim.Millisecond
 	cfg.Policy = &alternatingPolicy{}
-	res := MustRun(cfg)
+	res := mustRun(t, cfg)
 	if res.Transitions < 5 {
 		t.Fatalf("transitions = %d, want several", res.Transitions)
 	}
@@ -227,7 +238,7 @@ func TestBatteryWorkloadMeetsDemand(t *testing.T) {
 	cfg.Workload = workload.VideoPlayback()
 	cfg.Policy = lowPin(true)
 	cfg.Duration = 1 * sim.Second
-	res := MustRun(cfg)
+	res := mustRun(t, cfg)
 	if !res.PerfMet {
 		t.Fatal("video playback missed its fixed demand at the low point")
 	}
@@ -235,7 +246,7 @@ func TestBatteryWorkloadMeetsDemand(t *testing.T) {
 	// as the demand is met.
 	base := cfg
 	base.Policy = highPin()
-	b := MustRun(base)
+	b := mustRun(t, base)
 	if math.Abs(res.Score-b.Score) > 0.02*b.Score {
 		t.Fatalf("fixed demand score drifted: %v vs %v", res.Score, b.Score)
 	}
@@ -247,10 +258,10 @@ func TestCountersScaleWithResidency(t *testing.T) {
 	cfg.Policy = highPin()
 	cfg.Duration = 500 * sim.Millisecond
 	cfg.Workload = workload.LightGaming()
-	gaming := MustRun(cfg)
+	gaming := mustRun(t, cfg)
 	w, _ := workload.SPEC("434.zeusmp")
 	cfg.Workload = w
-	busy := MustRun(cfg)
+	busy := mustRun(t, cfg)
 	if gaming.CounterAvg.Get(perfcounters.LLCStalls) >= busy.CounterAvg.Get(perfcounters.LLCStalls) {
 		t.Fatal("idle-heavy workload's stall counter not diluted")
 	}
@@ -275,6 +286,88 @@ func TestWorstCaseBudgetsOrdered(t *testing.T) {
 		(p.WorstCaseIOBudget(low) + p.WorstCaseMemBudget(low))
 	if freed < 0.5 || freed > 2.0 {
 		t.Fatalf("freed budget %vW implausible", freed)
+	}
+}
+
+// TestWorstCaseTableMatchesFormula pins the reservation table to the
+// formulas it caches: bit-for-bit on every point of the two-point,
+// LPDDR3 and DDR4 ladders, after fresh assembly and after a pooled
+// Reset onto a different ladder, so no row of the previous ladder
+// survives. Rows match on a point's electrical fields, and a point off
+// the ladder falls back to the formula.
+func TestWorstCaseTableMatchesFormula(t *testing.T) {
+	check := func(p *Platform, step string) {
+		t.Helper()
+		ladder := p.cfg.Ladder
+		if len(p.worst) != len(ladder) {
+			t.Fatalf("%s: table has %d rows for a %d-point ladder", step, len(p.worst), len(ladder))
+		}
+		for _, op := range ladder {
+			wantIO, wantMem := p.WorstCaseIOBudget(op), p.WorstCaseMemBudget(op)
+			renamed := op
+			renamed.Name += "-renamed"
+			for _, q := range []vf.OperatingPoint{op, renamed} {
+				if p.worstRow(q) == nil {
+					t.Fatalf("%s: %s has no table row", step, q.Name)
+				}
+				if got := p.worstIOFn(q); got != wantIO {
+					t.Fatalf("%s: %s IO budget %v, formula %v", step, q.Name, got, wantIO)
+				}
+				if got := p.worstMemFn(q); got != wantMem {
+					t.Fatalf("%s: %s memory budget %v, formula %v", step, q.Name, got, wantMem)
+				}
+			}
+		}
+		off := vf.MakeOperatingPoint("off-ladder", 1.2*vf.GHz, 0.6*vf.GHz)
+		if p.worstRow(off) != nil {
+			t.Fatalf("%s: off-ladder point matched a table row", step)
+		}
+		if p.worstIOFn(off) != p.WorstCaseIOBudget(off) || p.worstMemFn(off) != p.WorstCaseMemBudget(off) {
+			t.Fatalf("%s: off-ladder point does not fall back to the formula", step)
+		}
+	}
+
+	cfg := testConfig(t, "416.gamess")
+	p, err := newPlatform(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(p, "two-point, fresh")
+
+	cfg.Ladder = vf.LadderLPDDR3()
+	if err := p.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	check(p, "LPDDR3, reset")
+
+	cfg.Ladder = vf.TwoPointLadder()
+	if err := p.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	check(p, "two-point, reset from LPDDR3")
+	if p.worstRow(vf.LowestPoint()) != nil {
+		t.Fatal("the previous ladder's lowest point survived the reset")
+	}
+
+	cfg.Ladder = vf.LadderLPDDR3()
+	if p, err = newPlatform(cfg); err != nil {
+		t.Fatal(err)
+	}
+	check(p, "LPDDR3, fresh")
+
+	cfg.DRAMKind = dram.DDR4
+	cfg.Ladder = []vf.OperatingPoint{vf.DDR4HighPoint(), vf.DDR4LowPoint()}
+	if p, err = newPlatform(cfg); err != nil {
+		t.Fatal(err)
+	}
+	check(p, "DDR4, fresh")
+	cfg.Ladder = cfg.Ladder[1:]
+	if err := p.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	check(p, "DDR4 low only, reset")
+	if p.worstRow(vf.DDR4HighPoint()) != nil {
+		t.Fatal("the previous ladder's high point survived the reset")
 	}
 }
 
@@ -321,7 +414,7 @@ func TestPowerTrace(t *testing.T) {
 	cfg := testConfig(t, "416.gamess")
 	cfg.TracePower = true
 	cfg.Duration = 100 * sim.Millisecond
-	res := MustRun(cfg)
+	res := mustRun(t, cfg)
 	if len(res.PowerTrace) != 100 {
 		t.Fatalf("trace length = %d, want 100 ticks", len(res.PowerTrace))
 	}
@@ -370,7 +463,7 @@ func TestResultHelpers(t *testing.T) {
 
 func TestProjectionSanity(t *testing.T) {
 	cfg := testConfig(t, "445.gobmk")
-	base := MustRun(cfg)
+	base := mustRun(t, cfg)
 	high, low := vf.HighPoint(), vf.LowPoint()
 	mem := MemScaleProjectedSavings(base, high, low)
 	if mem <= 0 || mem > 0.5 {
@@ -395,13 +488,13 @@ func TestProjectionSanity(t *testing.T) {
 func TestMeasureScalability(t *testing.T) {
 	// gamess is nearly fully scalable; lbm nearly flat.
 	cfgG := testConfig(t, "416.gamess")
-	baseG := MustRun(cfgG)
+	baseG := mustRun(t, cfgG)
 	scalG, err := MeasureScalability(cfgG, baseG, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgL := testConfig(t, "470.lbm")
-	baseL := MustRun(cfgL)
+	baseL := mustRun(t, cfgL)
 	scalL, err := MeasureScalability(cfgL, baseL, false)
 	if err != nil {
 		t.Fatal(err)
@@ -424,7 +517,7 @@ func TestGfxWorkloadCorePinnedNearPn(t *testing.T) {
 	cfg.Workload = workload.ThreeDMark06()
 	cfg.Policy = highPin()
 	cfg.Duration = 500 * sim.Millisecond
-	res := MustRun(cfg)
+	res := mustRun(t, cfg)
 	if res.AvgCoreFreq > 1.4*vf.GHz {
 		t.Fatalf("cores at %v during graphics; expected near Pn (1.2GHz)", res.AvgCoreFreq)
 	}
@@ -440,11 +533,11 @@ func TestCameraRaisesStaticDemand(t *testing.T) {
 	cfg.Workload = workload.VideoConferencing()
 	cfg.Policy = highPin()
 	cfg.Duration = 300 * sim.Millisecond
-	noCam := MustRun(cfg)
+	noCam := mustRun(t, cfg)
 	csr := cfg.CSR
 	csr.Camera = ioengine.Camera4K
 	cfg.CSR = csr
-	cam := MustRun(cfg)
+	cam := mustRun(t, cfg)
 	if cam.AvgPower <= noCam.AvgPower {
 		t.Fatal("4K camera stream did not raise IO/memory power")
 	}
@@ -460,7 +553,7 @@ func TestTDPScalesBaselinePerformance(t *testing.T) {
 		cfg.Policy = highPin()
 		cfg.TDP = tdp
 		cfg.Duration = 300 * sim.Millisecond
-		res := MustRun(cfg)
+		res := mustRun(t, cfg)
 		if res.Score <= prev {
 			t.Fatalf("score did not grow with TDP at %vW", tdp)
 		}
@@ -476,7 +569,7 @@ func TestEvalIntervalRespected(t *testing.T) {
 	cfg.Workload = w
 	cfg.Duration = 300 * sim.Millisecond
 	cfg.Policy = &alternatingPolicy{}
-	res := MustRun(cfg)
+	res := mustRun(t, cfg)
 	if res.Transitions < 8 || res.Transitions > 12 {
 		t.Fatalf("transitions = %d, want ~10 at a 30ms interval", res.Transitions)
 	}
