@@ -13,9 +13,10 @@
 //
 // With no flags it runs the full set in paper order. -run selects one
 // experiment by name (table1, table2, fig2, fig3, fig4, fig5, fig6,
-// fig7, fig8, fig9, fig10, sensitivity, cost, ablations, calibrate,
-// montecarlo). -parallel bounds the simulation worker pool (0, the
-// default, uses GOMAXPROCS; 1 forces sequential execution).
+// fig7, fig8, fig9, fig10, sensitivity, multipoint, cost, ablations,
+// calibrate, montecarlo); an unknown name prints the valid ones to
+// stderr and exits 2. -parallel bounds the simulation worker pool
+// (0, the default, uses GOMAXPROCS; 1 forces sequential execution).
 //
 // -montecarlo runs the stochastic robustness sweep instead of the
 // paper set: -n workloads generated from -seed (see
@@ -39,9 +40,8 @@
 // "cache:" line reports both tiers, with a stderr warning when the
 // tier's circuit breaker is open (results not persisting).
 //
-// -job-timeout bounds each job's wall time — an over-budget job fails
-// with a timeout error instead of hanging the sweep — and -retries
-// re-attempts transient-classed failures (see the README's
+// -job-timeout bounds each job's wall time: an over-budget job fails
+// with a timeout error instead of hanging the sweep (see the README's
 // "Robustness" section).
 package main
 
@@ -55,7 +55,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"sysscale"
@@ -77,7 +79,6 @@ func run() int {
 	specsDir := flag.String("specs", "", "run every job-spec JSON file in this directory instead")
 	cacheDir := flag.String("cache-dir", "", "persistent on-disk result cache directory (shared across runs)")
 	jobTO := flag.Duration("job-timeout", 0, "per-job wall-time budget (0 = unbounded); over-budget jobs fail instead of hanging the sweep")
-	retries := flag.Int("retries", 0, "extra attempts for transient-classed job failures (I/O faults; not config errors)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	statsOut := flag.Bool("stats-json", false, "print one machine-readable \"stats: {...}\" engine-counter line after the run")
@@ -85,8 +86,8 @@ func run() int {
 	if *parallel != 0 {
 		experiments.SetParallelism(*parallel)
 	}
-	if *jobTO > 0 || *retries > 0 {
-		experiments.SetHardening(*jobTO, *retries)
+	if *jobTO > 0 {
+		experiments.SetJobTimeout(*jobTO)
 	}
 	if *cacheDir != "" && *specsDir == "" {
 		if err := experiments.SetDiskCache(*cacheDir); err != nil {
@@ -132,7 +133,7 @@ func run() int {
 	defer stop()
 
 	if *specsDir != "" {
-		return runSpecs(ctx, *specsDir, *parallel, *cacheDir, *jobTO, *retries, *statsOut)
+		return runSpecs(ctx, *specsDir, *parallel, *cacheDir, *jobTO, *statsOut)
 	}
 
 	mcFn := func(ctx context.Context) (fmt.Stringer, error) {
@@ -190,6 +191,16 @@ func run() int {
 		{"ablations", func(ctx context.Context) (fmt.Stringer, error) { return experiments.Ablations(ctx) }},
 		{"calibrate", func(ctx context.Context) (fmt.Stringer, error) { return experiments.Calibrate(ctx, 0, 7) }},
 		{"montecarlo", mcFn},
+	}
+	if *runName != "" {
+		names := make([]string, len(all))
+		for i, e := range all {
+			names[i] = e.name
+		}
+		if !slices.Contains(names, *runName) {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; valid names: %s\n", *runName, strings.Join(names, ", "))
+			return 2
+		}
 	}
 
 	for _, e := range all {
@@ -250,7 +261,7 @@ func printCacheStats(st sysscale.EngineStats) {
 // prints each file's fingerprint and result in file order. With a
 // cache dir, results persist across invocations: a repeated run is
 // served from disk without simulating.
-func runSpecs(ctx context.Context, dir string, parallel int, cacheDir string, jobTO time.Duration, retries int, statsOut bool) int {
+func runSpecs(ctx context.Context, dir string, parallel int, cacheDir string, jobTO time.Duration, statsOut bool) int {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "specs: %v\n", err)
@@ -293,7 +304,6 @@ func runSpecs(ctx context.Context, dir string, parallel int, cacheDir string, jo
 	opts := []sysscale.EngineOption{
 		sysscale.WithParallelism(parallel),
 		sysscale.WithJobTimeout(jobTO),
-		sysscale.WithRetry(retries, 100*time.Millisecond),
 	}
 	if cacheDir != "" {
 		opts = append(opts, sysscale.WithDiskCache(cacheDir))

@@ -7,7 +7,7 @@
 //
 //	sweepd [-addr 127.0.0.1:8080] [-parallel N] [-cache-dir dir/]
 //	       [-max-sweeps N] [-max-specs N] [-max-body bytes]
-//	       [-job-timeout 60s] [-retries N] [-drain 15s]
+//	       [-job-timeout 60s] [-drain 15s]
 //
 // API (see internal/sweepd for the full contract):
 //
@@ -55,7 +55,6 @@ func run() int {
 		maxSpecs  = flag.Int("max-specs", sweepd.DefaultMaxSpecsPerSweep, "max specs per sweep")
 		maxBody   = flag.Int64("max-body", sweepd.DefaultMaxBodyBytes, "max request body bytes")
 		jobTO     = flag.Duration("job-timeout", 60*time.Second, "per-job wall-time budget (0 = unbounded)")
-		retries   = flag.Int("retries", 0, "extra attempts for transient-classed job failures")
 		drain     = flag.Duration("drain", 15*time.Second, "graceful-shutdown budget for in-flight sweeps")
 	)
 	flag.Parse()
@@ -64,7 +63,6 @@ func run() int {
 		sysscale.WithParallelism(*parallel),
 		sysscale.WithCacheSize(*cacheSize),
 		sysscale.WithJobTimeout(*jobTO),
-		sysscale.WithRetry(*retries, 100*time.Millisecond),
 	}
 	if *cacheDir != "" {
 		opts = append(opts, sysscale.WithDiskCache(*cacheDir))

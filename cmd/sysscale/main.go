@@ -4,7 +4,7 @@
 // Usage:
 //
 //	sysscale -workload 470.lbm -policy sysscale [-tdp 4.5] [-duration 4s]
-//	         [-compare] [-verbose] [-cache-dir dir/] [-job-timeout 30s] [-retries 2]
+//	         [-compare] [-verbose] [-cache-dir dir/] [-job-timeout 30s]
 //	sysscale -spec job.json [-compare] [-verbose] [-cache-dir dir/]
 //
 // -workload accepts any built-in name (SPEC CPU2006, the 3DMark,
@@ -26,10 +26,9 @@
 // simulating, and a final "cache:" line reports the disk traffic (with
 // a warning when the tier's circuit breaker is open).
 //
-// -job-timeout bounds the run's wall time — an over-budget run fails
-// with a timeout error instead of hanging the invocation — and
-// -retries re-attempts transient-classed failures (see the README's
-// "Robustness" section for the error taxonomy).
+// -job-timeout bounds the run's wall time: an over-budget run fails
+// with a timeout error instead of hanging the invocation (see the
+// README's "Robustness" section for the error taxonomy).
 package main
 
 import (
@@ -61,7 +60,6 @@ func main() {
 		verbose  = flag.Bool("verbose", false, "print per-rail power, transition and residency detail")
 		cacheDir = flag.String("cache-dir", "", "persistent on-disk result cache directory (shared across runs)")
 		jobTO    = flag.Duration("job-timeout", 0, "per-run wall-time budget (0 = unbounded); an over-budget run fails instead of hanging")
-		retries  = flag.Int("retries", 0, "extra attempts for transient-classed failures (I/O faults; not config errors)")
 		statsOut = flag.Bool("stats-json", false, "print one machine-readable \"stats: {...}\" engine-counter line after the run")
 		list     = flag.Bool("list", false, "list available workloads and exit")
 	)
@@ -118,11 +116,8 @@ func main() {
 	// the engine — it is the thing that counts.
 	run := sysscale.RunContext
 	var eng *sysscale.Engine
-	if *cacheDir != "" || *jobTO > 0 || *retries > 0 || *statsOut {
-		opts := []sysscale.EngineOption{
-			sysscale.WithJobTimeout(*jobTO),
-			sysscale.WithRetry(*retries, 100*time.Millisecond),
-		}
+	if *cacheDir != "" || *jobTO > 0 || *statsOut {
+		opts := []sysscale.EngineOption{sysscale.WithJobTimeout(*jobTO)}
 		if *cacheDir != "" {
 			opts = append(opts, sysscale.WithDiskCache(*cacheDir))
 		}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sysscale/internal/diskcache"
 	"sysscale/internal/policy"
 	"sysscale/internal/sim"
 	"sysscale/internal/soc"
@@ -199,5 +200,28 @@ func TestDiskCacheOpenFailure(t *testing.T) {
 	}
 	if st := e.CacheStats(); st.DiskHits != 0 || st.DiskMisses != 0 {
 		t.Errorf("disabled tier reported traffic: %+v", st)
+	}
+}
+
+// TestDiskCacheInstallsBreaker: WithDiskCache wraps its store in a
+// circuit breaker, so a dying production disk degrades the tier
+// instead of failing I/O on every job. The breaker's defaults are
+// diskcache's to test.
+func TestDiskCacheInstallsBreaker(t *testing.T) {
+	e := New(WithDiskCache(t.TempDir()))
+	if err := e.DiskCacheError(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.disk.(*diskcache.Breaker); !ok {
+		t.Errorf("WithDiskCache tier is %T, want *diskcache.Breaker", e.disk)
+	}
+}
+
+// TestDiskTierInstalledAsGiven: WithDiskTier installs its tier
+// unwrapped; a caller that wants a breaker passes one.
+func TestDiskTierInstalledAsGiven(t *testing.T) {
+	tier := &enospcTier{}
+	if e := New(WithDiskTier(tier)); e.disk != tier {
+		t.Errorf("WithDiskTier tier is %T, want the given %T unwrapped", e.disk, tier)
 	}
 }

@@ -122,8 +122,7 @@ var ErrDiskDegraded = errors.New("engine: disk cache degraded (circuit breaker o
 // recovered on the worker, the possibly-corrupt platform was discarded
 // instead of pooled, and the panic reads as this error on the job that
 // caused it — the batch, the process, and every other job survive.
-// Retrieve it with errors.As; it is never retried (a panicking policy
-// is a bug, not weather).
+// Retrieve it with errors.As.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
@@ -175,36 +174,24 @@ func WithCacheSize(n int) Option {
 // a result or abort a batch. Jobs whose policy is not registered have
 // no key and bypass the tier like they bypass the LRU.
 //
-// The store is opened by New; an open failure (unwritable dir) leaves
-// the engine fully functional without the disk tier and is reported by
-// DiskCacheError — callers wiring a user-supplied directory should
-// check it and fail loudly.
+// The store is opened by New and wrapped in a diskcache.Breaker with
+// its default threshold and probe interval, so a dying disk degrades
+// the tier instead of grinding an error into every job. An open
+// failure (unwritable dir) leaves the engine fully functional without
+// the disk tier and is reported by DiskCacheError — callers wiring a
+// user-supplied directory should check it and fail loudly.
 func WithDiskCache(dir string) Option {
 	return func(e *Engine) { e.diskDir = dir }
 }
 
-// WithDiskTier installs tier directly as the persistent result tier,
-// bypassing WithDiskCache's store construction. It exists for fault
-// injection (internal/faultinject wraps a real store with a
-// deterministic fault plan) and for tests that need a scripted tier;
-// production callers want WithDiskCache. The tier is still wrapped by
-// the circuit breaker unless WithDiskBreaker disables it.
+// WithDiskTier installs tier as the persistent result tier exactly as
+// given, bypassing WithDiskCache's store construction and breaker. It
+// exists for fault injection (internal/faultinject wraps a real store
+// with a deterministic fault plan) and for tests that need a scripted
+// tier; production callers want WithDiskCache. A caller that wants a
+// breaker passes one: WithDiskTier(diskcache.NewBreaker(tier, n, d)).
 func WithDiskTier(tier diskcache.Tier) Option {
-	return func(e *Engine) { e.diskTier = tier }
-}
-
-// WithDiskBreaker configures the disk tier's circuit breaker, which is
-// on by default (diskcache.DefaultBreakerThreshold consecutive I/O
-// failures trip the tier open; diskcache.DefaultProbeInterval between
-// heal probes). threshold == 0 disables the breaker entirely — every
-// job then pays the tier's I/O errors individually, which is what
-// exact-accounting fault-injection tests want. threshold < 0 or
-// probe <= 0 select the defaults for that parameter.
-func WithDiskBreaker(threshold int, probe time.Duration) Option {
-	return func(e *Engine) {
-		e.breakerThreshold = threshold
-		e.breakerProbe = probe
-	}
+	return func(e *Engine) { e.disk = tier }
 }
 
 // WithJobTimeout bounds every job's simulation wall time (overridable
@@ -216,40 +203,6 @@ func WithDiskBreaker(threshold int, probe time.Duration) Option {
 // it).
 func WithJobTimeout(d time.Duration) Option {
 	return func(e *Engine) { e.jobTimeout = d }
-}
-
-// WithRetry re-runs a failed job up to n extra attempts with
-// exponential backoff starting at backoff (doubling per attempt;
-// backoff <= 0 retries immediately). Only transient-classed failures
-// are retried: errors exposing Transient() bool true (the injected
-// I/O taxonomy), plus timeouts when WithRetryTimeouts opts in.
-// Configuration errors, panics, cancellation, and timeouts (by
-// default) are never retried — deterministic failures would only fail
-// identically n more times. Retries are counted in Stats.Retries.
-func WithRetry(n int, backoff time.Duration) Option {
-	return func(e *Engine) {
-		e.retries = n
-		e.backoff = backoff
-	}
-}
-
-// WithRetryTimeouts opts ErrJobTimeout failures into retry
-// classification (off by default: the simulator is deterministic, so a
-// timeout usually recurs — opt in when timeouts come from environmental
-// load, e.g. a shared CI host).
-func WithRetryTimeouts(enabled bool) Option {
-	return func(e *Engine) { e.retryTimeouts = enabled }
-}
-
-// TransientError is the classification interface the retry layer
-// consults: a failure whose Transient() reports true (reached via
-// errors.As, so wrapping preserves it) is eligible for WithRetry
-// re-runs. The PR 5 error taxonomy stays authoritative for everything
-// else — config errors, panics, cancellation and timeouts have fixed,
-// non-retryable classes.
-type TransientError interface {
-	error
-	Transient() bool
 }
 
 // Stats is a snapshot of the engine's cache behaviour. It is plain
@@ -289,14 +242,12 @@ type Stats struct {
 	// DiskDegraded reports the disk tier's circuit breaker standing
 	// open: consecutive I/O failures tripped the tier, jobs are
 	// skipping it entirely (skipped lookups count as DiskMisses), and
-	// it stays skipped until a probe succeeds. See WithDiskBreaker.
+	// it stays skipped until a probe succeeds. See WithDiskCache.
 	DiskDegraded bool `json:"disk_degraded"`
 
-	// Retries counts extra attempts spent re-running transient-classed
-	// failures (WithRetry); Panics counts worker panics recovered into
-	// PanicError by the engine's panic isolation.
-	Retries int `json:"retries"`
-	Panics  int `json:"panics"`
+	// Panics counts worker panics recovered into PanicError by the
+	// engine's panic isolation.
+	Panics int `json:"panics"`
 }
 
 // cacheKey is a config fingerprint (spec.Key): a sha256 digest,
@@ -320,24 +271,14 @@ type Engine struct {
 
 	// disk is the persistent second result tier (nil without
 	// WithDiskCache/WithDiskTier): consulted under the in-memory LRU on
-	// a miss, written through on every cacheable simulation, and
-	// normally wrapped by the circuit breaker (breaker non-nil) so a
-	// dying disk degrades the tier instead of grinding an error into
-	// every job. diskErr records a failed store open; the engine then
-	// runs without the tier.
-	disk     diskcache.Tier
-	breaker  *diskcache.Breaker
-	diskTier diskcache.Tier
-	diskDir  string
-	diskErr  error
+	// a miss and written through on every cacheable simulation.
+	// diskErr records a failed store open; the engine then runs without
+	// the tier.
+	disk    diskcache.Tier
+	diskDir string
+	diskErr error
 
-	breakerThreshold int
-	breakerProbe     time.Duration
-
-	jobTimeout    time.Duration
-	retries       int
-	backoff       time.Duration
-	retryTimeouts bool
+	jobTimeout time.Duration
 
 	mu sync.Mutex
 	// cache + order form the size-capped LRU over results: cache maps
@@ -350,7 +291,7 @@ type Engine struct {
 
 // New returns an engine with the given options applied.
 func New(opts ...Option) *Engine {
-	e := &Engine{cacheOn: true, breakerThreshold: -1, breakerProbe: -1}
+	e := &Engine{cacheOn: true}
 	for _, o := range opts {
 		o(e)
 	}
@@ -360,22 +301,14 @@ func New(opts ...Option) *Engine {
 	e.cache = make(map[cacheKey]*list.Element)
 	e.order = list.New()
 
-	tier := e.diskTier
-	if tier == nil && e.diskDir != "" {
+	if e.disk == nil && e.diskDir != "" {
 		store, err := diskcache.Open(e.diskDir)
 		if err != nil {
 			e.diskErr = err
 		} else {
-			tier = store
+			e.disk = diskcache.NewBreaker(store, 0, 0)
 		}
 	}
-	if tier != nil && e.breakerThreshold != 0 {
-		// Breaker on by default (threshold -1 = "unset" selects the
-		// diskcache defaults); WithDiskBreaker(0, _) runs the tier bare.
-		e.breaker = diskcache.NewBreaker(tier, e.breakerThreshold, e.breakerProbe)
-		tier = e.breaker
-	}
-	e.disk = tier
 	return e
 }
 
@@ -391,8 +324,8 @@ func (e *Engine) DiskCacheError() error {
 	if e.diskErr != nil {
 		return e.diskErr
 	}
-	if e.breaker != nil && e.breaker.Degraded() {
-		return fmt.Errorf("%w after %d trip(s)", ErrDiskDegraded, e.breaker.Trips())
+	if b, ok := e.disk.(*diskcache.Breaker); ok && b.Degraded() {
+		return fmt.Errorf("%w after %d trip(s)", ErrDiskDegraded, b.Trips())
 	}
 	return nil
 }
@@ -733,11 +666,10 @@ var runnersInFlight atomic.Int64
 // the fault-injection torture tests assert exactly that.
 func RunnersInFlight() int64 { return runnersInFlight.Load() }
 
-// execute runs one task — through the retry layer — and delivers its
-// result (or error) to every awaiting input index.
+// execute runs one task and delivers its result (or error) to every
+// awaiting input index.
 func (e *Engine) execute(ctx context.Context, jobs []Job, t *task, deliver func(JobResult) bool) {
-	idx := t.indices[0]
-	res, err := e.runJob(ctx, jobs[idx])
+	res, err := e.runOnce(ctx, jobs[t.indices[0]])
 	if err != nil {
 		for _, i := range t.indices {
 			if !deliver(JobResult{Index: i, Err: &JobError{Index: i, Config: jobs[i].Config, Err: err}}) {
@@ -765,65 +697,14 @@ func (e *Engine) execute(ctx context.Context, jobs []Job, t *task, deliver func(
 	}
 }
 
-// runJob is the retry layer over runOnce: transient-classed failures
-// (see WithRetry) are re-attempted with exponential backoff; every
-// other failure — and every failure once attempts are exhausted —
-// propagates unchanged.
-func (e *Engine) runJob(ctx context.Context, job Job) (soc.Result, error) {
-	backoff := e.backoff
-	for attempt := 0; ; attempt++ {
-		res, err := e.runOnce(ctx, job)
-		if err == nil {
-			return res, nil
-		}
-		if attempt >= e.retries || !e.retryable(err) || ctx.Err() != nil {
-			return soc.Result{}, err
-		}
-		e.mu.Lock()
-		e.stats.Retries++
-		e.mu.Unlock()
-		if backoff > 0 {
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				return soc.Result{}, err
-			}
-			backoff *= 2
-		}
-	}
-}
-
-// retryable classifies one failure for the retry layer: cancellation,
-// panics, and configuration errors are never retried; timeouts only
-// when WithRetryTimeouts opted in; everything else only when it exposes
-// Transient() bool true (TransientError).
-func (e *Engine) retryable(err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	if errors.Is(err, ErrJobTimeout) {
-		return e.retryTimeouts
-	}
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return false
-	}
-	if errors.Is(err, soc.ErrInvalidConfig) {
-		return false
-	}
-	var te TransientError
-	return errors.As(err, &te) && te.Transient()
-}
-
-// runOnce executes one simulation attempt under the job's deadline with
+// runOnce executes one simulation under the job's deadline with
 // full panic isolation. The single deferred block owns the Runner's
 // whole lifecycle — gauge decrement, pool return, panic recovery — so
 // no return path, early or panicking, can leak a checked-out Runner or
 // leave the gauge skewed. A recovered panic discards the Runner (its
 // platform may be mid-epoch, mid-mutation — Reset guarantees hold for
 // runs that unwound through RunContext, not for arbitrary interrupt
-// points) and surfaces as *PanicError; a soc.RunAbort panic is the
-// policy-layer error escape hatch and surfaces as its carried error.
+// points) and surfaces as *PanicError.
 func (e *Engine) runOnce(ctx context.Context, job Job) (res soc.Result, err error) {
 	cfg := job.Config
 	cfg.Policy = cfg.Policy.Clone()
@@ -849,14 +730,10 @@ func (e *Engine) runOnce(ctx context.Context, job Job) (res soc.Result, err erro
 			// the platform state is suspect, so the Runner is discarded
 			// — the pool assembles a replacement on demand.
 			res = soc.Result{}
-			if abort, ok := r.(soc.RunAbort); ok {
-				err = abort.Err
-			} else {
-				err = &PanicError{Value: r, Stack: debug.Stack()}
-				e.mu.Lock()
-				e.stats.Panics++
-				e.mu.Unlock()
-			}
+			err = &PanicError{Value: r, Stack: debug.Stack()}
+			e.mu.Lock()
+			e.stats.Panics++
+			e.mu.Unlock()
 		} else {
 			runnerPool.Put(runner)
 		}

@@ -308,9 +308,9 @@ func TestDiskFullKeepsMemoryTierIdentical(t *testing.T) {
 	}
 
 	full := &enospcTier{}
-	// Breaker off: every write must individually hit the full disk so
-	// the stats comparison is exact.
-	eFull := New(WithParallelism(2), WithDiskTier(full), WithDiskBreaker(0, 0))
+	// A bare tier (no breaker): every write must individually hit the
+	// full disk so the stats comparison is exact.
+	eFull := New(WithParallelism(2), WithDiskTier(full))
 	got, err := eFull.RunBatchContext(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("full-disk batch failed: %v (ENOSPC must never fail jobs)", err)

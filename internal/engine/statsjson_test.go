@@ -30,7 +30,7 @@ func TestStatsJSONStable(t *testing.T) {
 		"entries", "hits", "misses", "evictions",
 		"span_hits", "span_misses", "span_dropped",
 		"disk_hits", "disk_misses", "disk_errors", "disk_bytes", "disk_degraded",
-		"retries", "panics",
+		"panics",
 	}
 	for _, k := range want {
 		if _, ok := m[k]; !ok {
@@ -43,8 +43,8 @@ func TestStatsJSONStable(t *testing.T) {
 }
 
 // TestStatsSnapshotRaceClean hammers CacheStats (and its JSON
-// rendering) while batches mutate every counter group — result LRU,
-// retries — under -race. CacheStats is the documented
+// rendering) while batches mutate the result-LRU counters under
+// -race. CacheStats is the documented
 // race-safe snapshot accessor for concurrent servers; this is the test
 // that keeps it honest.
 func TestStatsSnapshotRaceClean(t *testing.T) {

@@ -37,14 +37,13 @@ import (
 const minRunTime = 2 * sim.Second
 
 // shared is the engine every experiment submits to. Replacing it via
-// SetParallelism/SetDiskCache drops the memoized results (the on-disk
-// tier, when configured, persists by design).
+// SetParallelism/SetDiskCache/SetJobTimeout drops the memoized results
+// (the on-disk tier, when configured, persists by design).
 var (
 	engMu       sync.Mutex
 	parallelism int
 	diskDir     string
 	jobTimeout  time.Duration
-	retries     int
 	shared      = engine.New()
 )
 
@@ -54,7 +53,6 @@ func rebuild() {
 	opts := []engine.Option{
 		engine.WithParallelism(parallelism),
 		engine.WithJobTimeout(jobTimeout),
-		engine.WithRetry(retries, 100*time.Millisecond),
 	}
 	if diskDir != "" {
 		opts = append(opts, engine.WithDiskCache(diskDir))
@@ -62,15 +60,12 @@ func rebuild() {
 	shared = engine.New(opts...)
 }
 
-// SetHardening rebuilds the shared engine with the fault-tolerance
-// knobs: a per-job wall-time budget (0 = unbounded) and extra attempts
-// for transient-classed failures. See engine.WithJobTimeout and
-// engine.WithRetry for the exact contracts.
-func SetHardening(timeout time.Duration, extraAttempts int) {
+// SetJobTimeout rebuilds the shared engine with a per-job wall-time
+// budget (0 = unbounded); see engine.WithJobTimeout for the contract.
+func SetJobTimeout(timeout time.Duration) {
 	engMu.Lock()
 	defer engMu.Unlock()
 	jobTimeout = timeout
-	retries = extraAttempts
 	rebuild()
 }
 

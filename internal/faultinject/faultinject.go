@@ -1,15 +1,14 @@
 // Package faultinject is the engine's deterministic chaos harness: it
-// injects disk-tier I/O failures, torn writes, policy panics, policy
-// aborts, and stalls into otherwise-ordinary sweeps, reproducibly.
+// injects disk-tier I/O failures, torn writes, policy panics and
+// stalls into otherwise-ordinary sweeps, reproducibly.
 //
 // Determinism is the point. Every fault decision is a pure function of
 // a seed and a stable identity — the content-addressed cache key for
-// store faults, the job index for fault plans, the attempt number for
-// first-N failures — never of wall-clock time or scheduling order. The
-// same seed therefore injects the same fault set at parallelism 1, 4,
-// or 16, which is what lets the torture tests (-race) assert exact
-// stats and bit-identical surviving results instead of "roughly this
-// many errors".
+// store faults, the job index for fault plans — never of wall-clock
+// time or scheduling order. The same seed therefore injects the same
+// fault set at parallelism 1, 4, or 16, which is what lets the torture
+// tests (-race) assert exact stats and bit-identical surviving results
+// instead of "roughly this many errors".
 //
 // Three injectors compose with the production types they wrap:
 //
@@ -19,9 +18,7 @@
 //     and a SetBroken switch modelling a disk dying mid-sweep.
 //   - Chaos wraps any soc.Policy and fires one fault at a chosen
 //     decision index: a raw panic (exercising the engine's panic
-//     isolation), a soc.RunAbort carrying a transient FaultError
-//     (exercising retry classification), or a stall (exercising
-//     per-job deadlines).
+//     isolation) or a stall (exercising per-job deadlines).
 //   - Plan assigns fault kinds to job indices, seed-deterministically,
 //     so a 600-job torture batch has a reproducible fault map.
 package faultinject
@@ -32,41 +29,22 @@ import (
 	"sysscale/internal/diskcache"
 )
 
-// FaultError is an injected failure. It classifies as transient
-// (Transient() true — the engine's retry layer re-runs it when
-// WithRetry is configured) and additionally wraps the sentinel of the
-// layer it was injected into (diskcache.ErrIO for store faults), so
-// the wrapped layer's own consumers — the circuit breaker above all —
-// treat it exactly like the real failure it models.
+// FaultError is an injected store failure. It wraps diskcache.ErrIO,
+// the sentinel of the layer it was injected into, so that layer's own
+// consumers — the circuit breaker above all — treat it exactly like
+// the real failure it models.
 type FaultError struct {
-	// Op names the faulted operation ("get", "put", "decide").
+	// Op names the faulted operation ("get", "put").
 	Op string
-	// Kind names the fault ("io", "abort").
-	Kind string
-	// class is the sentinel this fault additionally classes under
-	// (nil, or e.g. diskcache.ErrIO).
-	class error
 }
 
 // Error implements error.
 func (e *FaultError) Error() string {
-	if e.class != nil {
-		return fmt.Sprintf("faultinject: injected %s fault in %s: %v", e.Kind, e.Op, e.class)
-	}
-	return fmt.Sprintf("faultinject: injected %s fault in %s", e.Kind, e.Op)
+	return fmt.Sprintf("faultinject: injected io fault in %s: %v", e.Op, diskcache.ErrIO)
 }
 
-// Unwrap exposes the modelled layer's sentinel to errors.Is.
-func (e *FaultError) Unwrap() error { return e.class }
-
-// Transient reports true: injected faults model environmental
-// failures, the class the engine's WithRetry layer re-runs.
-func (e *FaultError) Transient() bool { return true }
-
-// ioFault builds the store-fault error for op.
-func ioFault(op string) *FaultError {
-	return &FaultError{Op: op, Kind: "io", class: diskcache.ErrIO}
-}
+// Unwrap exposes diskcache.ErrIO to errors.Is.
+func (e *FaultError) Unwrap() error { return diskcache.ErrIO }
 
 // splitmix64 is the fault-decision hash: one round of SplitMix64,
 // statistically solid for per-key/per-index coin flips and trivially
@@ -95,9 +73,6 @@ const (
 	KindNone Kind = iota
 	// KindPanic fires a raw policy panic (engine panic isolation).
 	KindPanic
-	// KindAbort fires a soc.RunAbort carrying a transient FaultError
-	// (engine error path + retry classification).
-	KindAbort
 	// KindStall sleeps inside a policy decision (per-job deadlines).
 	KindStall
 )
@@ -109,8 +84,6 @@ func (k Kind) String() string {
 		return "none"
 	case KindPanic:
 		return "panic"
-	case KindAbort:
-		return "abort"
 	case KindStall:
 		return "stall"
 	}
@@ -125,10 +98,9 @@ func (k Kind) String() string {
 // gets at most one kind); their sum must stay <= 1000.
 type Plan struct {
 	Seed uint64
-	// PanicPerMille/AbortPerMille/StallPerMille are the per-job
-	// probabilities (in 1/1000) of each fault kind.
+	// PanicPerMille/StallPerMille are the per-job probabilities (in
+	// 1/1000) of each fault kind.
 	PanicPerMille int
-	AbortPerMille int
 	StallPerMille int
 }
 
@@ -139,10 +111,6 @@ func (p Plan) Kind(i int) Kind {
 		return KindPanic
 	}
 	r -= p.PanicPerMille
-	if r < p.AbortPerMille {
-		return KindAbort
-	}
-	r -= p.AbortPerMille
 	if r < p.StallPerMille {
 		return KindStall
 	}

@@ -19,9 +19,9 @@ import (
 // Three fault modes, all off by default:
 //
 //   - FailGets/FailPuts(perMille): the operation fails with an
-//     ErrIO-classed transient FaultError before reaching the inner
-//     tier — an unreadable file, a failed write. The breaker counts
-//     these like real I/O failures.
+//     ErrIO-classed FaultError before reaching the inner tier — an
+//     unreadable file, a failed write. The breaker counts these like
+//     real I/O failures.
 //   - ShortWrites(dir, perMille): the Put "succeeds" but the entry on
 //     disk is truncated afterwards — a torn write the atomic-rename
 //     protocol could only suffer from hardware lying about durability.
@@ -107,7 +107,7 @@ func (s *Store) Get(key diskcache.Key) (soc.Result, bool, error) {
 	s.ops.Add(1)
 	if s.broken.Load() || coin(s.seed, keyBits(key)^0x6e74, s.getPerMille) {
 		s.injectedGets.Add(1)
-		return soc.Result{}, false, ioFault("get")
+		return soc.Result{}, false, &FaultError{Op: "get"}
 	}
 	return s.inner.Get(key)
 }
@@ -117,7 +117,7 @@ func (s *Store) Put(key diskcache.Key, res soc.Result) error {
 	s.ops.Add(1)
 	if s.broken.Load() || coin(s.seed, keyBits(key)^0x7075, s.putPerMille) {
 		s.injectedPuts.Add(1)
-		return ioFault("put")
+		return &FaultError{Op: "put"}
 	}
 	err := s.inner.Put(key, res)
 	if err == nil && s.shortDir != "" && coin(s.seed, keyBits(key)^0x746f, s.shortPerMille) {

@@ -21,9 +21,9 @@ import (
 // jobs per parallelism level.
 const tortureSize = 600
 
-// torturePlan maps ~2% of jobs to panics, ~2% to aborts, ~1% to
-// stalls, deterministically in the seed.
-var torturePlan = Plan{Seed: 0xC0FFEE, PanicPerMille: 20, AbortPerMille: 20, StallPerMille: 10}
+// torturePlan maps ~2% of jobs to panics and ~1% to stalls,
+// deterministically in the seed.
+var torturePlan = Plan{Seed: 0xC0FFEE, PanicPerMille: 20, StallPerMille: 10}
 
 // tortureWorkloads returns a small mixed suite.
 func tortureWorkloads(t *testing.T) []workload.Workload {
@@ -66,8 +66,6 @@ func tortureJobs(t *testing.T) ([]engine.Job, []Kind) {
 		switch kinds[i] {
 		case KindPanic:
 			job.Config.Policy = NewChaos(cfg.Policy, ModePanic)
-		case KindAbort:
-			job.Config.Policy = NewChaos(cfg.Policy, ModeAbort)
 		case KindStall:
 			ch := NewChaos(cfg.Policy, ModeStall)
 			ch.Stall = 150 * time.Millisecond
@@ -90,7 +88,7 @@ func kindCounts(kinds []Kind) map[Kind]int {
 
 // TestTortureBatch is the acceptance torture run (run under -race): at
 // parallelism 1, 4, and 16, a 600-job batch with injected panics,
-// aborts, stalls, and disk I/O faults must complete without crashing,
+// stalls, and disk I/O faults must complete without crashing,
 // leave zero Runners checked out, fail exactly the planned jobs with
 // exactly the planned error classes, return every clean job's result
 // bit-identical to a fault-free baseline, and account Hits / Misses /
@@ -102,8 +100,8 @@ func TestTortureBatch(t *testing.T) {
 	if clean := counts[KindNone]; clean == 0 || clean == tortureSize {
 		t.Fatalf("degenerate plan: %v", counts)
 	}
-	t.Logf("fault plan over %d jobs: %d panic, %d abort, %d stall",
-		tortureSize, counts[KindPanic], counts[KindAbort], counts[KindStall])
+	t.Logf("fault plan over %d jobs: %d panic, %d stall",
+		tortureSize, counts[KindPanic], counts[KindStall])
 
 	// Fault-free baseline for the clean jobs, computed once.
 	base := engine.New(engine.WithParallelism(4))
@@ -131,8 +129,7 @@ func TestTortureBatch(t *testing.T) {
 			faulty.FailPuts(150) // 15% of keys fail writes
 			e := engine.New(
 				engine.WithParallelism(par),
-				engine.WithDiskTier(faulty),
-				engine.WithDiskBreaker(0, 0), // bare tier: exact per-job error accounting
+				engine.WithDiskTier(faulty), // bare tier: exact per-job error accounting
 			)
 
 			results := streamAll(t, e, jobs)
@@ -156,11 +153,6 @@ func TestTortureBatch(t *testing.T) {
 						t.Errorf("panic job %d: err %v, want *PanicError", i, jr.Err)
 					} else if len(pe.Stack) == 0 {
 						t.Errorf("panic job %d: empty stack", i)
-					}
-				case KindAbort:
-					var fe *FaultError
-					if !errors.As(jr.Err, &fe) {
-						t.Errorf("abort job %d: err %v, want *FaultError", i, jr.Err)
 					}
 				case KindStall:
 					if !errors.Is(jr.Err, engine.ErrJobTimeout) {
@@ -226,8 +218,8 @@ func streamAll(t *testing.T, e *engine.Engine, jobs []engine.Job) []engine.JobRe
 }
 
 // TestBrokenDiskTripsBreaker proves the dying-disk contract: once the
-// tier fails DefaultBreakerThreshold-consecutive operations, the
-// breaker trips within those N jobs, all further I/O stops, and
+// tier fails threshold consecutive operations, the breaker trips
+// within those jobs, all further I/O stops, and
 // Stats.DiskDegraded plus Engine.DiskCacheError report it. When the
 // disk heals, the next probe closes the breaker and traffic resumes.
 func TestBrokenDiskTripsBreaker(t *testing.T) {
@@ -241,8 +233,7 @@ func TestBrokenDiskTripsBreaker(t *testing.T) {
 	const threshold = 4
 	e := engine.New(
 		engine.WithParallelism(1), // deterministic op order
-		engine.WithDiskTier(faulty),
-		engine.WithDiskBreaker(threshold, 50*time.Millisecond),
+		engine.WithDiskTier(diskcache.NewBreaker(faulty, threshold, 50*time.Millisecond)),
 	)
 
 	ws := tortureWorkloads(t)
@@ -310,128 +301,6 @@ func TestChaosHasNoKey(t *testing.T) {
 	}
 }
 
-// TestRetryTransient: a job whose first two attempts abort with a
-// transient fault succeeds on the third attempt under WithRetry(2+),
-// with the retries counted.
-func TestRetryTransient(t *testing.T) {
-	cfg := soc.DefaultConfig()
-	w, err := workload.SPEC("470.lbm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workload = w
-	cfg.Duration = 120 * sim.Millisecond
-	clean := policy.NewBaseline()
-	want, err := soc.Run(func() soc.Config { c := cfg; c.Policy = clean.Clone(); return c }())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ch := NewChaos(policy.NewBaseline(), ModeAbort)
-	ch.FailFirst = 2
-	cfg.Policy = ch
-	e := engine.New(engine.WithRetry(3, 0))
-	got, err := e.RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("job failed despite retries: %v", err)
-	}
-	if ch.Attempts() != 3 {
-		t.Errorf("attempts = %d, want 3 (two failures + one success)", ch.Attempts())
-	}
-	if st := e.CacheStats(); st.Retries != 2 {
-		t.Errorf("Stats.Retries = %d, want 2", st.Retries)
-	}
-	// The wrapper renames the policy in the result; every numeric field
-	// must still be bit-identical to the clean run.
-	want.Policy = got.Policy
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("retried result differs from a clean run")
-	}
-}
-
-// TestRetryClassification: panics and invalid configs are never
-// retried, whatever the retry budget.
-func TestRetryClassification(t *testing.T) {
-	w, err := workload.SPEC("470.lbm")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("panic", func(t *testing.T) {
-		cfg := soc.DefaultConfig()
-		cfg.Workload = w
-		cfg.Duration = 120 * sim.Millisecond
-		ch := NewChaos(policy.NewBaseline(), ModePanic)
-		cfg.Policy = ch
-		e := engine.New(engine.WithRetry(5, 0))
-		_, err := e.RunContext(context.Background(), cfg)
-		var pe *engine.PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("err = %v, want *PanicError", err)
-		}
-		if ch.Attempts() != 1 {
-			t.Errorf("panicking job attempted %d times, want 1 (panics are bugs, not weather)", ch.Attempts())
-		}
-		if st := e.CacheStats(); st.Retries != 0 || st.Panics != 1 {
-			t.Errorf("Retries/Panics = %d/%d, want 0/1", st.Retries, st.Panics)
-		}
-	})
-
-	t.Run("invalid-config", func(t *testing.T) {
-		cfg := soc.DefaultConfig()
-		cfg.Workload = w
-		cfg.Policy = policy.NewBaseline()
-		cfg.Duration = -1 // rejected by Validate
-		e := engine.New(engine.WithRetry(5, 0))
-		if _, err := e.RunContext(context.Background(), cfg); !errors.Is(err, soc.ErrInvalidConfig) {
-			t.Fatalf("err = %v, want ErrInvalidConfig", err)
-		}
-		if st := e.CacheStats(); st.Retries != 0 {
-			t.Errorf("config error was retried %d times", st.Retries)
-		}
-	})
-}
-
-// TestRetryTimeoutsOptIn: a stall that times out the first attempt is
-// retried only under WithRetryTimeouts, and the healthy second attempt
-// succeeds.
-func TestRetryTimeoutsOptIn(t *testing.T) {
-	w, err := workload.SPEC("470.lbm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func() (*Chaos, engine.Job) {
-		cfg := soc.DefaultConfig()
-		cfg.Workload = w
-		cfg.Duration = 120 * sim.Millisecond
-		ch := NewChaos(policy.NewBaseline(), ModeStall)
-		ch.Stall = 150 * time.Millisecond
-		ch.FailFirst = 1
-		cfg.Policy = ch
-		return ch, engine.Job{Config: cfg, Timeout: 30 * time.Millisecond}
-	}
-
-	ch, job := build()
-	e := engine.New(engine.WithRetry(2, 0), engine.WithRetryTimeouts(true))
-	rs := streamAll(t, e, []engine.Job{job})
-	if rs[0].Err != nil {
-		t.Fatalf("timed-out job not recovered by retry: %v", rs[0].Err)
-	}
-	if ch.Attempts() != 2 {
-		t.Errorf("attempts = %d, want 2", ch.Attempts())
-	}
-
-	ch, job = build()
-	e = engine.New(engine.WithRetry(2, 0)) // timeouts NOT opted in
-	rs = streamAll(t, e, []engine.Job{job})
-	if !errors.Is(rs[0].Err, engine.ErrJobTimeout) {
-		t.Fatalf("err = %v, want ErrJobTimeout", rs[0].Err)
-	}
-	if ch.Attempts() != 1 {
-		t.Errorf("timeout retried without opt-in (%d attempts)", ch.Attempts())
-	}
-}
-
 // TestTornWriteHealsAsCorruption: a Put whose write tears on disk
 // (reported success, truncated entry) must read back as a pruned
 // corruption — a counted miss — and the re-simulated result must be
@@ -487,7 +356,7 @@ func TestPlanDeterminism(t *testing.T) {
 			t.Fatalf("plan not deterministic at %d", i)
 		}
 	}
-	other := Plan{Seed: torturePlan.Seed + 1, PanicPerMille: 20, AbortPerMille: 20, StallPerMille: 10}
+	other := Plan{Seed: torturePlan.Seed + 1, PanicPerMille: 20, StallPerMille: 10}
 	diff := 0
 	for i := 0; i < tortureSize; i++ {
 		if torturePlan.Kind(i) != other.Kind(i) {

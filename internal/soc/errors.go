@@ -10,21 +10,6 @@ import "errors"
 // separate "this job could never run" from "this job was interrupted".
 var ErrInvalidConfig = errors.New("soc: invalid config")
 
-// RunAbort is the panic-value protocol for aborting a simulation with
-// an error: Policy.Decide returns no error by design (real governors
-// cannot fail), so a policy wrapper that must surface a failure —
-// fault injection being the canonical case — panics with
-// RunAbort{Err}. The engine's panic isolation recognises the type and
-// converts it back into the carried error instead of a PanicError, so
-// injected failures flow through the ordinary error path (and through
-// retry classification) rather than reading as policy crashes.
-// Panicking with RunAbort outside an engine-supervised run is a plain
-// panic.
-type RunAbort struct {
-	// Err is the failure the aborting policy wants surfaced.
-	Err error
-}
-
 // PolicyValidator is an optional interface a Policy implements to have
 // its own configuration checked by Config.Validate before a run.
 // Returned errors are wrapped in ErrInvalidConfig.

@@ -2,7 +2,6 @@ package soc
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"sysscale/internal/cache"
@@ -102,9 +101,6 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 	cursor := newPhaseCursor(cfg.Workload)
 
 	nTicks := int(cfg.Duration / tick)
-	if nTicks < 1 {
-		return Result{}, fmt.Errorf("soc: duration %v shorter than one tick", cfg.Duration)
-	}
 
 	if cfg.TracePower {
 		res.PowerTrace = make([]float64, 0, nTicks)

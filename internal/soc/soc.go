@@ -203,6 +203,9 @@ func (c Config) Validate() error {
 	if c.SampleInterval > c.EvalInterval {
 		return fmt.Errorf("%w: sample interval exceeds evaluation interval", ErrInvalidConfig)
 	}
+	if c.Duration < c.SampleInterval {
+		return fmt.Errorf("%w: duration %v shorter than one tick (%v)", ErrInvalidConfig, c.Duration, c.SampleInterval)
+	}
 	return nil
 }
 

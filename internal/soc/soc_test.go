@@ -2,6 +2,7 @@ package soc
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -145,6 +146,11 @@ func TestConfigValidation(t *testing.T) {
 	bad.Duration = 0
 	if _, err := Run(bad); err == nil {
 		t.Fatal("zero duration accepted")
+	}
+	bad = good
+	bad.Duration = bad.SampleInterval / 2
+	if err := bad.Validate(); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("sub-tick duration: Validate = %v, want ErrInvalidConfig", err)
 	}
 	bad = good
 	bad.SampleInterval = bad.EvalInterval * 2

@@ -80,8 +80,8 @@ var errCanceledByDelete = errors.New("sweepd: sweep canceled by request")
 // values select the defaults above.
 type Config struct {
 	// Engine executes the jobs. Its options — parallelism, caches,
-	// WithJobTimeout, WithRetry — are the service's execution policy;
-	// nil constructs a default engine.
+	// WithJobTimeout — are the service's execution policy; nil
+	// constructs a default engine.
 	Engine *engine.Engine
 	// MaxConcurrentSweeps bounds admitted requests (sweeps and single
 	// jobs); <= 0 selects DefaultMaxConcurrentSweeps().

@@ -614,6 +614,28 @@ func TestOversizedMalformedBody413(t *testing.T) {
 	}
 }
 
+// TestSubTickDurationIs400: a job shorter than one sample interval is
+// a configuration error, so /v1/jobs answers 400 invalid_spec instead
+// of failing the run mid-flight with a 500.
+func TestSubTickDurationIs400(t *testing.T) {
+	_, ts := newServer(t, sweepd.Config{})
+	body, err := os.ReadFile("../../examples/specs/sysscale-470.lbm.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := bytes.Replace(body, []byte(`"duration_ns": 2000000000`), []byte(`"duration_ns": 500000`), 1)
+	if bytes.Equal(short, body) {
+		t.Fatal("example spec has no 2 s duration to shorten")
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(short))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := errCode(t, resp, http.StatusBadRequest); code != "invalid_spec" {
+		t.Errorf("code %q, want invalid_spec", code)
+	}
+}
+
 // TestStatsEndpoint: /v1/stats is valid JSON with both counter blocks,
 // and reflects work done.
 func TestStatsEndpoint(t *testing.T) {

@@ -35,9 +35,9 @@ func TestPublicSurface(t *testing.T) {
 		"ResultSet", "Run", "RunContext", "RunSpec", "SPEC", "SPECSuite",
 		"ScaleBW", "Second", "SpecFingerprint", "SplitPhases", "Stream", "Sweep",
 		"Time", "TraceSpec", "Watt", "WithCache", "WithCacheSize",
-		"WithDiskCache", "WithJobTimeout", "WithParallelism", "WithRetry",
-		"WithRetryTimeouts", "Workload", "WorkloadClass", "WorkloadSpec",
-		"WorkloadTrace", "WriteJobSpec", "WriteWorkloadTrace",
+		"WithDiskCache", "WithJobTimeout", "WithParallelism", "Workload",
+		"WorkloadClass", "WorkloadSpec", "WorkloadTrace", "WriteJobSpec",
+		"WriteWorkloadTrace",
 	}
 	f, err := parser.ParseFile(token.NewFileSet(), "sysscale.go", nil, 0)
 	if err != nil {

@@ -237,17 +237,6 @@ func WithDiskCache(dir string) EngineOption { return engine.WithDiskCache(dir) }
 // genuine per-job failure, never confused with batch cancellation.
 func WithJobTimeout(d time.Duration) EngineOption { return engine.WithJobTimeout(d) }
 
-// WithRetry re-runs transient-classed job failures up to n extra
-// attempts with exponential backoff starting at backoff. Config
-// errors, panics, cancellation, and (by default) timeouts are never
-// retried; WithRetryTimeouts opts timeouts in.
-func WithRetry(n int, backoff time.Duration) EngineOption { return engine.WithRetry(n, backoff) }
-
-// WithRetryTimeouts opts ErrJobTimeout failures into WithRetry's
-// classification (off by default: the simulator is deterministic, so a
-// timeout usually recurs unless it came from environmental load).
-func WithRetryTimeouts(enabled bool) EngineOption { return engine.WithRetryTimeouts(enabled) }
-
 // PanicError is a worker panic captured by the engine's panic
 // isolation: the job that panicked fails with this error (wrapped in
 // its *JobError) while the batch, the process, and every other job

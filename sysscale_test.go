@@ -442,12 +442,8 @@ func TestRobustnessThroughPublicAPI(t *testing.T) {
 		t.Fatalf("ErrJobTimeout %v must not match the context sentinels", err)
 	}
 
-	// A generous deadline plus retries leaves a healthy run untouched.
-	soft := sysscale.NewEngine(
-		sysscale.WithJobTimeout(time.Minute),
-		sysscale.WithRetry(2, 0),
-		sysscale.WithRetryTimeouts(true),
-	)
+	// A generous deadline leaves a healthy run untouched.
+	soft := sysscale.NewEngine(sysscale.WithJobTimeout(time.Minute))
 	got, err := soft.RunContext(context.Background(), good)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("hardened engine diverged from clean run (err %v)", err)
