@@ -77,8 +77,9 @@ type Tier interface {
 
 // Version is the entry wire-format version. Any change to the header
 // layout or to soc.AppendResult's encoding must bump it; entries
-// carrying any other version read as misses and are pruned.
-const Version = 1
+// carrying any other version read as misses and are pruned. Version 2
+// dropped the per-tick power trace from the result encoding.
+const Version = 2
 
 // magic brands every entry file ("SysScale Result Cache").
 const magic = "SSRC"

@@ -742,15 +742,13 @@ func (e *Engine) runOnce(ctx context.Context, job Job) (res soc.Result, err erro
 	return runner.RunContext(ctx, cfg)
 }
 
-// cloneResult deep-copies the result's slice fields so cached entries
-// and coalesced siblings never alias caller-visible memory.
+// cloneResult deep-copies the result's one slice, PointResidency, so
+// cached entries and coalesced siblings never alias caller-visible
+// memory.
 func cloneResult(r soc.Result) soc.Result {
 	c := r
 	if r.PointResidency != nil {
 		c.PointResidency = append([]float64(nil), r.PointResidency...)
-	}
-	if r.PowerTrace != nil {
-		c.PowerTrace = append([]float64(nil), r.PowerTrace...)
 	}
 	return c
 }

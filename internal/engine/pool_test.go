@@ -5,17 +5,19 @@ import (
 	"reflect"
 	"testing"
 
+	"sysscale/internal/dram"
 	"sysscale/internal/policy"
 	"sysscale/internal/sim"
 	"sysscale/internal/soc"
+	"sysscale/internal/vf"
 	"sysscale/internal/workload"
 )
 
 // poolJobs builds a heterogeneous batch that forces recycled platforms
 // to absorb every kind of config change: workload class, TDP, sample
-// interval, span batching and power tracing. The memo and event-log
-// test hooks are unexported; soc's TestRunnerReuseBitIdentical covers
-// them.
+// interval, DRAM kind and ladder, and a pinned core frequency. The
+// memo, span-batching and event-log test hooks are unexported; soc's
+// TestRunnerReuseBitIdentical covers them.
 func poolJobs(t *testing.T) []Job {
 	t.Helper()
 	mk := func(wl workload.Workload, p soc.Policy, mut func(*soc.Config)) Job {
@@ -42,8 +44,11 @@ func poolJobs(t *testing.T) []Job {
 		mk(workload.BatterySuite()[0], policy.NewCoScaleRedist(), func(c *soc.Config) {
 			c.SampleInterval = 500 * sim.Microsecond
 		}),
-		mk(spec("403.gcc"), policy.NewSysScaleDefault(), func(c *soc.Config) { c.DisableSpanBatching = true }),
-		mk(spec("400.perlbench"), policy.NewMemScaleRedist(), func(c *soc.Config) { c.TracePower = true }),
+		mk(spec("403.gcc"), policy.NewSysScaleDefault(), func(c *soc.Config) {
+			c.DRAMKind = dram.DDR4
+			c.Ladder = []vf.OperatingPoint{vf.DDR4HighPoint(), vf.DDR4LowPoint()}
+		}),
+		mk(spec("400.perlbench"), policy.NewMemScaleRedist(), func(c *soc.Config) { c.FixedCoreFreq = 1.2 * vf.GHz }),
 	}
 }
 

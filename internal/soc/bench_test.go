@@ -42,7 +42,7 @@ func benchSteadyState(b *testing.B, disableSpan, disableMemo bool) {
 	cfg.Workload = w
 	cfg.Policy = highPinBench()
 	cfg.Duration = 500 * sim.Millisecond
-	cfg.DisableSpanBatching = disableSpan
+	cfg.noSpanBatching = disableSpan
 	cfg.noTickMemo = disableMemo
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -10,6 +10,11 @@ func SetNoTickMemo(c *Config, v bool) { c.noTickMemo = v }
 // SetNoPBMMemo turns the PBM grant memo off (v true) or on.
 func SetNoPBMMemo(c *Config, v bool) { c.noPBMMemo = v }
 
+// SetNoSpanBatching walks the run one tick at a time (v true), the
+// per-tick reference the span-batched core is checked against, or
+// restores span batching.
+func SetNoSpanBatching(c *Config, v bool) { c.noSpanBatching = v }
+
 // SpanImageStats reports, for the runner's last run, how many spans
 // were served from a memo slot's stall-free span image and how many
 // spans the run integrated in all.

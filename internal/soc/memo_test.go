@@ -92,19 +92,33 @@ func TestTickMemoInvalidation(t *testing.T) {
 	p.tickEvalFor(0, &phases[0])
 	expectEvals(t, p, 3, "gfx frequency change")
 
-	// A budget reprogramming forces re-evaluation.
+	// Budgets and the bonus reach evalTick only through the P-states
+	// the PBM grants from them, so a reprogramming that moves no
+	// P-state keeps the memo warm.
 	if err := p.pbm.SetIOMemoryBudget(p.budget.IO()/2, p.budget.Memory()); err != nil {
 		t.Fatal(err)
 	}
 	p.refreshTickMemo()
 	p.tickEvalFor(0, &phases[0])
-	expectEvals(t, p, 4, "budget change")
+	expectEvals(t, p, 3, "budget change")
 
-	// A bonus grant forces re-evaluation.
 	p.setBonus(0.25)
 	p.refreshTickMemo()
 	p.tickEvalFor(0, &phases[0])
-	expectEvals(t, p, 5, "bonus change")
+	expectEvals(t, p, 3, "bonus change")
+
+	// Granting the new budget moves a P-state, which forces
+	// re-evaluation.
+	coreF, gfxF := p.cores.Frequency(), p.gfx.Frequency()
+	if _, _, err := p.applyPBM(&phases[0], 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if p.cores.Frequency() == coreF && p.gfx.Frequency() == gfxF {
+		t.Fatal("PBM grant moved no P-state; the step does not exercise the key")
+	}
+	p.refreshTickMemo()
+	p.tickEvalFor(0, &phases[0])
+	expectEvals(t, p, 4, "budget grant")
 
 	// A DVFS transition forces re-evaluation and changes the result.
 	stall, err := p.maybeTransition(0, PolicyDecision{Target: p.cfg.Ladder[1], OptimizedMRC: true})
@@ -119,7 +133,7 @@ func TestTickMemoInvalidation(t *testing.T) {
 	}
 	p.refreshTickMemo()
 	evLow := *p.tickEvalFor(0, &phases[0])
-	expectEvals(t, p, 6, "operating-point transition")
+	expectEvals(t, p, 5, "operating-point transition")
 	if evLow == evHigh {
 		t.Fatal("evaluation unchanged across an operating-point transition")
 	}
@@ -167,7 +181,7 @@ func TestTickMemoRunSkipsSteadyTicks(t *testing.T) {
 
 	// With both fast paths off, the loop is the historical per-tick
 	// walk: one full evaluation per tick.
-	cfg.DisableSpanBatching = true
+	cfg.noSpanBatching = true
 	q, err := newPlatform(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -55,10 +55,6 @@ type Result struct {
 
 	// CounterAvg is the run-average counter sample.
 	CounterAvg perfcounters.Sample
-
-	// PowerTrace is the per-tick package power (present when
-	// Config.TracePower is set).
-	PowerTrace []float64
 }
 
 // Check verifies the physics a Result must obey, each to relative

@@ -59,7 +59,6 @@ func AppendResult(b []byte, r Result) []byte {
 	for _, v := range r.CounterAvg {
 		b = appendResultFloat(b, v)
 	}
-	b = appendResultFloats(b, r.PowerTrace)
 	return b
 }
 
@@ -97,7 +96,6 @@ func DecodeResult(b []byte) (Result, error) {
 	for i := range r.CounterAvg {
 		r.CounterAvg[i] = d.float()
 	}
-	r.PowerTrace = d.floats()
 	if d.err != nil {
 		return Result{}, d.err
 	}

@@ -30,7 +30,6 @@ func codecResult() Result {
 		PointResidency: []float64{0.75, 0.25},
 		AvgCoreFreq:    1.8e9,
 		AvgGfxFreq:     0.3e9,
-		PowerTrace:     nil,
 	}
 	for i := range r.RailAvg {
 		r.RailAvg[i] = power.Watt(0.1 * float64(i+1))
@@ -50,23 +49,25 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip changed the result:\n got %+v\nwant %+v", got, want)
 	}
-	if got.PowerTrace != nil {
-		t.Errorf("nil PowerTrace decoded non-nil")
-	}
 
-	// Empty (but non-nil) and populated slices round-trip distinctly
-	// from nil — cache identity must not invent or drop slices.
-	want.PowerTrace = []float64{}
+	// Nil and empty (but non-nil) slices round-trip distinctly from
+	// each other and from populated ones — cache identity must not
+	// invent or drop slices.
 	want.PointResidency = nil
 	got, err = DecodeResult(AppendResult(nil, want))
 	if err != nil {
 		t.Fatalf("DecodeResult: %v", err)
 	}
-	if got.PowerTrace == nil || len(got.PowerTrace) != 0 {
-		t.Errorf("empty PowerTrace decoded as %#v", got.PowerTrace)
-	}
 	if got.PointResidency != nil {
 		t.Errorf("nil PointResidency decoded as %#v", got.PointResidency)
+	}
+	want.PointResidency = []float64{}
+	got, err = DecodeResult(AppendResult(nil, want))
+	if err != nil {
+		t.Fatalf("DecodeResult: %v", err)
+	}
+	if got.PointResidency == nil || len(got.PointResidency) != 0 {
+		t.Errorf("empty PointResidency decoded as %#v", got.PointResidency)
 	}
 }
 
@@ -135,7 +136,7 @@ func TestResultCodecRejectsMalformed(t *testing.T) {
 // would silently drop it from the disk tier. NumField is a tripwire —
 // update the codec, then this count.
 func TestResultCodecCoversResult(t *testing.T) {
-	const wantFields = 18
+	const wantFields = 17
 	if n := reflect.TypeOf(Result{}).NumField(); n != wantFields {
 		t.Errorf("Result has %d fields, codec written for %d: update AppendResult/DecodeResult and this test", n, wantFields)
 	}

@@ -102,10 +102,6 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 
 	nTicks := int(cfg.Duration / tick)
 
-	if cfg.TracePower {
-		res.PowerTrace = make([]float64, 0, nTicks)
-	}
-
 	// Program the initial compute P-states from the boot budgets.
 	firstPhase := cfg.Workload.PhaseAt(0)
 	if _, _, err := p.applyPBM(&firstPhase, 0, 0); err != nil {
@@ -118,11 +114,11 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 	// provably constant, so every per-tick quantity is identical and
 	// the span integrates in O(1) by closed-form multiplication. Span
 	// length is bounded by the next policy-eval epoch, the next phase
-	// boundary, and the end of the run; DVFS stall charges and power
-	// tracing fall back to single-tick spans. With DisableSpanBatching
-	// every span is one tick, which reproduces the per-tick walk
-	// bit-for-bit (all batch accumulators are exact identities at n=1).
-	batch := !cfg.DisableSpanBatching && !cfg.TracePower
+	// boundary, and the end of the run; DVFS stall charges fall back to
+	// single-tick spans. With the noSpanBatching hook every span is one
+	// tick, which reproduces the per-tick walk bit-for-bit (all batch
+	// accumulators are exact identities at n=1).
+	batch := !cfg.noSpanBatching
 
 	// The per-epoch cancellation poll is a non-blocking receive on done.
 	// Unlike ctx.Err(), it takes no lock, and a batch's workers share
@@ -245,14 +241,6 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 		ioMemW := d.rails[vf.RailVSA] + d.rails[vf.RailVDDQ] + d.rails[vf.RailVIO]
 		ioMemPowerInterval += float64(float64(ioMemW) * fn)
 		intervalTicks += n
-
-		if cfg.TracePower {
-			var tot power.Watt
-			for _, w := range d.rails {
-				tot += w
-			}
-			res.PowerTrace = append(res.PowerTrace, float64(tot))
-		}
 
 		if !d.perfOK {
 			res.PerfMet = false
@@ -559,13 +547,6 @@ type tickProg struct {
 	// vsa and vio are the live V_SA and V_IO rail voltages the IO
 	// engine and DDRIO power models read.
 	vsa, vio vf.Volt
-	// bonus and the domain budget programming feed evalTick only
-	// through the granted P-states above, but are included so any
-	// executeDecision/applyPBM reprogramming conservatively
-	// invalidates.
-	bonus power.Watt
-	ioB   power.Watt
-	memB  power.Watt
 }
 
 // programming snapshots the current tick-evaluation inputs.
@@ -578,9 +559,6 @@ func (p *Platform) programming() tickProg {
 		gfxF:   p.gfx.Frequency(),
 		vsa:    p.rails.Voltage(vf.RailVSA),
 		vio:    p.rails.Voltage(vf.RailVIO),
-		bonus:  p.bonus,
-		ioB:    p.budget.IO(),
-		memB:   p.budget.Memory(),
 	}
 }
 

@@ -121,35 +121,23 @@ type Config struct {
 	// FixedGfxFreq pins the graphics engines. 0 = PBM-managed.
 	FixedGfxFreq vf.Hz
 
-	// TracePower records a per-tick package power trace in the result.
-	TracePower bool
-
-	// DisableSpanBatching turns off the span-batched core and walks the
-	// run one tick at a time. Between policy decisions and phase edges
-	// the platform programming is frozen, so the batched core integrates
-	// whole spans of identical ticks in closed form — O(phases +
-	// decisions) per run instead of O(duration/SampleInterval). The two
-	// paths differ only in floating-point summation order (closed-form
-	// multiplication versus repeated addition); across the shipped
-	// workload and policy suites the Results agree to ≤1e-9 relative on
-	// every field (enforced by TestSpanBatchingEquivalence; measured
-	// ≤3e-11). This is an empirical bound, not a structural guarantee:
-	// an ulp-level difference in a window-averaged counter could in
-	// principle flip a custom governor sitting exactly on a decision
-	// threshold. The knob exists for A/B verification and benchmarks.
-	DisableSpanBatching bool
-
-	// Test hooks, unexported because none of them changes a Result and
-	// so none belongs in the job's identity (the cache key). The two
-	// memos are exact: noTickMemo resolves the progress-rate fixpoint
-	// on every tick, and noPBMMemo re-runs the budget→P-state
-	// arbitration on every applyPBM call, so A/B tests can keep the
-	// bit-identity claims falsifiable. recordEvents wires an event log
-	// through the flow (flow tracing); such a platform is always
-	// assembled fresh.
-	noTickMemo   bool
-	noPBMMemo    bool
-	recordEvents bool
+	// Test hooks, unexported because they select how the simulator
+	// integrates time or what it logs, not the platform, so none belongs
+	// in the job's identity (the cache key). The two memos are exact:
+	// noTickMemo resolves the progress-rate fixpoint on every tick, and
+	// noPBMMemo re-runs the budget→P-state arbitration on every applyPBM
+	// call, so A/B tests can keep the bit-identity claims falsifiable.
+	// noSpanBatching walks the run one tick at a time, the reference
+	// oracle for the span-batched core: the two paths differ only in
+	// floating-point summation order (closed-form multiplication versus
+	// repeated addition) and agree to ≤1e-9 relative on every Result
+	// field across the shipped suites (TestSpanBatchingEquivalence).
+	// recordEvents wires an event log through the flow (flow tracing);
+	// such a platform is always assembled fresh.
+	noTickMemo     bool
+	noPBMMemo      bool
+	noSpanBatching bool
+	recordEvents   bool
 }
 
 // DefaultConfig returns the Table 2 platform: 4.5W TDP, LPDDR3-1600,

@@ -416,21 +416,6 @@ func TestEventLogRecordsFlow(t *testing.T) {
 	}
 }
 
-func TestPowerTrace(t *testing.T) {
-	cfg := testConfig(t, "416.gamess")
-	cfg.TracePower = true
-	cfg.Duration = 100 * sim.Millisecond
-	res := mustRun(t, cfg)
-	if len(res.PowerTrace) != 100 {
-		t.Fatalf("trace length = %d, want 100 ticks", len(res.PowerTrace))
-	}
-	for _, p := range res.PowerTrace {
-		if p <= 0 {
-			t.Fatal("non-positive trace sample")
-		}
-	}
-}
-
 func TestDDR4Platform(t *testing.T) {
 	w, _ := workload.SPEC("416.gamess")
 	cfg := DefaultConfig()

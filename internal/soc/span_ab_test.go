@@ -152,7 +152,7 @@ func TestSpanBatchingEquivalence(t *testing.T) {
 				cfg.Workload = w
 				cfg.Duration = 300 * sim.Millisecond
 				cfg.Policy = mk()
-				cfg.DisableSpanBatching = disableSpan
+				soc.SetNoSpanBatching(&cfg, disableSpan)
 				soc.SetNoTickMemo(&cfg, disableMemo)
 				r, err := soc.Run(cfg)
 				if err != nil {
@@ -188,35 +188,5 @@ func TestSpanBatchingEquivalence(t *testing.T) {
 				t.Errorf("%s: results diverge with the PBM grant memo on/off", label)
 			}
 		}
-	}
-}
-
-// TestSpanBatchingPowerTraceExact pins the fallback contract: a
-// TracePower run always walks tick by tick, so the span knob must not
-// change a traced run at all.
-func TestSpanBatchingPowerTraceExact(t *testing.T) {
-	w, err := workload.SPEC("470.lbm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(disableSpan bool) soc.Result {
-		cfg := soc.DefaultConfig()
-		cfg.Workload = w
-		cfg.Duration = 150 * sim.Millisecond
-		cfg.Policy = policy.NewSysScaleDefault()
-		cfg.TracePower = true
-		cfg.DisableSpanBatching = disableSpan
-		r, err := soc.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	spanOn, spanOff := run(false), run(true)
-	if len(spanOn.PowerTrace) != int(150*sim.Millisecond/sim.Millisecond) {
-		t.Fatalf("power trace has %d samples, want one per tick", len(spanOn.PowerTrace))
-	}
-	if !reflect.DeepEqual(spanOn, spanOff) {
-		t.Error("TracePower run changed under the span knob; tick-granularity fallback broken")
 	}
 }

@@ -70,9 +70,9 @@ func TestSpanTicksProperty(t *testing.T) {
 
 // poolConfigs is a heterogeneous config sequence that forces Reset to
 // absorb every kind of change: workload class (including battery
-// race-to-sleep), ladder, TDP, sample/eval interval, policy, fast-path
-// knobs, power tracing, and (via recordEvents) the fresh-assembly
-// fallback.
+// race-to-sleep), ladder, TDP, sample/eval interval, policy, pinned
+// core frequency, fast-path hooks, and (via recordEvents) the
+// fresh-assembly fallback.
 func poolConfigs(t *testing.T) []Config {
 	t.Helper()
 	spec := func(name string) workload.Workload {
@@ -122,13 +122,13 @@ func poolConfigs(t *testing.T) []Config {
 	c = base()
 	c.Workload = spec("400.perlbench")
 	c.Policy = highPin()
-	c.DisableSpanBatching = true
+	c.noSpanBatching = true
 	cfgs = append(cfgs, c)
 
 	c = base()
 	c.Workload = spec("403.gcc")
 	c.Policy = lowPin(true)
-	c.TracePower = true
+	c.FixedCoreFreq = 1.2 * vf.GHz
 	cfgs = append(cfgs, c)
 
 	c = base()

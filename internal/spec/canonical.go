@@ -30,12 +30,8 @@ const maxWrapDepth = 24
 // ±Inf) — such configs are uncacheable. On !ok the returned slice is
 // b with partial output appended; callers must discard it.
 func AppendConfig(b []byte, cfg soc.Config) (_ []byte, ok bool) {
-	// knobs
-	b = append(b, `{"knobs":{"disable_span_batching":`...)
-	b = jsonenc.AppendBool(b, cfg.DisableSpanBatching)
-
 	// platform
-	b = append(b, `},"platform":{"csr":{"camera":`...)
+	b = append(b, `{"platform":{"csr":{"camera":`...)
 	if !knownCamera(cfg.CSR.Camera) {
 		return b, false
 	}
@@ -116,8 +112,6 @@ func AppendConfig(b []byte, cfg soc.Config) (_ []byte, ok bool) {
 	}
 	b = append(b, `,"sample_interval_ns":`...)
 	b = jsonenc.AppendInt(b, int64(cfg.SampleInterval))
-	b = append(b, `,"trace_power":`...)
-	b = jsonenc.AppendBool(b, cfg.TracePower)
 
 	// version, workload
 	b = append(b, `},"version":`...)

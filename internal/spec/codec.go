@@ -176,9 +176,7 @@ func Encode(cfg soc.Config) (Job, error) {
 		FixedCoreHz:      float64(cfg.FixedCoreFreq),
 		FixedGfxHz:       float64(cfg.FixedGfxFreq),
 		SampleIntervalNS: int64(cfg.SampleInterval),
-		TracePower:       cfg.TracePower,
 	}
-	job.Knobs = Knobs{DisableSpanBatching: cfg.DisableSpanBatching}
 	return job, nil
 }
 
@@ -187,8 +185,16 @@ func Encode(cfg soc.Config) (Job, error) {
 // result is validated through soc.Config.Validate (including the
 // policy's PolicyValidator), so a decoded config is a runnable one.
 func Decode(job Job) (soc.Config, error) {
-	if job.Version != 1 && job.Version != Version {
-		return soc.Config{}, fmt.Errorf("spec: unsupported version %d (this build reads versions 1 and %d)", job.Version, Version)
+	if job.Version < 1 || job.Version > Version {
+		return soc.Config{}, fmt.Errorf("spec: unsupported version %d (this build reads versions 1 to %d)", job.Version, Version)
+	}
+	// The retired v1/v2 switches: false is ignored, true asks for a
+	// result this build cannot produce.
+	if job.Run.TracePower {
+		return soc.Config{}, fmt.Errorf("%w: run.trace_power is retired; no per-tick power trace exists", soc.ErrInvalidConfig)
+	}
+	if job.Knobs.DisableSpanBatching {
+		return soc.Config{}, fmt.Errorf("%w: knobs.disable_span_batching is retired; the per-tick walk is a simulator test hook", soc.ErrInvalidConfig)
 	}
 
 	var cfg soc.Config
@@ -239,9 +245,6 @@ func Decode(job Job) (soc.Config, error) {
 	cfg.SampleInterval = sim.Time(job.Run.SampleIntervalNS)
 	cfg.FixedCoreFreq = vf.Hz(job.Run.FixedCoreHz)
 	cfg.FixedGfxFreq = vf.Hz(job.Run.FixedGfxHz)
-	cfg.TracePower = job.Run.TracePower
-
-	cfg.DisableSpanBatching = job.Knobs.DisableSpanBatching
 
 	if err := cfg.Validate(); err != nil {
 		return soc.Config{}, err

@@ -17,8 +17,8 @@ import (
 	"sysscale/internal/workload/gen"
 )
 
-// retiredKeys sets each retired v1 wire field (see the package doc) to
-// a non-default value. Decode must ignore every one of them.
+// retiredKeys sets each wire field retired in v2 (see the package doc)
+// to a non-default value. Decode must ignore every one of them.
 var retiredKeys = []struct {
 	name string
 	set  func(*Job)
@@ -30,25 +30,31 @@ var retiredKeys = []struct {
 	{"disable_tick_memo", func(j *Job) { j.Knobs.DisableTickMemo = true }},
 }
 
+// retiredV3Keys are the wire keys retired in v3. Their switches are
+// ignored only when false, which the v1 and v2 fixtures carry;
+// TestDecodeRejectsBadSpecs sets them true.
+var retiredV3Keys = []string{"knobs", "trace_power", "disable_span_batching"}
+
 // TestFingerprintIsResultIdentity checks that the canonical key covers
 // every input that determines a Result and nothing else, over the v1
-// fixtures and generated workloads × the four policy families.
+// and v2 fixtures and generated workloads × the four policy families.
 //
 // Complete: changing any exported soc.Config leaf (platform, ladder,
-// CSR, every workload and phase field, run parameters, knobs), any
-// policy parameter or adding a policy wrapper moves the key.
+// CSR, every workload and phase field, run parameters), any policy
+// parameter or adding a policy wrapper moves the key.
 //
-// Minimal: setting any retired wire key, in a v1 or a v2 document,
-// leaves the decoded Config, the Result and the fingerprint unchanged.
+// Minimal: setting any ignored retired wire key, in a v1, v2 or v3
+// document, leaves the decoded Config, the Result and the fingerprint
+// unchanged.
 func TestFingerprintIsResultIdentity(t *testing.T) {
 	n := 6
 	if testing.Short() {
 		n = 2
 	}
 	var jobs []Job
-	fixtures, err := filepath.Glob("testdata/v1/*.json")
+	fixtures, err := filepath.Glob("testdata/v[12]/*.json")
 	if err != nil || len(fixtures) == 0 {
-		t.Fatalf("no v1 fixtures: %v", err)
+		t.Fatalf("no v1 or v2 fixtures: %v", err)
 	}
 	for _, p := range fixtures {
 		jobs = append(jobs, readJobFile(t, p))
@@ -122,7 +128,7 @@ func TestFingerprintIsResultIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, version := range []int{1, Version} {
+		for version := 1; version <= Version; version++ {
 			for _, rk := range retiredKeys {
 				j := job
 				j.Version = version
@@ -292,14 +298,15 @@ func readJobFile(t *testing.T, path string) Job {
 // checked-in example specs stable across builds: every on-disk result
 // cache is keyed by these fingerprints, so a change here silently
 // orphans every cache a previous build filled. Change a value only
-// together with a spec Version bump. Each example's v1 form under
-// testdata/v1 (the bytes v1 shipped) must decode to the same config
-// and share the pinned fingerprint, and the canonical bytes must carry
-// no retired key.
+// together with a spec Version bump. Each example is a v3 document;
+// its forms under testdata/v1 and testdata/v2 (the bytes those
+// versions shipped, with every retired switch false) must decode to
+// the same config and share the pinned fingerprint, and the canonical
+// bytes must carry no retired key.
 func TestExampleSpecFingerprintsPinned(t *testing.T) {
 	want := map[string]string{
-		"coscale-redist-web-browsing.json": "ccbba19b16959d936eccd0f0925caa0cd3e0740c4604e7fb6f825cd2fb754bf2",
-		"sysscale-470.lbm.json":            "e573be551ba1af334f41832d8d676d6b1a5d633e084177b45c4d08f22c5bbfb9",
+		"coscale-redist-web-browsing.json": "2b3690687299697aba1b93b46086fd943db2cd65a1ce6084e92000bd95b9e062",
+		"sysscale-470.lbm.json":            "f1121639fa008e047553feda0759cd82a18839407946c6f410a0fab356ce7732",
 	}
 	paths, err := filepath.Glob("../../examples/specs/*.json")
 	if err != nil {
@@ -310,36 +317,39 @@ func TestExampleSpecFingerprintsPinned(t *testing.T) {
 	}
 	for _, p := range paths {
 		name := filepath.Base(p)
-		v2 := readJobFile(t, p)
-		v1 := readJobFile(t, filepath.Join("testdata/v1", name))
-		if v1.Version != 1 || v2.Version != 2 {
-			t.Fatalf("%s: versions %d and %d, want 1 and 2", name, v1.Version, v2.Version)
+		forms := []string{filepath.Join("testdata/v1", name), filepath.Join("testdata/v2", name), p}
+		var cfg soc.Config
+		for i, path := range forms {
+			job := readJobFile(t, path)
+			if job.Version != i+1 {
+				t.Fatalf("%s: version %d, want %d", path, job.Version, i+1)
+			}
+			c, err := Decode(job)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			if i == 0 {
+				cfg = c
+			} else if !reflect.DeepEqual(c, cfg) {
+				t.Errorf("%s: decodes to a different config than its v1 form", path)
+			}
+			if fp, err := Fingerprint(job); err != nil || fmt.Sprintf("%x", fp) != want[name] {
+				t.Errorf("%s: fingerprint %x (err %v), pinned %s", path, fp, err, want[name])
+			}
 		}
-		c1, err := Decode(v1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2, err := Decode(v2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(c1, c2) {
-			t.Errorf("%s: v1 and v2 forms decode to different configs", name)
-		}
-		b, err := Canonical(v2)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		b, ok := AppendConfig(nil, cfg)
+		if !ok {
+			t.Fatalf("%s: no canonical form", name)
 		}
 		for _, rk := range retiredKeys {
 			if bytes.Contains(b, []byte(`"`+rk.name+`"`)) {
 				t.Errorf("%s: canonical bytes carry retired key %s", name, rk.name)
 			}
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want[name] {
-			t.Errorf("%s: fingerprint %s, pinned %s", name, got, want[name])
-		}
-		if fp, err := Fingerprint(v1); err != nil || fmt.Sprintf("%x", fp) != want[name] {
-			t.Errorf("%s: v1 form fingerprint %x (err %v), pinned %s", name, fp, err, want[name])
+		for _, key := range retiredV3Keys {
+			if bytes.Contains(b, []byte(`"`+key+`"`)) {
+				t.Errorf("%s: canonical bytes carry retired key %s", name, key)
+			}
 		}
 	}
 }

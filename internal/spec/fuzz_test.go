@@ -40,9 +40,9 @@ func FuzzDecodeSpec(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	// v1 documents, retired keys included.
-	v1, _ := filepath.Glob("testdata/v1/*.json")
-	for _, p := range v1 {
+	// v1 and v2 documents, retired keys included.
+	old, _ := filepath.Glob("testdata/v[12]/*.json")
+	for _, p := range old {
 		doc, err := os.ReadFile(p)
 		if err != nil {
 			f.Fatal(err)

@@ -3,8 +3,7 @@
 // names the platform (TDP, DRAM kind, operating-point ladder, CSR),
 // the workload (a built-in by name, an inline phase list, or an entry
 // of a tracegen trace), the policy (by registry name with typed
-// parameters and ablation wrappers), the run parameters, and the A/B
-// knobs.
+// parameters and ablation wrappers), and the run parameters.
 //
 // Specs exist so a job has an identity outside the process: files the
 // CLIs can run (`sysscale -spec job.json`), the request bodies sweepd
@@ -37,20 +36,28 @@
 //
 // # Versioning
 //
-// Version is 2; Decode also accepts 1 and rejects anything else,
+// Version is 3; Decode also accepts 1 and 2 and rejects anything else,
 // including a missing version. Forward compatibility is explicit
 // re-encoding by a build that understands both versions, never silent
 // reinterpretation, because the canonical bytes (and so every cache
-// key) are defined per version: they carry the version, so a v2 key
-// never addresses an entry a v1 build wrote.
+// key) are defined per version: they carry the version, so a v3 key
+// never addresses an entry an older build wrote.
 //
-// Version 2 drops the v1 fields that cannot change a Result: run.seed,
-// run.record_events, knobs.disable_pbm_memo, knobs.disable_tick_memo
-// and knobs.disable_span_cache. They stay on the wire structs, so a
-// document of either version that sets them still decodes, but Decode
-// ignores them, Encode never writes them, and the canonical bytes
-// leave them out: a document that sets them shares the key of one that
-// does not.
+// A spec describes the platform, the workload and the governor, never
+// how the simulator integrates time. Earlier versions carried such
+// switches; they stay on the wire structs as retired fields, so older
+// documents still decode, but Encode never writes them and the
+// canonical bytes leave them out:
+//
+//   - Version 2 retired run.seed, run.record_events,
+//     knobs.disable_pbm_memo, knobs.disable_tick_memo and
+//     knobs.disable_span_cache, which cannot change a Result. Decode
+//     ignores them whatever their value.
+//   - Version 3 retired run.trace_power and knobs.disable_span_batching,
+//     and with them the knobs object. One rule covers every version: a
+//     false or absent value is ignored, and true is a config error
+//     (wrapping soc.ErrInvalidConfig), because the build can no longer
+//     produce the result such a document asks for.
 package spec
 
 import (
@@ -62,8 +69,8 @@ import (
 )
 
 // Version is the spec wire-format version this build writes. Decode
-// reads it and version 1.
-const Version = 2
+// reads it and versions 1 and 2.
+const Version = 3
 
 // numPanels mirrors the platform's display head count.
 const numPanels = ioengine.MaxPanels
@@ -75,7 +82,7 @@ type Job struct {
 	Workload WorkloadRef `json:"workload"`
 	Policy   Policy      `json:"policy"`
 	Run      Run         `json:"run"`
-	Knobs    Knobs       `json:"knobs"`
+	Knobs    Knobs       `json:"knobs,omitzero"` // retired
 }
 
 // Platform describes the simulated SoC and board.
@@ -140,8 +147,8 @@ type Policy struct {
 }
 
 // Run carries the simulation run parameters. Durations are in
-// nanoseconds (sim.Time's underlying unit). RecordEvents and Seed are
-// retired v1 fields, accepted and ignored (see the package doc).
+// nanoseconds (sim.Time's underlying unit). RecordEvents, Seed and
+// TracePower are retired fields (see the package doc).
 type Run struct {
 	DurationNS       int64   `json:"duration_ns"`
 	EvalIntervalNS   int64   `json:"eval_interval_ns"`
@@ -149,17 +156,16 @@ type Run struct {
 	FixedGfxHz       float64 `json:"fixed_gfx_hz"`
 	RecordEvents     bool    `json:"record_events,omitempty"` // retired
 	SampleIntervalNS int64   `json:"sample_interval_ns"`
-	Seed             uint64  `json:"seed,omitempty"` // retired
-	TracePower       bool    `json:"trace_power"`
+	Seed             uint64  `json:"seed,omitempty"`        // retired
+	TracePower       bool    `json:"trace_power,omitempty"` // retired
 }
 
-// Knobs carries the A/B verification knobs. DisableSpanBatching is
-// part of the job identity: it changes results (by up to 1e-9
-// relative) and is the reference oracle. The other three are retired
-// v1 fields, accepted and ignored (see the package doc).
+// Knobs is the retired v1 and v2 object of A/B verification switches.
+// Every field is retired (see the package doc); version 3 writes no
+// knobs object.
 type Knobs struct {
-	DisablePBMMemo      bool `json:"disable_pbm_memo,omitempty"` // retired
-	DisableSpanBatching bool `json:"disable_span_batching"`
-	DisableSpanCache    bool `json:"disable_span_cache,omitempty"` // retired
-	DisableTickMemo     bool `json:"disable_tick_memo,omitempty"`  // retired
+	DisablePBMMemo      bool `json:"disable_pbm_memo,omitempty"`      // retired
+	DisableSpanBatching bool `json:"disable_span_batching,omitempty"` // retired
+	DisableSpanCache    bool `json:"disable_span_cache,omitempty"`    // retired
+	DisableTickMemo     bool `json:"disable_tick_memo,omitempty"`     // retired
 }

@@ -3,6 +3,7 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -128,8 +129,7 @@ func TestAppendConfigMatchesCanonicalJSON(t *testing.T) {
 			cfg.Workload = w
 			cfg.Policy = p
 			cfg.FixedGfxFreq = 0.9 * vf.GHz
-			cfg.TracePower = true
-			cfg.DisableSpanBatching = true
+			cfg.FixedCoreFreq = 1.2 * vf.GHz
 			job, err := Encode(cfg)
 			if err != nil {
 				t.Fatalf("Encode(%s/%s): %v", p.Name(), w.Name, err)
@@ -268,6 +268,30 @@ func TestDecodeRejectsBadSpecs(t *testing.T) {
 	bad.Workload = WorkloadRef{Trace: &TraceRef{Index: 5, Trace: gen.Trace{Version: gen.TraceVersion, Workloads: []workload.Workload{workload.Stream()}}}}
 	if _, err := Decode(bad); err == nil {
 		t.Errorf("Decode accepted an out-of-range trace index")
+	}
+
+	// The switches retired in v3 are config errors when set, in a
+	// document of any version.
+	for version := 1; version <= Version; version++ {
+		for name, set := range map[string]func(*Job){
+			"trace_power":           func(j *Job) { j.Run.TracePower = true },
+			"disable_span_batching": func(j *Job) { j.Knobs.DisableSpanBatching = true },
+		} {
+			bad = good
+			bad.Version = version
+			set(&bad)
+			var doc bytes.Buffer
+			if err := WriteJob(&doc, bad); err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadJob(&doc)
+			if err != nil {
+				t.Fatalf("v%d %s: ReadJob: %v", version, name, err)
+			}
+			if _, err := Decode(back); !errors.Is(err, soc.ErrInvalidConfig) {
+				t.Errorf("v%d %s true: Decode error %v, want a config error", version, name, err)
+			}
+		}
 	}
 }
 

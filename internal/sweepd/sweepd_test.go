@@ -229,7 +229,8 @@ func errCode(t *testing.T, resp *http.Response, wantStatus int) string {
 
 // TestJobEndpoint: POST /v1/jobs returns the same result the engine
 // computes in-process, plus spec.Fingerprint of the request body, for
-// a generated spec, the checked-in example specs and their v1 forms.
+// a generated spec, the checked-in example specs and their v1 and v2
+// forms.
 func TestJobEndpoint(t *testing.T) {
 	_, ts := newServer(t, sweepd.Config{})
 	generated, err := json.Marshal(fastSpecs(t, 1)[0])
@@ -238,11 +239,11 @@ func TestJobEndpoint(t *testing.T) {
 	}
 	bodies := [][]byte{generated}
 	examples, _ := filepath.Glob("../../examples/specs/*.json")
-	v1, _ := filepath.Glob("../spec/testdata/v1/*.json")
-	if len(examples) < 2 || len(v1) != len(examples) {
-		t.Fatalf("found %d example specs and %d v1 fixtures", len(examples), len(v1))
+	old, _ := filepath.Glob("../spec/testdata/v[12]/*.json")
+	if len(examples) < 2 || len(old) != 2*len(examples) {
+		t.Fatalf("found %d example specs and %d v1 and v2 fixtures", len(examples), len(old))
 	}
-	for _, p := range append(examples, v1...) {
+	for _, p := range append(examples, old...) {
 		body, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
@@ -616,7 +617,9 @@ func TestOversizedMalformedBody413(t *testing.T) {
 
 // TestSubTickDurationIs400: a job shorter than one sample interval is
 // a configuration error, so /v1/jobs answers 400 invalid_spec instead
-// of failing the run mid-flight with a 500.
+// of failing the run mid-flight with a 500. So is a document that sets
+// a switch retired in spec v3: the service refuses it rather than
+// answering with results it did not ask for.
 func TestSubTickDurationIs400(t *testing.T) {
 	_, ts := newServer(t, sweepd.Config{})
 	body, err := os.ReadFile("../../examples/specs/sysscale-470.lbm.json")
@@ -627,13 +630,102 @@ func TestSubTickDurationIs400(t *testing.T) {
 	if bytes.Equal(short, body) {
 		t.Fatal("example spec has no 2 s duration to shorten")
 	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(short))
+	for i, b := range append([][]byte{short}, retiredSwitchBodies(t)...) {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := errCode(t, resp, http.StatusBadRequest); code != "invalid_spec" {
+			t.Errorf("body %d: code %q, want invalid_spec", i, code)
+		}
+	}
+}
+
+// retiredSwitchBodies returns the v2 example document once with each
+// switch retired in spec v3 (run.trace_power,
+// knobs.disable_span_batching) set true.
+func retiredSwitchBodies(tb testing.TB) [][]byte {
+	tb.Helper()
+	v2, err := os.ReadFile("../spec/testdata/v2/sysscale-470.lbm.json")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if code := errCode(t, resp, http.StatusBadRequest); code != "invalid_spec" {
-		t.Errorf("code %q, want invalid_spec", code)
+	var bodies [][]byte
+	for _, key := range []string{`"trace_power": `, `"disable_span_batching": `} {
+		b := bytes.Replace(v2, []byte(key+"false"), []byte(key+"true"), 1)
+		if bytes.Equal(b, v2) {
+			tb.Fatalf("v2 fixture has no %sfalse", key)
+		}
+		bodies = append(bodies, b)
 	}
+	return bodies
+}
+
+// FuzzJobBody posts arbitrary bodies to /v1/jobs. Whatever the bytes,
+// the server must not panic, must answer with a documented status
+// (200, 400, 413, 503 or 504), and must give every non-200 answer a
+// typed ErrorInfo body with a documented code. Bodies that decode to
+// runs longer than a million ticks are skipped: they exercise the
+// simulator's speed, not the wire, and the job timeout bounds the rest.
+func FuzzJobBody(f *testing.F) {
+	const maxBody = 16 << 10
+	seeds, _ := filepath.Glob("../../examples/specs/*.json")
+	old, _ := filepath.Glob("../spec/testdata/v[12]/*.json")
+	for _, p := range append(seeds, old...) {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, b := range retiredSwitchBodies(f) {
+		f.Add(b)
+	}
+	f.Add([]byte(`{"version":3}`))
+	f.Add([]byte(`[]`))
+	f.Add(append([]byte(`{"version":3`), bytes.Repeat([]byte(" "), maxBody)...))
+
+	s := sweepd.New(sweepd.Config{
+		Engine:       engine.New(engine.WithParallelism(1), engine.WithJobTimeout(2*time.Second)),
+		MaxBodyBytes: maxBody,
+	})
+	ts := httptest.NewServer(s)
+	f.Cleanup(ts.Close)
+	statuses := map[int]bool{
+		http.StatusOK: true, http.StatusBadRequest: true, http.StatusRequestEntityTooLarge: true,
+		http.StatusServiceUnavailable: true, http.StatusGatewayTimeout: true,
+	}
+	codes := map[string]bool{
+		"invalid_spec": true, "invalid_config": true, "timeout": true, "panic": true,
+		"canceled": true, "too_large": true, "overloaded": true, "not_found": true, "error": true,
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if js, err := spec.ReadJob(bytes.NewReader(body)); err == nil {
+			if cfg, err := spec.Decode(js); err == nil && cfg.Duration/cfg.SampleInterval > 1_000_000 {
+				t.Skip("run longer than a million ticks")
+			}
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if !statuses[resp.StatusCode] {
+			t.Fatalf("undocumented status %d", resp.StatusCode)
+		}
+		if resp.StatusCode == http.StatusOK {
+			return
+		}
+		var er struct {
+			Error sweepd.ErrorInfo `json:"error"`
+		}
+		dec := json.NewDecoder(resp.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&er); err != nil || !codes[er.Error.Code] {
+			t.Fatalf("status %d: untyped error body (code %q, err %v)", resp.StatusCode, er.Error.Code, err)
+		}
+	})
 }
 
 // TestStatsEndpoint: /v1/stats is valid JSON with both counter blocks,

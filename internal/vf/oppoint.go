@@ -27,8 +27,13 @@ func (op OperatingPoint) Validate() error {
 	if op.DDR <= 0 || op.MC <= 0 || op.Interco <= 0 {
 		return fmt.Errorf("vf: operating point %q has non-positive clock", op.Name)
 	}
-	if op.VSA <= 0 || op.VIO <= 0 {
-		return fmt.Errorf("vf: operating point %q has non-positive voltage", op.Name)
+	// Written so that a NaN fails: the rails can only be set inside
+	// their regulation ranges.
+	if !(op.VSA >= VSAMin && op.VSA <= VSAMax) {
+		return fmt.Errorf("vf: operating point %q: V_SA %.3fV outside [%.3f, %.3f]", op.Name, op.VSA, VSAMin, VSAMax)
+	}
+	if !(op.VIO >= VIOMin && op.VIO <= VIOMax) {
+		return fmt.Errorf("vf: operating point %q: V_IO %.3fV outside [%.3f, %.3f]", op.Name, op.VIO, VIOMin, VIOMax)
 	}
 	return nil
 }

@@ -23,6 +23,12 @@ const (
 	// Core/graphics nominal voltages are curve-derived at runtime.
 )
 
+// Regulation ranges of the two rails an operating point programs.
+const (
+	VSAMin, VSAMax Volt = 0.60, 1.10
+	VIOMin, VIOMax Volt = 0.60, 1.15
+)
+
 // SlewRateVPerUs is the regulator slew rate used throughout (§5:
 // 50mV/us, so ±100mV in about 2us).
 const SlewRateVPerUs Volt = 0.050
@@ -90,8 +96,8 @@ func DefaultRails() *Rails {
 		return r
 	}
 	rails, err := NewRails(
-		mk(RailVSA, NominalVSA, 0.60, 1.10, true),
-		mk(RailVIO, NominalVIO, 0.60, 1.15, true),
+		mk(RailVSA, NominalVSA, VSAMin, VSAMax, true),
+		mk(RailVIO, NominalVIO, VIOMin, VIOMax, true),
 		mk(RailVDDQ, NominalVDDQ, NominalVDDQ, NominalVDDQ, false),
 		mk(RailVCore, CoreCurve().Vmin(), 0.55, 1.40, true),
 		mk(RailVGfx, GfxCurve().Vmin(), 0.55, 1.15, true),

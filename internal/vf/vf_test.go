@@ -209,6 +209,21 @@ func TestOperatingPointValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero point accepted")
 	}
+	// A point must keep both rails inside their regulation ranges, or
+	// the first transition to it fails mid-run.
+	for _, mut := range []func(*OperatingPoint){
+		func(op *OperatingPoint) { op.VSA = VSAMin - 0.01 },
+		func(op *OperatingPoint) { op.VSA = VSAMax + 0.01 },
+		func(op *OperatingPoint) { op.VIO = VIOMin - 0.01 },
+		func(op *OperatingPoint) { op.VIO = VIOMax + 0.01 },
+		func(op *OperatingPoint) { op.VSA = Volt(math.NaN()) },
+	} {
+		op := LowPoint()
+		mut(&op)
+		if err := op.Validate(); err == nil {
+			t.Errorf("point %v accepted", op)
+		}
+	}
 }
 
 func TestHzString(t *testing.T) {

@@ -24,7 +24,7 @@ func TestPublicSurface(t *testing.T) {
 		"ErrDiskDegraded", "ErrInvalidConfig", "ErrJobTimeout", "GHz", "GenClass",
 		"GenConfig", "GenMatrix", "GenerateWorkloads", "Graphics", "GraphicsSuite",
 		"Hz", "InjectIdle", "JitterDurations", "Job", "JobError", "JobFromSpec",
-		"JobResult", "JobSpec", "KnobsSpec", "LPDDR3", "MHz", "MaxSpecBytes",
+		"JobResult", "JobSpec", "LPDDR3", "MHz", "MaxSpecBytes",
 		"Millisecond", "MutateWorkloads", "Mutator", "NewBaseline", "NewCoScale",
 		"NewEngine", "NewMemScale", "NewStaticPoint", "NewSweep", "NewSysScale",
 		"NewWorkloadTrace", "OperatingPoint", "PanelSpec", "PanicError",

@@ -57,17 +57,17 @@
 // grant while its inputs repeat, and batches runs of identical ticks
 // into closed-form spans bounded by policy epochs and phase edges, so
 // a run costs O(phases + decisions) rather than O(duration/
-// SampleInterval). The memos are exact and always on: their
-// off-switches are test hooks, not Config fields, so they never split
-// the result cache. Span batching agrees with the per-tick walk to
-// ≤1e-9 relative across the shipped suites (the paths differ only in
-// floating-point summation order); Config.DisableSpanBatching forces
-// the per-tick walk for A/B verification and benchmarking, and is part
-// of the cache key. All of this state lives and dies
-// with one run: runs share no simulation state, only the engine's
-// result cache. The engine recycles assembled platforms across batch
-// jobs through a sync.Pool, which is invisible to callers (a reset
-// platform is bit-identical to a fresh one).
+// SampleInterval). The memos are exact and always on, and span
+// batching agrees with the per-tick walk to ≤1e-9 relative across the
+// shipped suites (the paths differ only in floating-point summation
+// order). Their off-switches are simulator test hooks, not Config
+// fields: a Config describes the platform, the workload and the
+// governor, never how time is integrated, and the result cache keys on
+// all of it. All of this state lives and dies with one run: runs share
+// no simulation state, only the engine's result cache. The engine
+// recycles assembled platforms across batch jobs through a sync.Pool,
+// which is invisible to callers (a reset platform is bit-identical to
+// a fresh one).
 package sysscale
 
 import (
@@ -356,10 +356,12 @@ func ReadWorkloadTrace(r io.Reader) (WorkloadTrace, error)  { return gen.ReadTra
 // Job specs (internal/spec): the versioned JSON document that
 // round-trips every runnable Config — platform, workload (built-in
 // name, inline phases, or a tracegen trace entry), policy (registry
-// name + typed params + ablation wrappers), run parameters and A/B
-// knobs. DecodeSpec validates like Run does, so a spec that decodes is
-// a spec that runs; SpecFingerprint over the canonical encoding is the
-// engine's cache identity, stable across processes.
+// name + typed params + ablation wrappers) and run parameters.
+// DecodeSpec validates like Run does, so a spec that decodes is a spec
+// that runs; SpecFingerprint over the canonical encoding is the
+// engine's cache identity, stable across processes. Older documents
+// still decode; one that sets a switch retired in spec v3 is a config
+// error.
 type (
 	// JobSpec is one serializable simulation job.
 	JobSpec = spec.Job
@@ -379,8 +381,6 @@ type (
 	PolicySpec = spec.Policy
 	// RunSpec carries the serialized run parameters (nanoseconds).
 	RunSpec = spec.Run
-	// KnobsSpec carries the serialized A/B verification knobs.
-	KnobsSpec = spec.Knobs
 )
 
 // EncodeSpec serializes a runnable Config to its normalized spec:
