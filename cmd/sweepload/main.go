@@ -14,7 +14,9 @@
 // The job corpus comes either from a directory of spec JSON files
 // (-specs, sorted by name so the corpus order is stable) or from the
 // workload generator (-gen N synthesizes N workloads from -seed,
-// paired round-robin with the -policies list). Request i submits
+// paired round-robin with the -policies list: any policy name
+// sysscale -policy accepts, static-low included, in any letter case).
+// Request i submits
 // chunk i mod numChunks of the corpus (-batch specs per sweep; 0 =
 // whole corpus per sweep), so the request→spec mapping is
 // deterministic and responses can be verified offline.
@@ -57,7 +59,7 @@ func run() int {
 		specsDir = flag.String("specs", "", "directory of job spec JSON files (sorted by name)")
 		gen      = flag.Int("gen", 0, "synthesize N workloads instead of reading -specs")
 		seed     = flag.Uint64("seed", 1, "generator seed for -gen")
-		policies = flag.String("policies", "sysscale", "comma-separated policies for -gen: baseline, sysscale, memscale[-redist], coscale[-redist]")
+		policies = flag.String("policies", "sysscale", "comma-separated policies for -gen, in any letter case: "+cliutil.PolicyNames)
 		durMS    = flag.Int("duration", 200, "simulated milliseconds per generated job")
 		clients  = flag.Int("clients", 8, "concurrent clients")
 		sweeps   = flag.Int("sweeps", 0, "total sweep requests (0 = max(clients, chunks))")
@@ -151,7 +153,7 @@ func corpus(dir string, gen int, seed uint64, policyList string, durMS int) ([]s
 	}
 	var pols []sysscale.Policy
 	for _, name := range strings.Split(policyList, ",") {
-		p, err := policyByName(strings.TrimSpace(name))
+		p, err := cliutil.Policy(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
 		}
@@ -171,24 +173,6 @@ func corpus(dir string, gen int, seed uint64, policyList string, durMS int) ([]s
 		specs = append(specs, js)
 	}
 	return specs, nil
-}
-
-func policyByName(name string) (sysscale.Policy, error) {
-	switch name {
-	case "baseline":
-		return sysscale.NewBaseline(), nil
-	case "sysscale":
-		return sysscale.NewSysScale(), nil
-	case "memscale":
-		return sysscale.NewMemScale(false), nil
-	case "memscale-redist":
-		return sysscale.NewMemScale(true), nil
-	case "coscale":
-		return sysscale.NewCoScale(false), nil
-	case "coscale-redist":
-		return sysscale.NewCoScale(true), nil
-	}
-	return nil, fmt.Errorf("unknown policy %q", name)
 }
 
 // writeCanonical dumps collected stream lines in a run-independent

@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"sysscale"
@@ -53,7 +52,7 @@ func main() {
 		specFile = flag.String("spec", "", "load the full job from a job-spec JSON file")
 		wlName   = flag.String("workload", "473.astar", "workload name (-list to enumerate)")
 		wlFile   = flag.String("workload-file", "", "load the workload from a tracegen-style JSON file instead")
-		polName  = flag.String("policy", "sysscale", "baseline | sysscale | memscale | memscale-redist | coscale | coscale-redist | static-low")
+		polName  = flag.String("policy", "sysscale", cliutil.PolicyNames)
 		tdp      = flag.Float64("tdp", 4.5, "package TDP in watts")
 		duration = flag.Duration("duration", 4*time.Second, "simulated duration")
 		compare  = flag.Bool("compare", false, "also run the baseline and print deltas")
@@ -92,7 +91,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		pol, err := findPolicy(*polName)
+		pol, err := cliutil.Policy(*polName)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -224,25 +223,4 @@ func loadSpecFile(path string) (sysscale.Config, error) {
 		return sysscale.Config{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return cfg, nil
-}
-
-func findPolicy(name string) (sysscale.Policy, error) {
-	switch strings.ToLower(name) {
-	case "baseline":
-		return sysscale.NewBaseline(), nil
-	case "sysscale":
-		return sysscale.NewSysScale(), nil
-	case "memscale":
-		return sysscale.NewMemScale(false), nil
-	case "memscale-redist":
-		return sysscale.NewMemScale(true), nil
-	case "coscale":
-		return sysscale.NewCoScale(false), nil
-	case "coscale-redist":
-		return sysscale.NewCoScale(true), nil
-	case "static-low":
-		return sysscale.NewStaticPoint(1, true), nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
 }

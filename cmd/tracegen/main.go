@@ -34,6 +34,7 @@ import (
 	"flag"
 
 	"sysscale"
+	"sysscale/internal/cliutil"
 	"sysscale/internal/sim"
 	"sysscale/internal/workload"
 )
@@ -49,7 +50,7 @@ func main() {
 		genN      = flag.Int("gen", 0, "emit a replayable trace of N stochastically generated workloads")
 		phases    = flag.Int("phases", 0, "phases per generated workload (0 = default)")
 		asSpec    = flag.Bool("spec", false, "emit a runnable job spec instead of bare workload JSON")
-		polName   = flag.String("policy", "sysscale", "policy for -spec: baseline | sysscale | memscale[-redist] | coscale[-redist] | static-low")
+		polName   = flag.String("policy", "sysscale", "policy for -spec: "+cliutil.PolicyNames)
 		index     = flag.Int("index", 0, "trace workload the -gen -spec job runs")
 	)
 	flag.Parse()
@@ -147,7 +148,7 @@ func main() {
 // and the named policy, then lets the caller swap the workload
 // reference to a non-inline form before writing.
 func specFor(w sysscale.Workload, polName string) (sysscale.JobSpec, error) {
-	pol, err := findPolicy(polName)
+	pol, err := cliutil.Policy(polName)
 	if err != nil {
 		return sysscale.JobSpec{}, err
 	}
@@ -182,25 +183,4 @@ func emitTraceSpec(t sysscale.WorkloadTrace, index int, polName string) error {
 	}
 	job.Workload = sysscale.WorkloadSpec{Trace: &sysscale.TraceSpec{Index: index, Trace: t}}
 	return sysscale.WriteJobSpec(os.Stdout, job)
-}
-
-func findPolicy(name string) (sysscale.Policy, error) {
-	switch strings.ToLower(name) {
-	case "baseline":
-		return sysscale.NewBaseline(), nil
-	case "sysscale":
-		return sysscale.NewSysScale(), nil
-	case "memscale":
-		return sysscale.NewMemScale(false), nil
-	case "memscale-redist":
-		return sysscale.NewMemScale(true), nil
-	case "coscale":
-		return sysscale.NewCoScale(false), nil
-	case "coscale-redist":
-		return sysscale.NewCoScale(true), nil
-	case "static-low":
-		return sysscale.NewStaticPoint(1, true), nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
 }

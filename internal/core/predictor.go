@@ -74,9 +74,6 @@ func (p *Predictor) Predict(c perfcounters.Sample) float64 {
 	return y
 }
 
-// Model exposes the fitted coefficients (for reporting).
-func (p *Predictor) Model() stats.LinearModel { return p.model }
-
 // EvaluatePrediction scores the predictor on a labeled set, returning
 // the Pearson correlation between actual and predicted normalized
 // performance (the per-panel statistic of Fig. 6).

@@ -77,9 +77,12 @@ type Tier interface {
 
 // Version is the entry wire-format version. Any change to the header
 // layout or to soc.AppendResult's encoding must bump it; entries
-// carrying any other version read as misses and are pruned. Version 2
-// dropped the per-tick power trace from the result encoding.
-const Version = 2
+// carrying any other version read as misses and are pruned, as must a
+// change to what a stored result holds under an unchanged key. Version
+// 2 dropped the per-tick power trace from the result encoding; version
+// 3 books MemScale's and CoScale's off-ladder residency to the ladder
+// point with their DDR bin (see soc.Result.PointResidency).
+const Version = 3
 
 // magic brands every entry file ("SysScale Result Cache").
 const magic = "SSRC"

@@ -53,10 +53,6 @@ func (t Timing) Validate() error {
 	return nil
 }
 
-// TCK returns the device clock period in seconds at the set's frequency
-// (for a DDR interface the clock runs at half the transfer rate).
-func (t Timing) TCK() float64 { return 2.0 / float64(t.ForFreq) }
-
 // RandomAccessLatency returns the nominal closed-page access latency
 // (tRP + tRCD + tCL) in seconds when the set is used at transfer rate
 // f. Using a set trained for a different frequency keeps the *cycle*

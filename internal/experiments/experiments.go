@@ -148,26 +148,28 @@ func submit(ctx context.Context, cfgs []soc.Config) ([]soc.Result, error) {
 	return Engine().RunBatchContext(ctx, jobs)
 }
 
-// prewarmProbes batches the §6 scalability probe runs of a suite so the
-// per-row ProjectedPerfGainWith calls resolve from the engine cache.
-// Rows without a usable probe (no relevant clock) are skipped.
-func prewarmProbes(ctx context.Context, cfgs []soc.Config, bases []soc.Result, gfx bool) error {
+// scalabilities runs the §6 scalability probes of a suite as one
+// batch and returns each row's measured scalability (soc.Scalability);
+// a row whose base run exposes no relevant clock has no probe and
+// scores 0.
+func scalabilities(ctx context.Context, cfgs []soc.Config, bases []soc.Result, gfx bool) ([]float64, error) {
 	probes := make([]soc.Config, 0, len(cfgs))
+	rows := make([]int, 0, len(cfgs))
 	for i, cfg := range cfgs {
 		if probe, ok := soc.ScalabilityProbeConfig(cfg, bases[i], gfx); ok {
 			probes = append(probes, probe)
+			rows = append(rows, i)
 		}
 	}
-	_, err := submit(ctx, probes)
-	return err
-}
-
-// engineRun returns a soc.RunFunc routing through the shared engine
-// under ctx, for the §6 projection probes.
-func engineRun(ctx context.Context) soc.RunFunc {
-	return func(cfg soc.Config) (soc.Result, error) {
-		return Engine().RunContext(ctx, cfg)
+	rs, err := submit(ctx, probes)
+	if err != nil {
+		return nil, err
 	}
+	scal := make([]float64, len(cfgs))
+	for k, i := range rows {
+		scal[i] = soc.Scalability(bases[i], rs[k])
+	}
+	return scal, nil
 }
 
 // pct formats a fraction as a signed percentage.

@@ -42,7 +42,8 @@ type Fig7Result struct {
 // Fig7 runs the full SPEC CPU2006 suite: the four closed-loop policies
 // of every benchmark as one sweep, then the §6 scalability probes as a
 // second batch (they depend on the baseline results), then the
-// projections — whose probe runs resolve from the engine cache.
+// projections, which are arithmetic over each baseline and its
+// measured scalability.
 func Fig7(ctx context.Context) (Fig7Result, error) {
 	var res Fig7Result
 	high, low := vf.HighPoint(), vf.LowPoint()
@@ -62,11 +63,11 @@ func Fig7(ctx context.Context) (Fig7Result, error) {
 	for i, w := range ws {
 		baseCfgs[i] = configFor(w, policy.NewBaseline(), nil)
 	}
-	if err := prewarmProbes(ctx, baseCfgs, m.Col(0), false); err != nil {
+	scal, err := scalabilities(ctx, baseCfgs, m.Col(0), false)
+	if err != nil {
 		return res, err
 	}
 
-	run := engineRun(ctx)
 	for i, w := range ws {
 		base, sys, simMem, simCo := m.Result(i, 0), m.Result(i, 1), m.Result(i, 2), m.Result(i, 3)
 		row := Fig7Row{
@@ -78,12 +79,12 @@ func Fig7(ctx context.Context) (Fig7Result, error) {
 		}
 
 		memSave := soc.MemScaleProjectedSavings(base, high, low)
-		row.MemScaleR, err = soc.ProjectedPerfGainWith(run, baseCfgs[i], base, memSave, false)
+		row.MemScaleR, err = soc.ProjectedPerfGain(base, scal[i], memSave, false)
 		if err != nil {
 			return res, err
 		}
 		coSave := soc.CoScaleProjectedSavings(base, high, low)
-		row.CoScaleR, err = soc.ProjectedPerfGainWith(run, baseCfgs[i], base, coSave, false)
+		row.CoScaleR, err = soc.ProjectedPerfGain(base, scal[i], coSave, false)
 		if err != nil {
 			return res, err
 		}

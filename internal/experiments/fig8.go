@@ -28,7 +28,8 @@ type Fig8Row struct {
 type Fig8Result struct{ Rows []Fig8Row }
 
 // Fig8 runs the three 3DMark workloads as one sweep, then the graphics
-// scalability probes, then the projections (probe runs cached).
+// scalability probes as a second batch, then the projections over each
+// baseline and its measured scalability.
 func Fig8(ctx context.Context) (Fig8Result, error) {
 	var res Fig8Result
 	high, low := vf.HighPoint(), vf.LowPoint()
@@ -45,11 +46,11 @@ func Fig8(ctx context.Context) (Fig8Result, error) {
 	for i, w := range ws {
 		baseCfgs[i] = configFor(w, policy.NewBaseline(), nil)
 	}
-	if err := prewarmProbes(ctx, baseCfgs, base, true); err != nil {
+	scal, err := scalabilities(ctx, baseCfgs, base, true)
+	if err != nil {
 		return res, err
 	}
 
-	run := engineRun(ctx)
 	perf := rs.PerfImprovement(0)
 	for i, w := range ws {
 		row := Fig8Row{Name: w.Name, SysScale: perf.Values[1][i]}
@@ -57,7 +58,7 @@ func Fig8(ctx context.Context) (Fig8Result, error) {
 			row.AvgGfxBoost = float64(sys[i].AvgGfxFreq)/float64(base[i].AvgGfxFreq) - 1
 		}
 		memSave := soc.MemScaleProjectedSavings(base[i], high, low)
-		row.MemScaleR, err = soc.ProjectedPerfGainWith(run, baseCfgs[i], base[i], memSave, true)
+		row.MemScaleR, err = soc.ProjectedPerfGain(base[i], scal[i], memSave, true)
 		if err != nil {
 			return res, err
 		}

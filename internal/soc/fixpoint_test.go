@@ -186,7 +186,7 @@ func TestEvalTickMatchesReference(t *testing.T) {
 // components' rolling epochs.
 func checkEvalTick(t *testing.T, p *Platform, idx int, ph *workload.Phase, label string) {
 	t.Helper()
-	refLat := p.refLatOf(idx, ph)
+	refLat := p.refLatOf(ph)
 	want := p.evalTickReference(*ph, refLat)
 	wantMC, wantFab, wantLLC := p.mc.LastEpoch(), p.fabric.LastEpoch(), p.llc.LastEpoch()
 

@@ -139,6 +139,42 @@ func TestTickMemoInvalidation(t *testing.T) {
 	}
 }
 
+// TestTransitionLadderIndex checks the ladder index a transition books
+// residency to: a point's lowest index on the ladder, and for a point
+// off the ladder the first point with its DDR bin, else 0.
+func TestTransitionLadderIndex(t *testing.T) {
+	high, low, lowest := vf.HighPoint(), vf.LowPoint(), vf.LowestPoint()
+	memLow := high
+	memLow.Name, memLow.DDR, memLow.MC = "mem-low", low.DDR, low.MC
+	for _, row := range []struct {
+		name   string
+		ladder []vf.OperatingPoint
+		target vf.OperatingPoint
+		want   int
+	}{
+		{"on the ladder", vf.TwoPointLadder(), low, 1},
+		{"duplicated point", []vf.OperatingPoint{high, low, low}, low, 1},
+		{"off the ladder, DDR bin on it", []vf.OperatingPoint{high, lowest, low}, memLow, 2},
+		{"off the ladder, DDR bin not on it", []vf.OperatingPoint{high, lowest}, memLow, 0},
+	} {
+		p := memoTestPlatform(t)
+		cfg := p.cfg
+		cfg.Ladder = row.ladder
+		if err := p.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.maybeTransition(0, PolicyDecision{Target: row.target, OptimizedMRC: true}); err != nil {
+			t.Fatal(err)
+		}
+		if p.current != row.target {
+			t.Fatalf("%s: platform at %s after a transition to %s", row.name, p.current.Name, row.target.Name)
+		}
+		if p.currentIdx != row.want {
+			t.Fatalf("%s: currentIdx = %d, want %d", row.name, p.currentIdx, row.want)
+		}
+	}
+}
+
 // TestTickMemoRunSkipsSteadyTicks runs the full loop and checks the
 // fast path actually engages: a steady-state run resolves the fixpoint
 // orders of magnitude fewer times than it ticks, while the memo-off

@@ -11,25 +11,12 @@ import (
 	"sysscale/internal/vf"
 )
 
-// fillLadderIndex rebuilds the OperatingPoint→index map from the
-// configured ladder. The fill runs highest index first so that, should
-// a ladder list the same point twice, the lowest index wins — matching
-// the semantics of the linear scan the map replaces.
-func (p *Platform) fillLadderIndex() {
-	clear(p.ladderIdx)
-	for i := len(p.cfg.Ladder) - 1; i >= 0; i-- {
-		p.ladderIdx[p.cfg.Ladder[i]] = i
-	}
-}
-
 // Reset reprograms an assembled platform for a new run of cfg without
-// reallocating its components. Every piece of mutable state — clocks,
-// rail voltages, DRAM timing image and self-refresh statistics,
-// controller/fabric/LLC rolling epochs, compute P-states, counters,
-// meters, budget, flow statistics, the worst-case reservation table,
-// the reference-latency cache, and the tick memo — is restored to
-// exactly what newPlatform(cfg) would build, so a recycled platform
-// produces bit-identical Results.
+// reallocating its components. After validating cfg and checking that
+// the platform's structure can absorb it, Reset runs program, the same
+// routine that ends newPlatform, so a recycled platform is restored to
+// exactly what newPlatform(cfg) would build and produces bit-identical
+// Results by construction.
 //
 // Structural changes a reset cannot absorb (a different DRAM
 // technology, which needs retrained MRC images, or event recording,
@@ -46,6 +33,18 @@ func (p *Platform) Reset(cfg Config) error {
 	if cfg.DRAMKind != p.cfg.DRAMKind || cfg.recordEvents || p.log != nil {
 		return fmt.Errorf("soc: platform cannot be recycled for this configuration")
 	}
+	return p.program(cfg)
+}
+
+// program puts every piece of mutable state at cfg's boot point
+// (ladder[0]) with the trained MRC image and worst-case reservations:
+// clock, rail voltages, DRAM timing image and self-refresh statistics,
+// controller/fabric/LLC operating points and rolling epochs, IO
+// configuration, compute P-states, counters, meters, the reservation
+// table, budget, flow statistics and options, the reference-latency
+// terms, and the tick and PBM memos. It is the only code that programs
+// the boot point; newPlatform and Reset both end in it.
+func (p *Platform) program(cfg Config) error {
 	boot := cfg.Ladder[0]
 	p.cfg = cfg
 
@@ -76,6 +75,7 @@ func (p *Platform) Reset(cfg Config) error {
 	p.counters.Reset()
 	p.meters.Reset()
 
+	// Budget: boot reservations are the worst case at the boot point.
 	p.fillWorstCase()
 	io, mem := p.clampReservations(p.worst[0].io, p.worst[0].mem)
 	if err := p.budget.Reset(cfg.TDP, io, mem, uncoreBudget); err != nil {
@@ -83,18 +83,10 @@ func (p *Platform) Reset(cfg Config) error {
 	}
 	p.flow.ResetStats()
 	p.flow.Reconfigure(pmu.DefaultFlowOptions(boot.DDR))
-
-	if err := p.refMC.Device().Reset(boot.DDR); err != nil {
-		return err
-	}
-	if err := p.refMC.SetOperatingPoint(boot.MC, boot.VSA); err != nil {
-		return err
-	}
-	p.refMC.RestoreEpoch(memctrl.Epoch{})
+	p.refT = p.mc.Terms()
 
 	p.current = boot
 	p.currentIdx = 0
-	p.fillLadderIndex()
 	p.bonus = 0
 	p.tickProg = tickProg{}
 	p.memoReady = false

@@ -105,23 +105,12 @@ func dramActiveShare(base Result) float64 {
 // the savings into a compute-budget increase, the budget into a
 // frequency increase (through the same V/F machinery the PBM uses),
 // and the frequency increase into performance using the workload's
-// measured scalability.
+// measured scalability scal (see Scalability).
 //
 // gfx selects the graphics projection (Fig. 8) instead of the CPU one.
-func ProjectedPerfGain(cfg Config, base Result, savings power.Watt, gfx bool) (float64, error) {
-	return ProjectedPerfGainWith(Run, cfg, base, savings, gfx)
-}
-
-// ProjectedPerfGainWith is ProjectedPerfGain with the scalability probe
-// executed through run, letting batch callers reuse an engine's
-// memoized probe result.
-func ProjectedPerfGainWith(run RunFunc, cfg Config, base Result, savings power.Watt, gfx bool) (float64, error) {
+func ProjectedPerfGain(base Result, scal float64, savings power.Watt, gfx bool) (float64, error) {
 	if savings <= 0 {
 		return 0, nil
-	}
-	scal, err := MeasureScalabilityWith(run, cfg, base, gfx)
-	if err != nil {
-		return 0, err
 	}
 	if gfx {
 		g, err := compute.NewGfx(compute.DefaultGfxParams())
@@ -152,22 +141,13 @@ func ProjectedPerfGainWith(run RunFunc, cfg Config, base Result, savings power.W
 	return scal * (f1/f0 - 1), nil
 }
 
-// MeasureScalability measures the workload's performance scalability
-// with compute frequency (footnote 8): rerun the baseline with the
-// relevant clock raised 10% and take the relative score change per
-// relative frequency change.
-func MeasureScalability(cfg Config, base Result, gfx bool) (float64, error) {
-	return MeasureScalabilityWith(Run, cfg, base, gfx)
-}
-
 // scalabilityBump is the relative clock raise of the probe run.
 const scalabilityBump = 1.10
 
-// ScalabilityProbeConfig returns the probe configuration the
-// scalability measurement executes. ok is false when the base run
-// exposes no relevant clock (the scalability is then defined as 0).
-// Batch callers pre-run the probes of a whole suite through the engine
-// so the subsequent MeasureScalabilityWith calls hit its cache.
+// ScalabilityProbeConfig returns the configuration of the scalability
+// probe (footnote 8): the baseline rerun with the relevant clock
+// raised 10%. ok is false when the base run exposes no relevant clock;
+// the scalability is then defined as 0.
 func ScalabilityProbeConfig(cfg Config, base Result, gfx bool) (probe Config, ok bool) {
 	probe = cfg
 	if gfx {
@@ -185,29 +165,22 @@ func ScalabilityProbeConfig(cfg Config, base Result, gfx bool) (probe Config, ok
 	return probe, true
 }
 
-// MeasureScalabilityWith is MeasureScalability with the probe executed
-// through run.
-func MeasureScalabilityWith(run RunFunc, cfg Config, base Result, gfx bool) (float64, error) {
-	const bump = scalabilityBump
-	probe, ok := ScalabilityProbeConfig(cfg, base, gfx)
-	if !ok {
-		return 0, nil
-	}
-	r, err := run(probe)
-	if err != nil {
-		return 0, err
-	}
+// Scalability is the workload's performance scalability with compute
+// frequency (footnote 8): the relative score change of the probe run
+// (see ScalabilityProbeConfig) per relative frequency change, clamped
+// to [0, 1].
+func Scalability(base, probe Result) float64 {
 	if base.Score <= 0 {
-		return 0, nil
+		return 0
 	}
-	scal := (r.Score/base.Score - 1) / (bump - 1)
+	scal := (probe.Score/base.Score - 1) / (scalabilityBump - 1)
 	if scal < 0 {
 		scal = 0
 	}
 	if scal > 1 {
 		scal = 1
 	}
-	return scal, nil
+	return scal
 }
 
 // ProjectedPowerReduction is the battery-life analogue (Fig. 9): the

@@ -46,7 +46,9 @@ type Result struct {
 	TransitionTime sim.Time
 	MaxTransition  sim.Time
 	// PointResidency[i] is the fraction of run time spent at
-	// ladder point i.
+	// ladder point i. Time at a point off the ladder (MemScale's and
+	// CoScale's derived targets) is booked to the first ladder point
+	// with the same DDR bin, or to point 0 when none has it.
 	PointResidency []float64
 
 	// Compute telemetry.
@@ -91,10 +93,6 @@ func (r Result) Check(tol float64) error {
 	}
 	return errors.Join(errs...)
 }
-
-// EDPOf computes energy×delay for a given amount of work at this run's
-// rates; used for cross-run comparisons.
-func (r Result) EDPOf() float64 { return r.EDP }
 
 // Summary renders a one-line digest.
 func (r Result) Summary() string {

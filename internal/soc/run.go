@@ -3,6 +3,7 @@ package soc
 import (
 	"context"
 	"math"
+	"slices"
 
 	"sysscale/internal/cache"
 	"sysscale/internal/compute"
@@ -37,12 +38,6 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	}
 	return p.run(ctx)
 }
-
-// RunFunc is the signature of Run. Call sites that execute auxiliary
-// simulations (the §6 scalability probes) accept a RunFunc so callers
-// can route those runs through a caching engine instead of the bare
-// simulator.
-type RunFunc func(Config) (Result, error)
 
 // tickEval is the resolved state of one simulation tick, and the tick
 // memo's per-phase slot. The fields up to c2BW are the fixpoint
@@ -421,8 +416,28 @@ func (p *Platform) maybeTransition(now sim.Time, dec PolicyDecision) (sim.Time, 
 		return 0, err
 	}
 	p.current = dec.Target
-	p.currentIdx = p.ladderIdx[p.current]
+	p.currentIdx = p.ladderIndex(p.current)
 	return stall, nil
+}
+
+// ladderIndex returns the ladder index residency is booked to while
+// the platform sits at op: op's own (lowest) index when it is on the
+// ladder, otherwise the first point with the same DDR bin, otherwise
+// 0. MemScale and CoScale target derived points off the ladder (their
+// low DDR bin with the top point's interconnect clock and voltages),
+// which the DDR bin books to the ladder point they stand in for.
+// Ladders hold two to four points and this runs once per transition,
+// so it scans rather than keeping an index.
+func (p *Platform) ladderIndex(op vf.OperatingPoint) int {
+	if i := slices.Index(p.cfg.Ladder, op); i >= 0 {
+		return i
+	}
+	for i, l := range p.cfg.Ladder {
+		if l.DDR == op.DDR {
+			return i
+		}
+	}
+	return 0
 }
 
 // pbmMemo caches the last applyPBM outcome. PBM.Apply is a pure
@@ -576,21 +591,16 @@ func (p *Platform) refreshTickMemo() {
 	p.tickProg = prog
 	if !p.memoReady {
 		n := len(p.cfg.Workload.Phases)
-		if cap(p.tickMemo) >= n && cap(p.tickValid) >= n && cap(p.refLats) >= n {
+		if cap(p.tickMemo) >= n && cap(p.tickValid) >= n {
 			// Pooled platform: recycle the per-phase backing arrays.
 			p.tickMemo = p.tickMemo[:n]
 			p.tickValid = p.tickValid[:n]
-			p.refLats = p.refLats[:n]
 			for i := range p.tickValid {
 				p.tickValid[i] = false
 			}
 		} else {
 			p.tickMemo = make([]tickEval, n)
 			p.tickValid = make([]bool, n)
-			p.refLats = make([]float64, n)
-		}
-		for i := range p.refLats {
-			p.refLats[i] = math.NaN()
 		}
 		p.memoReady = true
 		return
@@ -620,25 +630,18 @@ func (p *Platform) tickEvalFor(idx int, ph *workload.Phase) *tickEval {
 		return ev
 	}
 	p.evalCalls++
-	p.evalTick(ev, ph, p.refLatOf(idx, ph))
+	p.evalTick(ev, ph, p.refLatOf(ph))
 	if !p.cfg.noTickMemo {
 		p.tickValid[idx] = true
 	}
 	return ev
 }
 
-// refLatOf returns phase idx's reference loaded latency (computed once
-// at the boot/high point and kept for the whole run). An unset slot
-// holds NaN; a latency that genuinely resolves to NaN is recomputed on
-// every call, to the same value, so the sentinel cannot change a
-// result.
-func (p *Platform) refLatOf(idx int, ph *workload.Phase) float64 {
-	if l := p.refLats[idx]; !math.IsNaN(l) {
-		return l
-	}
-	ep := p.refMC.Evaluate(p.ioeng.StaticBandwidth() + ph.MemBW)
-	p.refLats[idx] = ep.Latency
-	return ep.Latency
+// refLatOf returns ph's reference loaded latency: the latency of the
+// phase's unloaded-point demand under the boot-point terms program
+// stored.
+func (p *Platform) refLatOf(ph *workload.Phase) float64 {
+	return p.refT.Latency(p.ioeng.StaticBandwidth() + ph.MemBW)
 }
 
 // evalTick resolves the tick's progress-rate fixpoint and component

@@ -197,7 +197,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Platform is one assembled SoC instance.
+// Platform is one assembled SoC instance. Assembly (newPlatform) and
+// recycling (Reset) share one programming routine, program, which
+// puts every component at the configuration's boot point.
 type Platform struct {
 	cfg Config
 
@@ -220,33 +222,29 @@ type Platform struct {
 	log      *sim.EventLog
 	dramPow  dram.PowerParams
 
-	// reference memory model for phase-relative latency.
-	refMC *memctrl.Controller
+	// refT is the memory controller's Terms at the boot point with the
+	// trained timing, taken at the end of programming: each phase's
+	// reference latency is its unloaded-point latency under them.
+	refT memctrl.Terms
 
 	current vf.OperatingPoint
 	// currentIdx caches the ladder index of current, so the hot loop's
-	// residency accounting does not rescan the ladder every tick;
-	// ladderIdx is the precomputed OperatingPoint→index map that backs
-	// it (transitions look the new point up in O(1) instead of scanning
-	// the ladder).
+	// residency accounting does not rescan the ladder every tick
+	// (maybeTransition updates it; see ladderIndex).
 	currentIdx int
-	ladderIdx  map[vf.OperatingPoint]int
 	bonus      power.Watt
 
 	// Steady-state tick memo (run.go): one tickEval slot per phase —
 	// the resolved fixpoint plus its stall-free span image — valid
 	// while tickProg, the programmable state feeding evalTick,
-	// sampleFor and tickPower, is unchanged. refLats holds each phase's
-	// reference loaded latency (computed at the boot/high point,
-	// constant for the whole run; NaN until first needed). memoReady
-	// marks the per-phase slices as sized for the current workload
-	// (pooled platforms recycle their backing arrays across runs).
-	// evalCalls counts full fixpoint evaluations, spans integrated
-	// spans, and imageSpans the spans served from a slot's span image.
+	// sampleFor and tickPower, is unchanged. memoReady marks the
+	// per-phase slices as sized for the current workload (pooled
+	// platforms recycle their backing arrays across runs). evalCalls
+	// counts full fixpoint evaluations, spans integrated spans, and
+	// imageSpans the spans served from a slot's span image.
 	tickProg   tickProg
 	tickMemo   []tickEval
 	tickValid  []bool
-	refLats    []float64
 	memoReady  bool
 	evalCalls  int
 	spans      int
@@ -258,11 +256,10 @@ type Platform struct {
 	pbmMemo pbmMemo
 
 	// worst is the PBM reservation table: the worst-case IO and memory
-	// budgets of every ladder point, in ladder order, filled at
-	// assembly and on Reset (budgets.go). worstIOFn/worstMemFn serve it
-	// as method values, bound once at assembly so the policy-epoch
-	// context carries them without allocating two closures per
-	// decision.
+	// budgets of every ladder point, in ladder order, filled by program
+	// (budgets.go). worstIOFn/worstMemFn serve it as method values,
+	// bound once at assembly so the policy-epoch context carries them
+	// without allocating two closures per decision.
 	worst      []worstCase
 	worstIOFn  func(vf.OperatingPoint) power.Watt
 	worstMemFn func(vf.OperatingPoint) power.Watt
@@ -272,19 +269,20 @@ type Platform struct {
 // need the budget tables or component models (the experiment harness).
 func NewPlatform(cfg Config) (*Platform, error) { return newPlatform(cfg) }
 
-// newPlatform assembles the SoC at the boot operating point (ladder[0])
-// with the MRC trained for every bin.
+// newPlatform builds the components for cfg — the DRAM technology,
+// its trained MRC images, the event log when cfg records events, and
+// whatever a constructor needs as an argument — and then programs
+// them to the boot point (ladder[0]) through program, exactly as
+// Reset does.
 func newPlatform(cfg Config) (*Platform, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	boot := cfg.Ladder[0]
 
-	p := &Platform{cfg: cfg, current: boot}
+	p := &Platform{}
 	p.worstIOFn = p.worstIO
 	p.worstMemFn = p.worstMem
-	p.ladderIdx = make(map[vf.OperatingPoint]int, len(cfg.Ladder))
-	p.fillLadderIndex()
 	p.clock = sim.NewClock(cfg.SampleInterval)
 	p.rails = vf.DefaultRails()
 	if cfg.recordEvents {
@@ -304,9 +302,6 @@ func newPlatform(cfg Config) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.mc.SetOperatingPoint(boot.MC, boot.VSA); err != nil {
-		return nil, err
-	}
 	p.llc, err = cache.New(cache.DefaultParams())
 	if err != nil {
 		return nil, err
@@ -316,7 +311,6 @@ func newPlatform(cfg Config) (*Platform, error) {
 		return nil, err
 	}
 	p.ioeng = ioengine.NewEngines()
-	p.ioeng.Configure(cfg.CSR)
 	p.cores, err = compute.NewCores(compute.DefaultCoreParams())
 	if err != nil {
 		return nil, err
@@ -329,43 +323,16 @@ func newPlatform(cfg Config) (*Platform, error) {
 	p.counters = perfcounters.New()
 	p.meters = power.NewMeterBank()
 	p.dramPow = dram.DefaultPowerParams()
-	p.fillWorstCase()
-
-	// Program rails to the boot point.
-	if _, err := p.rails.Get(vf.RailVSA).Set(boot.VSA); err != nil {
-		return nil, err
-	}
-	if _, err := p.rails.Get(vf.RailVIO).Set(boot.VIO); err != nil {
-		return nil, err
-	}
-
-	// Budget: boot reservations are the worst case at the boot point.
-	io, mem := p.clampReservations(p.worst[0].io, p.worst[0].mem)
-	p.budget, err = power.NewBudget(cfg.TDP, io, mem, uncoreBudget)
-	if err != nil {
-		return nil, err
-	}
+	p.budget = new(power.Budget)
 	p.pbm, err = pmu.NewPBM(p.budget, p.cores, p.gfx)
 	if err != nil {
 		return nil, err
 	}
-	p.flow, err = pmu.NewFlow(p.rails, p.fabric, p.mc, p.dev, p.store, p.log, pmu.DefaultFlowOptions(boot.DDR))
+	p.flow, err = pmu.NewFlow(p.rails, p.fabric, p.mc, p.dev, p.store, p.log, pmu.FlowOptions{})
 	if err != nil {
 		return nil, err
 	}
-
-	// Reference memory model: a scratch controller pinned at the
-	// highest point with trained timing, used to define each phase's
-	// reference latency.
-	refDev, err := dram.NewDevice(cfg.DRAMKind, dram.DefaultGeometry(), boot.DDR)
-	if err != nil {
-		return nil, err
-	}
-	p.refMC, err = memctrl.New(memctrl.DefaultParams(), refDev)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.refMC.SetOperatingPoint(boot.MC, boot.VSA); err != nil {
+	if err := p.program(cfg); err != nil {
 		return nil, err
 	}
 	return p, nil

@@ -8,6 +8,7 @@ import (
 
 	"sysscale/internal/dram"
 	"sysscale/internal/ioengine"
+	"sysscale/internal/memctrl"
 	"sysscale/internal/perfcounters"
 	"sysscale/internal/power"
 	"sysscale/internal/sim"
@@ -377,6 +378,75 @@ func TestWorstCaseTableMatchesFormula(t *testing.T) {
 	}
 }
 
+// TestRefLatencyMatchesReferenceController checks each phase's
+// reference latency against an independent reference memory system: a
+// boot-point DRAM device and controller built fresh, evaluated at the
+// phase's unloaded-point demand. It covers every phase of the shipped
+// suites on LPDDR3 and DDR4, on a fresh platform and after a run and a
+// Reset onto a ladder with a different boot point and a different CSR.
+func TestRefLatencyMatchesReferenceController(t *testing.T) {
+	var phases []workload.Phase
+	for _, suite := range [][]workload.Workload{workload.SPECSuite(), workload.SPECSuiteMT(),
+		workload.GraphicsSuite(), workload.BatterySuite(), workload.ProductivitySuite()} {
+		for _, w := range suite {
+			phases = append(phases, w.Phases...)
+		}
+	}
+	check := func(p *Platform, step string) {
+		t.Helper()
+		boot := p.cfg.Ladder[0]
+		dev, err := dram.NewDevice(p.cfg.DRAMKind, dram.DefaultGeometry(), boot.DDR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc, err := memctrl.New(memctrl.DefaultParams(), dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mc.SetOperatingPoint(boot.MC, boot.VSA); err != nil {
+			t.Fatal(err)
+		}
+		static := p.ioeng.StaticBandwidth()
+		for i := range phases {
+			ph := &phases[i]
+			want := mc.Evaluate(static + ph.MemBW).Latency
+			if got := p.refLatOf(ph); got != want {
+				t.Fatalf("%s: phase %d reference latency %g, reference controller %g", step, i, got, want)
+			}
+		}
+	}
+	camera := ioengine.SingleHDLaptop()
+	camera.Camera = ioengine.Camera4K
+
+	for _, pl := range []struct {
+		kind          dram.Kind
+		ladder, reset []vf.OperatingPoint
+	}{
+		{dram.LPDDR3, vf.TwoPointLadder(), []vf.OperatingPoint{vf.LowPoint(), vf.LowestPoint()}},
+		{dram.DDR4, []vf.OperatingPoint{vf.DDR4HighPoint(), vf.DDR4LowPoint()}, []vf.OperatingPoint{vf.DDR4LowPoint()}},
+	} {
+		cfg := testConfig(t, "470.lbm")
+		cfg.DRAMKind = pl.kind
+		cfg.Ladder = pl.ladder
+		cfg.Policy = &alternatingPolicy{}
+		cfg.Duration = 300 * sim.Millisecond
+		p, err := newPlatform(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(p, pl.kind.String()+", fresh")
+		if _, err := p.run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Ladder = pl.reset
+		cfg.CSR = camera
+		if err := p.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		check(p, pl.kind.String()+", reset after a run")
+	}
+}
+
 func TestReservationClamp(t *testing.T) {
 	cfg := testConfig(t, "416.gamess")
 	cfg.TDP = 3.5
@@ -464,32 +534,36 @@ func TestProjectionSanity(t *testing.T) {
 	if co < mem {
 		t.Fatal("CoScale projection below MemScale")
 	}
-	gain, err := ProjectedPerfGain(cfg, base, mem, false)
+	scal := measureScalability(t, cfg, base)
+	gain, err := ProjectedPerfGain(base, scal, mem, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gain <= 0 || gain > 0.10 {
 		t.Fatalf("projected gain %v implausible", gain)
 	}
-	if g, _ := ProjectedPerfGain(cfg, base, 0, false); g != 0 {
+	if g, _ := ProjectedPerfGain(base, scal, 0, false); g != 0 {
 		t.Fatal("zero savings projected nonzero gain")
 	}
+}
+
+// measureScalability runs cfg's CPU scalability probe and returns the
+// scalability it measures against base.
+func measureScalability(t *testing.T, cfg Config, base Result) float64 {
+	t.Helper()
+	probe, ok := ScalabilityProbeConfig(cfg, base, false)
+	if !ok {
+		t.Fatalf("%s: no scalability probe", cfg.Workload.Name)
+	}
+	return Scalability(base, mustRun(t, probe))
 }
 
 func TestMeasureScalability(t *testing.T) {
 	// gamess is nearly fully scalable; lbm nearly flat.
 	cfgG := testConfig(t, "416.gamess")
-	baseG := mustRun(t, cfgG)
-	scalG, err := MeasureScalability(cfgG, baseG, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scalG := measureScalability(t, cfgG, mustRun(t, cfgG))
 	cfgL := testConfig(t, "470.lbm")
-	baseL := mustRun(t, cfgL)
-	scalL, err := MeasureScalability(cfgL, baseL, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scalL := measureScalability(t, cfgL, mustRun(t, cfgL))
 	if scalG < 0.7 {
 		t.Fatalf("gamess scalability %v, want high", scalG)
 	}

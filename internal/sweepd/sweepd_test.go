@@ -661,69 +661,163 @@ func retiredSwitchBodies(tb testing.TB) [][]byte {
 	return bodies
 }
 
-// FuzzJobBody posts arbitrary bodies to /v1/jobs. Whatever the bytes,
-// the server must not panic, must answer with a documented status
-// (200, 400, 413, 503 or 504), and must give every non-200 answer a
-// typed ErrorInfo body with a documented code. Bodies that decode to
-// runs longer than a million ticks are skipped: they exercise the
-// simulator's speed, not the wire, and the job timeout bounds the rest.
-func FuzzJobBody(f *testing.F) {
-	const maxBody = 16 << 10
+// fuzzMaxBody is the request-body bound of the wire fuzzers' server.
+const fuzzMaxBody = 16 << 10
+
+// fuzzSeeds returns the wire fuzzers' seed documents: every example and
+// v1/v2 fixture spec, the retired-switch bodies, and a few malformed
+// shapes, one over the body bound.
+func fuzzSeeds(f *testing.F) [][]byte {
 	seeds, _ := filepath.Glob("../../examples/specs/*.json")
 	old, _ := filepath.Glob("../spec/testdata/v[12]/*.json")
+	var docs [][]byte
 	for _, p := range append(seeds, old...) {
 		b, err := os.ReadFile(p)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(b)
+		docs = append(docs, b)
 	}
-	for _, b := range retiredSwitchBodies(f) {
-		f.Add(b)
-	}
-	f.Add([]byte(`{"version":3}`))
-	f.Add([]byte(`[]`))
-	f.Add(append([]byte(`{"version":3`), bytes.Repeat([]byte(" "), maxBody)...))
+	docs = append(docs, retiredSwitchBodies(f)...)
+	return append(docs,
+		[]byte(`{"version":3}`),
+		[]byte(`[]`),
+		append([]byte(`{"version":3`), bytes.Repeat([]byte(" "), fuzzMaxBody)...))
+}
 
+// fuzzServer starts the server the wire fuzzers post to: one worker, a
+// 2 s job timeout and a fuzzMaxBody body bound.
+func fuzzServer(f *testing.F) *httptest.Server {
 	s := sweepd.New(sweepd.Config{
 		Engine:       engine.New(engine.WithParallelism(1), engine.WithJobTimeout(2*time.Second)),
-		MaxBodyBytes: maxBody,
+		MaxBodyBytes: fuzzMaxBody,
 	})
 	ts := httptest.NewServer(s)
 	f.Cleanup(ts.Close)
-	statuses := map[int]bool{
+	return ts
+}
+
+// wireStatuses are the documented HTTP statuses of /v1/jobs and
+// /v1/sweeps; wireCodes are the documented ErrorInfo codes.
+var (
+	wireStatuses = map[int]bool{
 		http.StatusOK: true, http.StatusBadRequest: true, http.StatusRequestEntityTooLarge: true,
 		http.StatusServiceUnavailable: true, http.StatusGatewayTimeout: true,
 	}
-	codes := map[string]bool{
+	wireCodes = map[string]bool{
 		"invalid_spec": true, "invalid_config": true, "timeout": true, "panic": true,
 		"canceled": true, "too_large": true, "overloaded": true, "not_found": true, "error": true,
 	}
+)
+
+// fuzzPost posts body to path and fails on an undocumented status or,
+// for any status but 200, on a body that is not a typed ErrorInfo with
+// a documented code. It returns the 200 response, or nil.
+func fuzzPost(t *testing.T, url string, body []byte) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !wireStatuses[resp.StatusCode] {
+		resp.Body.Close()
+		t.Fatalf("undocumented status %d", resp.StatusCode)
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp
+	}
+	defer resp.Body.Close()
+	var er struct {
+		Error sweepd.ErrorInfo `json:"error"`
+	}
+	dec := json.NewDecoder(resp.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&er); err != nil || !wireCodes[er.Error.Code] {
+		t.Fatalf("status %d: untyped error body (code %q, err %v)", resp.StatusCode, er.Error.Code, err)
+	}
+	return nil
+}
+
+// maxFuzzTicks bounds the simulated ticks of a fuzzed request: longer
+// runs exercise the simulator's speed, not the wire, and the job
+// timeout bounds the rest.
+const maxFuzzTicks = 1_000_000
+
+// FuzzJobBody posts arbitrary bodies to /v1/jobs. Whatever the bytes,
+// the server must not panic, must answer with a documented status
+// (200, 400, 413, 503 or 504), and must give every non-200 answer a
+// typed ErrorInfo body with a documented code. Bodies that decode to
+// runs longer than maxFuzzTicks are skipped.
+func FuzzJobBody(f *testing.F) {
+	for _, b := range fuzzSeeds(f) {
+		f.Add(b)
+	}
+	ts := fuzzServer(f)
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if js, err := spec.ReadJob(bytes.NewReader(body)); err == nil {
-			if cfg, err := spec.Decode(js); err == nil && cfg.Duration/cfg.SampleInterval > 1_000_000 {
-				t.Skip("run longer than a million ticks")
+			if cfg, err := spec.Decode(js); err == nil && cfg.Duration/cfg.SampleInterval > maxFuzzTicks {
+				t.Skip("run longer than maxFuzzTicks")
 			}
 		}
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		if resp := fuzzPost(t, ts.URL+"/v1/jobs", body); resp != nil {
+			resp.Body.Close()
 		}
-		defer resp.Body.Close()
-		if !statuses[resp.StatusCode] {
-			t.Fatalf("undocumented status %d", resp.StatusCode)
+	})
+}
+
+// FuzzSweepBody posts arbitrary bodies to /v1/sweeps, on the server and
+// seeds of FuzzJobBody (each seed also wrapped in an array, the sweep
+// form). The server must not panic and must answer with a documented
+// status; a non-200 answer must carry a typed ErrorInfo, and a 200
+// stream must end in a Done line, with every earlier line holding
+// either a result or a typed ErrorInfo and the Done counts matching
+// them. Sweeps simulating more than maxFuzzTicks in all are skipped.
+func FuzzSweepBody(f *testing.F) {
+	for _, b := range fuzzSeeds(f) {
+		f.Add(b)
+		f.Add(append(append([]byte("["), b...), ']'))
+	}
+	ts := fuzzServer(f)
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if jobs, err := spec.ReadJobs(bytes.NewReader(body)); err == nil {
+			var ticks sim.Time
+			for _, js := range jobs {
+				if cfg, err := spec.Decode(js); err == nil {
+					ticks += cfg.Duration / cfg.SampleInterval
+				}
+			}
+			if ticks > maxFuzzTicks {
+				t.Skip("sweep longer than maxFuzzTicks")
+			}
 		}
-		if resp.StatusCode == http.StatusOK {
+		resp := fuzzPost(t, ts.URL+"/v1/sweeps", body)
+		if resp == nil {
 			return
 		}
-		var er struct {
-			Error sweepd.ErrorInfo `json:"error"`
+		defer resp.Body.Close()
+		lines := readStream(t, resp.Body)
+		if len(lines) == 0 || lines[len(lines)-1].Done == nil {
+			t.Fatalf("stream of %d lines ends without a Done line", len(lines))
 		}
-		dec := json.NewDecoder(resp.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&er); err != nil || !codes[er.Error.Code] {
-			t.Fatalf("status %d: untyped error body (code %q, err %v)", resp.StatusCode, er.Error.Code, err)
+		errs := 0
+		for i, ln := range lines[:len(lines)-1] {
+			switch {
+			case ln.Done != nil:
+				t.Fatalf("line %d: Done line before the end of the stream", i)
+			case ln.Error != nil && len(ln.Result) == 0:
+				if !wireCodes[ln.Error.Code] {
+					t.Fatalf("line %d: undocumented error code %q", i, ln.Error.Code)
+				}
+				errs++
+			case ln.Error == nil && len(ln.Result) > 0:
+			default:
+				t.Fatalf("line %d holds neither exactly a result nor an error: %s", i, ln.Raw)
+			}
+		}
+		if d := lines[len(lines)-1].Done; d.Jobs != len(lines)-1 || d.Errors != errs {
+			t.Fatalf("Done counts %d jobs, %d errors; the stream held %d lines, %d errors", d.Jobs, d.Errors, len(lines)-1, errs)
 		}
 	})
 }

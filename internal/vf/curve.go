@@ -27,9 +27,6 @@ const (
 	GHz Hz = 1e9
 )
 
-// GHzVal returns the frequency in gigahertz.
-func (f Hz) GHzVal() float64 { return float64(f) / 1e9 }
-
 func (f Hz) String() string {
 	switch {
 	case f >= GHz:
@@ -158,13 +155,6 @@ func (c *Curve) FreqAt(v Volt) Hz {
 	}
 	frac := float64((v - a.V) / (b.V - a.V))
 	return a.F + Hz(frac)*(b.F-a.F)
-}
-
-// Points returns a copy of the curve's points.
-func (c *Curve) Points() []CurvePoint {
-	out := make([]CurvePoint, len(c.points))
-	copy(out, c.points)
-	return out
 }
 
 func interp(a, b CurvePoint, f Hz) Volt {

@@ -67,9 +67,6 @@ func (r *Regulator) Voltage() Volt { return r.voltage }
 // Scalable reports whether the rail supports DVFS.
 func (r *Regulator) Scalable() bool { return r.scalable }
 
-// Bounds returns the regulator's programmable range.
-func (r *Regulator) Bounds() (min, max Volt) { return r.min, r.max }
-
 // TransitionTime returns the time needed to slew from the current
 // voltage to target, given the regulator's slew rate.
 func (r *Regulator) TransitionTime(target Volt) sim.Time {
