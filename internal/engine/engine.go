@@ -9,15 +9,18 @@
 // therefore clones the configured policy once per job via
 // soc.Policy.Clone and leaves the caller's instance untouched.
 //
-// The primitive execution surface is the streaming core (runJobs):
-// jobs go out to the worker pool and one JobResult per job is
-// delivered as each simulation completes. Stream exposes it on a
-// channel, so an unbounded sweep runs in O(parallelism) result
-// memory; RunBatchContext is a thin collector over the same core
-// that delivers straight into the ordered results slice (no channel
-// handoff on the batch hot path) and restores fail-fast semantics. All entry points accept a context: cancellation stops
-// feeding queued work, unwinds in-flight simulations within one
-// policy epoch, and returns every pooled platform cleanly.
+// The primitive execution surface is the streaming core (runJobs): a
+// batch is one pass per job. Parallelism() workers, the calling
+// goroutine among them, claim job indices from an atomic counter, and
+// each worker keys its job, looks it up in the cache tiers, coalesces it
+// onto an identical in-batch sibling or simulates it, and delivers one
+// JobResult per job as it completes. Stream exposes the core on a
+// channel that holds O(parallelism) results; RunBatchContext is a thin
+// collector over the same core that delivers straight into the ordered
+// results slice and restores fail-fast semantics. All entry points
+// accept a context: cancellation stops the claiming of further jobs,
+// unwinds in-flight simulations within one policy epoch, and returns
+// every pooled platform cleanly.
 //
 // Results come back in input order (batch paths) or tagged with their
 // input index (Stream) regardless of worker count, and a batch that
@@ -49,7 +52,7 @@ type Job struct {
 	// overriding the engine-wide WithJobTimeout. A job that exceeds it
 	// fails with an ErrJobTimeout-classed *JobError (never confused
 	// with batch-cancellation collateral). Jobs coalesced onto an
-	// identical in-batch sibling run under the first sibling's timeout.
+	// identical in-batch sibling share its run, and so its timeout.
 	Timeout time.Duration
 }
 
@@ -406,22 +409,14 @@ func (e *Engine) RunContext(ctx context.Context, cfg soc.Config) (soc.Result, er
 	return rs[0], nil
 }
 
-// task is one deduplicated simulation: a cache key (valid only when
-// cacheable) plus every input index awaiting its result.
-type task struct {
-	key       cacheKey
-	cacheable bool
-	indices   []int
-}
-
 // RunBatchContext executes the jobs with bounded parallelism and
 // returns their results in input order. The batch is deterministic:
 // the returned slice is identical to running each job sequentially
 // through soc.Run, whatever the worker count. On the first failure the
-// engine stops feeding work, cancels in-flight simulations, and
+// engine stops claiming jobs, cancels in-flight simulations, and
 // returns a *JobError identifying the lowest-indexed failed job; no
 // partial results are returned. Once ctx is done the engine stops
-// feeding queued jobs, in-flight simulations unwind within one policy
+// claiming jobs, in-flight simulations unwind within one policy
 // epoch, every pooled platform is returned, and the call reports
 // ctx.Err() (so errors.Is(err, context.Canceled) holds for a cancelled
 // batch).
@@ -438,15 +433,13 @@ func (e *Engine) RunBatchContext(ctx context.Context, jobs []Job) ([]soc.Result,
 	}
 
 	// Collect the streaming core with fail-fast, delivering straight
-	// into the results slice (each index is written by exactly one
-	// goroutine, so the direct writes need no lock — and no channel
-	// handoff, keeping the batch path as fast as it was before the
-	// streaming layer existed). The first real job failure cancels the
-	// batch context, which stops the feed and unwinds in-flight runs;
-	// those unwound siblings report context.Canceled — collateral of
-	// the fail-fast, not root causes — so they never displace the
-	// genuine error. Among genuine failures the lowest-indexed
-	// delivered job wins.
+	// into the results slice (each index is delivered exactly once, so
+	// the direct writes need no lock and no channel handoff). The first
+	// real job failure cancels the batch context, which stops claiming
+	// and unwinds in-flight runs; those unwound siblings report
+	// context.Canceled — collateral of the fail-fast, not root causes —
+	// so they never displace the genuine error. Among genuine failures
+	// the lowest-indexed delivered job wins.
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -487,10 +480,13 @@ func (e *Engine) RunBatchContext(ctx context.Context, jobs []Job) ([]soc.Result,
 // Stream executes the jobs with bounded parallelism and delivers one
 // JobResult per job on the returned channel as each completes
 // (completion order, not input order — JobResult.Index identifies the
-// job). Results are not accumulated anywhere: a sweep of any size runs
-// in O(parallelism) result memory, modulo the engine cache — itself
-// bounded (WithCacheSize), so even an unbounded config space cycles
-// cache memory instead of growing it.
+// job). Results are not accumulated for delivery: the channel holds
+// O(parallelism) of them. The engine cache is bounded (WithCacheSize),
+// so even an unbounded config space cycles cache memory instead of
+// growing it. With the cache on, the batch also keeps one task slot
+// per job, holding the outcome of each key's first job until the
+// channel closes, so in-batch duplicates are served even after the
+// LRU evicted them.
 //
 // A failed job delivers a JobResult with a *JobError instead of
 // killing the stream; jobs are independent and the remaining jobs
@@ -534,112 +530,179 @@ func (e *Engine) Stream(ctx context.Context, jobs []Job) <-chan JobResult {
 }
 
 // runJobs is the shared streaming core behind Stream and
-// RunBatchContext: resolve cache hits, coalesce in-batch duplicates,
-// fan the remaining tasks out over the worker pool, and hand every
-// job's JobResult to deliver as it completes. deliver is called
-// concurrently from the workers (and from the resolve loop for cache
-// hits); it returns false to stop deliveries early. runJobs returns
-// once every worker has finished — on cancellation that means queued
-// tasks were abandoned, in-flight simulations unwound within one
-// policy epoch, and every pooled Runner is back in the pool.
+// RunBatchContext. Parallelism() workers, at most one per job and the
+// calling goroutine among them, claim job indices in input order from
+// an atomic counter, and each takes its job from start to finish
+// (batch.do): key, LRU, in-batch coalescing, disk tier, simulation,
+// cache fill, and delivery of the outcome to every coalesced sibling.
+// deliver is called concurrently from the workers; it returns false to
+// stop deliveries early. Once ctx is done no further job is claimed.
+// runJobs returns once every worker has finished — on cancellation
+// that means unclaimed jobs were abandoned, in-flight simulations
+// unwound within one policy epoch, and every pooled Runner is back in
+// the pool.
 func (e *Engine) runJobs(ctx context.Context, jobs []Job, deliver func(JobResult) bool) {
-	// Resolve cache hits (delivered immediately) and coalesce in-batch
-	// duplicates so each unique configuration simulates once.
-	tasks := make([]*task, 0, len(jobs))
-	byKey := make(map[cacheKey]*task)
-	for i, j := range jobs {
-		if ctx.Err() != nil {
-			return
-		}
-		if j.Config.Policy == nil {
-			err := &JobError{Index: i, Config: j.Config, Err: fmt.Errorf("%w: nil policy", soc.ErrInvalidConfig)}
-			if !deliver(JobResult{Index: i, Err: err}) {
-				return
-			}
-			continue
-		}
-		if !e.cacheOn {
-			tasks = append(tasks, &task{indices: []int{i}})
-			continue
-		}
-		key, cacheable := spec.Key(j.Config)
-		if !cacheable {
-			tasks = append(tasks, &task{indices: []int{i}})
-			continue
-		}
-		e.mu.Lock()
-		r, hit := e.cacheGet(key)
-		if hit {
-			e.stats.Hits++
-		}
-		e.mu.Unlock()
-		if hit {
-			if !deliver(JobResult{Index: i, Result: cloneResult(r)}) {
-				return
-			}
-			continue
-		}
-		if t, ok := byKey[key]; ok {
-			t.indices = append(t.indices, i)
-			e.mu.Lock()
-			e.stats.Hits++
-			e.mu.Unlock()
-			continue
-		}
-		// Memory miss, first sighting in this batch: consult the
-		// persistent tier. A disk hit is promoted into the LRU so the
-		// rest of the sweep pays memory prices; it counts as DiskHits,
-		// not Hits (the tiers are reported separately).
-		if e.disk != nil {
-			// The error is diagnostic only (the tier counts it, and the
-			// breaker watches it); found is authoritative and every
-			// failure degrades to a miss here.
-			if r, ok, _ := e.disk.Get(key); ok {
-				e.mu.Lock()
-				e.cachePut(key, r)
-				e.mu.Unlock()
-				if !deliver(JobResult{Index: i, Result: cloneResult(r)}) {
-					return
-				}
-				continue
-			}
-		}
-		t := &task{key: key, cacheable: true, indices: []int{i}}
-		byKey[key] = t
-		tasks = append(tasks, t)
-	}
-	if len(tasks) == 0 {
-		return
-	}
-
-	workers := e.Parallelism()
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-
+	b := &batch{e: e, ctx: ctx, jobs: jobs, deliver: deliver}
+	workers := min(e.Parallelism(), len(jobs))
 	var wg sync.WaitGroup
-	work := make(chan *task)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range work {
-				e.execute(ctx, jobs, t, deliver)
-			}
+			b.work()
 		}()
 	}
-	// Feed in input order; stop feeding once ctx is done (in-flight
-	// simulations observe ctx themselves and unwind within one epoch).
-feed:
-	for _, t := range tasks {
+	b.work()
+	wg.Wait()
+}
+
+// batch is the state one runJobs call shares among its workers.
+type batch struct {
+	e       *Engine
+	ctx     context.Context
+	jobs    []Job
+	deliver func(JobResult) bool
+	next    atomic.Int64 // the next unclaimed job index
+
+	mu sync.Mutex
+	// byKey maps each key's first claim in the batch to its task;
+	// tasks is the slab the tasks come from, tasks[i] being job i's.
+	// Both are made on the batch's first claim that misses the LRU.
+	byKey map[cacheKey]*task
+	tasks []task
+}
+
+// task is the outcome of the job that first claimed a key in its
+// batch, shared with the identical siblings claimed after it. A sibling
+// claimed while the job still runs appends its index to dups, and the
+// job delivers to it; one claimed after done reads res and err itself.
+// Every field is guarded by the batch's mu.
+type task struct {
+	done bool
+	res  soc.Result
+	err  error
+	dups []int
+}
+
+// work claims jobs until none is left, ctx is done, or deliver
+// declines a result.
+func (b *batch) work() {
+	done := b.ctx.Done()
+	for {
 		select {
-		case work <- t:
-		case <-ctx.Done():
-			break feed
+		case <-done:
+			return
+		default:
+		}
+		i := int(b.next.Add(1) - 1)
+		if i >= len(b.jobs) || !b.do(i) {
+			return
 		}
 	}
-	close(work)
-	wg.Wait()
+}
+
+// do resolves job i from the first tier that has it — LRU, an in-batch
+// sibling, the disk tier (promoted into the LRU), else a simulation
+// that fills both tiers — and delivers the outcome to i and every
+// sibling queued on it. It returns false once deliver declines.
+func (b *batch) do(i int) bool {
+	e, job := b.e, &b.jobs[i]
+	if job.Config.Policy == nil {
+		return b.send(i, soc.Result{}, fmt.Errorf("%w: nil policy", soc.ErrInvalidConfig))
+	}
+	key, cacheable := cacheKey{}, false
+	if e.cacheOn {
+		key, cacheable = spec.Key(job.Config)
+	}
+	if !cacheable {
+		res, err := e.simulate(b.ctx, *job, nil)
+		if err != nil {
+			return b.send(i, res, err)
+		}
+		// Nothing else holds this result, so it is delivered uncopied.
+		return b.deliver(JobResult{Index: i, Result: res})
+	}
+
+	e.mu.Lock()
+	r, hit := e.cacheGet(key)
+	if hit {
+		e.stats.Hits++
+	}
+	e.mu.Unlock()
+	if hit {
+		return b.deliver(JobResult{Index: i, Result: cloneResult(r)})
+	}
+	if twin, queued := b.claim(key, i); twin != nil {
+		e.mu.Lock()
+		e.stats.Hits++
+		e.mu.Unlock()
+		return queued || b.send(i, twin.res, twin.err)
+	}
+	t := &b.tasks[i]
+	// A disk hit counts as DiskHits, not Hits: the tiers are reported
+	// separately. The Get error is diagnostic only (the tier counts it
+	// and the breaker watches it); found is authoritative and every
+	// failure degrades to a miss.
+	if e.disk != nil {
+		if r, ok, _ := e.disk.Get(key); ok {
+			e.mu.Lock()
+			e.cachePut(key, r)
+			e.mu.Unlock()
+			return b.finish(i, t, r, nil)
+		}
+	}
+	res, err := e.simulate(b.ctx, *job, &key)
+	return b.finish(i, t, res, err)
+}
+
+// claim makes job i the owner of key in the batch and returns nil, or
+// returns the task of the earlier claim that owns it. A twin still
+// running queues i on its dups (queued is true); a finished one is
+// returned for the caller to serve i from, even if the LRU has since
+// evicted its result.
+func (b *batch) claim(key cacheKey, i int) (twin *task, queued bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if t, ok := b.byKey[key]; ok {
+		if !t.done {
+			t.dups = append(t.dups, i)
+		}
+		return t, !t.done
+	}
+	if b.byKey == nil {
+		b.byKey = make(map[cacheKey]*task, len(b.jobs))
+		b.tasks = make([]task, len(b.jobs))
+	}
+	b.byKey[key] = &b.tasks[i]
+	return nil, false
+}
+
+// finish records job i's outcome on its task t, so that siblings
+// claimed from now on read it, then delivers it to i and to every
+// sibling that queued while it ran.
+func (b *batch) finish(i int, t *task, res soc.Result, err error) bool {
+	b.mu.Lock()
+	t.res, t.err, t.done = res, err, true
+	dups := t.dups
+	b.mu.Unlock()
+	if !b.send(i, res, err) {
+		return false
+	}
+	for _, d := range dups {
+		if !b.send(d, res, err) {
+			return false
+		}
+	}
+	return true
+}
+
+// send delivers a shared outcome to job i: a copy of res, or err
+// wrapped in a *JobError naming job i.
+func (b *batch) send(i int, res soc.Result, err error) bool {
+	if err != nil {
+		return b.deliver(JobResult{Index: i, Err: &JobError{Index: i, Config: b.jobs[i].Config, Err: err}})
+	}
+	return b.deliver(JobResult{Index: i, Result: cloneResult(res)})
 }
 
 // runnerPool recycles assembled platforms across jobs and batches:
@@ -666,35 +729,26 @@ var runnersInFlight atomic.Int64
 // the fault-injection torture tests assert exactly that.
 func RunnersInFlight() int64 { return runnersInFlight.Load() }
 
-// execute runs one task and delivers its result (or error) to every
-// awaiting input index.
-func (e *Engine) execute(ctx context.Context, jobs []Job, t *task, deliver func(JobResult) bool) {
-	res, err := e.runOnce(ctx, jobs[t.indices[0]])
+// simulate runs job and, on success, counts a miss; given a key, it
+// also fills the LRU and writes through to the disk tier (atomic on
+// disk; a failed write counts a DiskError, feeds the breaker, and
+// costs nothing else). The LRU keeps res itself: entries leave it only
+// as copies, so no caller ever aliases one.
+func (e *Engine) simulate(ctx context.Context, job Job, key *cacheKey) (soc.Result, error) {
+	res, err := e.runOnce(ctx, job)
 	if err != nil {
-		for _, i := range t.indices {
-			if !deliver(JobResult{Index: i, Err: &JobError{Index: i, Config: jobs[i].Config, Err: err}}) {
-				return
-			}
-		}
-		return
+		return res, err
 	}
 	e.mu.Lock()
 	e.stats.Misses++
-	if t.cacheable {
-		e.cachePut(t.key, cloneResult(res))
+	if key != nil {
+		e.cachePut(*key, res)
 	}
 	e.mu.Unlock()
-	if t.cacheable && e.disk != nil {
-		// Write-through to the persistent tier (atomic on disk; a
-		// failed write counts a DiskError, feeds the breaker, and costs
-		// nothing else).
-		e.disk.Put(t.key, res)
+	if key != nil && e.disk != nil {
+		e.disk.Put(*key, res)
 	}
-	for _, i := range t.indices {
-		if !deliver(JobResult{Index: i, Result: cloneResult(res)}) {
-			return
-		}
-	}
+	return res, nil
 }
 
 // runOnce executes one simulation under the job's deadline with

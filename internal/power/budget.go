@@ -9,16 +9,10 @@ import "fmt"
 // compute domain. SysScale's redistribution step is exactly a call to
 // SetIOMemory with a smaller allocation, which grows Compute().
 type Budget struct {
-	tdp     Watt
-	io      Watt
-	memory  Watt
-	uncore  Watt // fixed uncore/other allocation (fabric misc, PLLs)
-	history []Split
-}
-
-// Split is one budget assignment, recorded for inspection.
-type Split struct {
-	IO, Memory, Compute Watt
+	tdp    Watt
+	io     Watt
+	memory Watt
+	uncore Watt // fixed uncore/other allocation (fabric misc, PLLs)
 }
 
 // NewBudget creates a budget for a given TDP with an initial worst-case
@@ -65,20 +59,14 @@ func (b *Budget) SetIOMemory(io, memory Watt) error {
 		return fmt.Errorf("power: io+memory+uncore (%.3fW) exhausts TDP %.3fW", io+memory+b.uncore, b.tdp)
 	}
 	b.io, b.memory = io, memory
-	b.history = append(b.history, Split{IO: io, Memory: memory, Compute: b.Compute()})
 	return nil
 }
 
-// History returns every split ever assigned, oldest first.
-func (b *Budget) History() []Split { return b.history }
-
-// Reset reprograms the budget to a fresh TDP/reservation assignment,
-// discarding the accumulated history but keeping its capacity. A reset
-// budget is indistinguishable from NewBudget(tdp, io, memory, uncore)
-// except that the history slice is recycled — which is the point:
-// platform pooling stops the per-run history reallocation. The split
-// is validated before anything is mutated, so a failed Reset leaves
-// the budget unchanged.
+// Reset reprograms the budget to a fresh TDP/reservation assignment. A
+// reset budget is indistinguishable from NewBudget(tdp, io, memory,
+// uncore), so a pooled platform reuses its Budget across runs. The
+// split is validated before anything is mutated, so a failed Reset
+// leaves the budget unchanged.
 func (b *Budget) Reset(tdp, io, memory, uncore Watt) error {
 	if io < 0 || memory < 0 {
 		return fmt.Errorf("power: negative budget (io=%.3f, mem=%.3f)", io, memory)
@@ -87,7 +75,6 @@ func (b *Budget) Reset(tdp, io, memory, uncore Watt) error {
 		return fmt.Errorf("power: io+memory+uncore (%.3fW) exhausts TDP %.3fW", io+memory+uncore, tdp)
 	}
 	b.tdp, b.uncore = tdp, uncore
-	b.history = b.history[:0]
 	return b.SetIOMemory(io, memory)
 }
 

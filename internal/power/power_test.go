@@ -127,8 +127,8 @@ func TestBudgetSplit(t *testing.T) {
 	if got := b.Compute(); math.Abs(float64(got)-3.1) > 1e-9 {
 		t.Fatalf("after redistribution compute = %v, want 3.1", got)
 	}
-	if len(b.History()) != 2 {
-		t.Fatalf("history length = %d", len(b.History()))
+	if b.IO() != 0.3 || b.Memory() != 0.9 {
+		t.Fatalf("programmed split io=%v mem=%v, want io=0.3 mem=0.9", b.IO(), b.Memory())
 	}
 }
 
