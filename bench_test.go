@@ -302,11 +302,17 @@ func BenchmarkEngineStream(b *testing.B) {
 // BenchmarkMonteCarlo runs a reduced Monte Carlo robustness sweep (25
 // generated workloads × 4 policies as one engine batch) — the
 // fleet-style load the span-batched core and platform pooling target,
-// and one of the three benchmark-regression-gate trajectories.
+// and one of the three benchmark-regression-gate trajectories. Each
+// iteration starts, outside the timer, on a fresh shared engine, so
+// every one of the 100 jobs simulates rather than hitting the result
+// cache the previous iteration filled.
 func BenchmarkMonteCarlo(b *testing.B) {
 	var regress int
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		experiments.SetParallelism(0)
+		b.StartTimer()
 		opt := experiments.DefaultMonteCarloOptions()
 		opt.N = 25
 		r, err := experiments.MonteCarlo(context.Background(), opt)

@@ -224,16 +224,8 @@ func (c *Cores) IdlePower(s CState) power.Watt {
 // PlannedPower returns the PBM's planning estimate for running
 // activeCores cores at frequency f with the given activity.
 func (c *Cores) PlannedPower(f vf.Hz, activeCores int, activity float64) power.Watt {
-	if activeCores <= 0 {
-		activeCores = 1
-	}
-	if activeCores > c.params.Cores {
-		activeCores = c.params.Cores
-	}
-	v := c.params.Curve.VoltageAt(f)
-	dyn := power.Dynamic(c.params.CdynPerCore*float64(activeCores), v, f, activity)
-	leak := power.Leakage(c.params.LeakAtNom, v, c.params.NomVolt)
-	return dyn + leak
+	m := c.plan(activeCores, activity)
+	return m.at(f)
 }
 
 // FreqForBudget inverts the power model: the highest core frequency at
@@ -242,32 +234,25 @@ func (c *Cores) PlannedPower(f vf.Hz, activeCores int, activity float64) power.W
 // The search respects the V/F curve, so near the Vmin floor a watt buys
 // proportionally more hertz — the effect behind Fig. 10.
 func (c *Cores) FreqForBudget(budget power.Watt, activeCores int, activity float64) vf.Hz {
+	m := c.plan(activeCores, activity)
+	f, _ := m.freqForBudget(0.2*vf.GHz, budget)
+	return f
+}
+
+// plan returns the planning power model of activeCores cores (clamped
+// to [1, Cores]) at the given activity.
+func (c *Cores) plan(activeCores int, activity float64) planModel {
 	if activeCores <= 0 {
 		activeCores = 1
 	}
 	if activeCores > c.params.Cores {
 		activeCores = c.params.Cores
 	}
-	lo, hi := 0.2*vf.GHz, c.params.Curve.Fmax()
-	powerAt := func(f vf.Hz) power.Watt {
-		v := c.params.Curve.VoltageAt(f)
-		dyn := power.Dynamic(c.params.CdynPerCore*float64(activeCores), v, f, activity)
-		leak := power.Leakage(c.params.LeakAtNom, v, c.params.NomVolt)
-		return dyn + leak
+	return planModel{
+		curve:    c.params.Curve,
+		cdyn:     c.params.CdynPerCore * float64(activeCores),
+		activity: activity,
+		leak:     c.params.LeakAtNom,
+		nom:      c.params.NomVolt,
 	}
-	if powerAt(lo) > budget {
-		return lo
-	}
-	if powerAt(hi) <= budget {
-		return hi
-	}
-	for i := 0; i < 40; i++ {
-		mid := (lo + hi) / 2
-		if powerAt(mid) <= budget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

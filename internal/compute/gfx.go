@@ -94,36 +94,27 @@ func (g *Gfx) ActivePower(activity float64) power.Watt {
 // PlannedPower returns the PBM's planning estimate for the cluster at
 // frequency f and the given activity.
 func (g *Gfx) PlannedPower(f vf.Hz, activity float64) power.Watt {
-	v := g.params.Curve.VoltageAt(f)
-	dyn := power.Dynamic(g.params.Cdyn, v, f, activity)
-	leak := power.Leakage(g.params.LeakAtNom, v, g.params.NomVolt)
-	return dyn + leak
+	m := g.plan(activity)
+	return m.at(f)
 }
 
 // FreqForBudget returns the highest graphics frequency whose draw at
 // the given activity fits within budget (the PBM conversion for the
 // graphics share of the compute budget, §7.2).
 func (g *Gfx) FreqForBudget(budget power.Watt, activity float64) vf.Hz {
-	lo, hi := 0.1*vf.GHz, g.params.Curve.Fmax()
-	powerAt := func(f vf.Hz) power.Watt {
-		v := g.params.Curve.VoltageAt(f)
-		dyn := power.Dynamic(g.params.Cdyn, v, f, activity)
-		leak := power.Leakage(g.params.LeakAtNom, v, g.params.NomVolt)
-		return dyn + leak
+	m := g.plan(activity)
+	f, _ := m.freqForBudget(0.1*vf.GHz, budget)
+	return f
+}
+
+// plan returns the cluster's planning power model at the given
+// activity.
+func (g *Gfx) plan(activity float64) planModel {
+	return planModel{
+		curve:    g.params.Curve,
+		cdyn:     g.params.Cdyn,
+		activity: activity,
+		leak:     g.params.LeakAtNom,
+		nom:      g.params.NomVolt,
 	}
-	if powerAt(lo) > budget {
-		return lo
-	}
-	if powerAt(hi) <= budget {
-		return hi
-	}
-	for i := 0; i < 40; i++ {
-		mid := (lo + hi) / 2
-		if powerAt(mid) <= budget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -34,7 +34,7 @@ func TestDecideFiveConditions(t *testing.T) {
 	thr := testThresholds()
 	// All quiet: low point.
 	d := Decide(thr, StaticDemand{}, sample(0, 0, 0, 0))
-	if d.High || len(d.Reasons) != 0 {
+	if d.High || d.Reasons != 0 {
 		t.Fatal("quiet system sent high")
 	}
 	// Each condition individually (paper's five conditions, §4.3).
@@ -51,14 +51,21 @@ func TestDecideFiveConditions(t *testing.T) {
 	}
 	for _, c := range cases {
 		d := Decide(thr, c.static, c.s)
-		if !d.High || len(d.Reasons) != 1 || d.Reasons[0] != c.want {
-			t.Errorf("condition %v: got %+v", c.want, d)
+		if !d.High {
+			t.Errorf("condition %v: got low", c.want)
+		}
+		for cond := CondStaticBW; cond <= CondIOLatency; cond++ {
+			if d.Reasons.Has(cond) != (cond == c.want) {
+				t.Errorf("condition %v: reason %v recorded %v", c.want, cond, d.Reasons.Has(cond))
+			}
 		}
 	}
 	// Multiple conditions accumulate.
 	d = Decide(thr, StaticDemand{DisplayBW: 7e9}, sample(150e6, 6, 20, 4))
-	if len(d.Reasons) != 5 {
-		t.Fatalf("want all 5 reasons, got %d", len(d.Reasons))
+	for cond := CondStaticBW; cond <= CondIOLatency; cond++ {
+		if !d.Reasons.Has(cond) {
+			t.Errorf("all conditions hold, but reason %v is missing", cond)
+		}
 	}
 }
 

@@ -89,8 +89,18 @@ type Decision struct {
 	High bool
 	// Reasons records which of the five conditions fired, for
 	// explainability and tests. Empty when High is false.
-	Reasons []Condition
+	Reasons Conditions
 }
+
+// Conditions is a set of the five §4.3 conditions, one bit each, so a
+// decision records its reasons without allocating.
+type Conditions uint8
+
+// Has reports whether c is in the set.
+func (s Conditions) Has(c Condition) bool { return s&(1<<c) != 0 }
+
+// add returns the set with c added.
+func (s Conditions) add(c Condition) Conditions { return s | 1<<c }
 
 // Condition identifies one of the five §4.3 conditions.
 type Condition int
@@ -126,20 +136,20 @@ func (c Condition) String() string {
 func Decide(t Thresholds, static StaticDemand, counters perfcounters.Sample) Decision {
 	var d Decision
 	if static.Total() > t.StaticBWThr {
-		d.Reasons = append(d.Reasons, CondStaticBW)
+		d.Reasons = d.Reasons.add(CondStaticBW)
 	}
 	if counters.Get(perfcounters.GfxLLCMisses) > t.GfxMisses {
-		d.Reasons = append(d.Reasons, CondGfxBandwidth)
+		d.Reasons = d.Reasons.add(CondGfxBandwidth)
 	}
 	if counters.Get(perfcounters.LLCOccupancyTracer) > t.OccTracer {
-		d.Reasons = append(d.Reasons, CondCoreBandwidth)
+		d.Reasons = d.Reasons.add(CondCoreBandwidth)
 	}
 	if counters.Get(perfcounters.LLCStalls) > t.LLCStalls {
-		d.Reasons = append(d.Reasons, CondMemLatency)
+		d.Reasons = d.Reasons.add(CondMemLatency)
 	}
 	if counters.Get(perfcounters.IORPQ) > t.IORPQ {
-		d.Reasons = append(d.Reasons, CondIOLatency)
+		d.Reasons = d.Reasons.add(CondIOLatency)
 	}
-	d.High = len(d.Reasons) > 0
+	d.High = d.Reasons != 0
 	return d
 }

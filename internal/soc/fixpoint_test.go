@@ -148,11 +148,11 @@ func TestEvalTickMatchesReference(t *testing.T) {
 					// point from a different one.
 					if p.current == op {
 						other := pl.ladder[(li+1)%len(pl.ladder)]
-						if _, err := p.maybeTransition(0, PolicyDecision{Target: other, OptimizedMRC: true}); err != nil {
+						if _, err := p.maybeTransition(0, &PolicyDecision{Target: other, OptimizedMRC: true}); err != nil {
 							t.Fatal(err)
 						}
 					}
-					if _, err := p.maybeTransition(0, PolicyDecision{Target: op, OptimizedMRC: optimized}); err != nil {
+					if _, err := p.maybeTransition(0, &PolicyDecision{Target: op, OptimizedMRC: optimized}); err != nil {
 						t.Fatal(err)
 					}
 					for idx := range w.Phases {

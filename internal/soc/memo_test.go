@@ -61,7 +61,7 @@ func TestTickMemoSteadyStateHits(t *testing.T) {
 
 	// Reprogramming identical values must not invalidate.
 	p.setBonus(0)
-	if err := p.executeDecision(PolicyDecision{}); err != nil {
+	if err := p.executeDecision(&PolicyDecision{}); err != nil {
 		t.Fatal(err)
 	}
 	p.refreshTickMemo()
@@ -107,8 +107,10 @@ func TestTickMemoInvalidation(t *testing.T) {
 	p.tickEvalFor(0, &phases[0])
 	expectEvals(t, p, 3, "bonus change")
 
-	// Granting the new budget moves a P-state, which forces
-	// re-evaluation.
+	// From here the steps go through the decision path the run loop
+	// takes, which refreshes the memo only when that path reprogrammed
+	// the platform (syncTickMemo). Granting the new budget misses the
+	// PBM memo and moves a P-state, which forces re-evaluation.
 	coreF, gfxF := p.cores.Frequency(), p.gfx.Frequency()
 	if _, _, err := p.applyPBM(&phases[0], 0, 0); err != nil {
 		t.Fatal(err)
@@ -116,12 +118,24 @@ func TestTickMemoInvalidation(t *testing.T) {
 	if p.cores.Frequency() == coreF && p.gfx.Frequency() == gfxF {
 		t.Fatal("PBM grant moved no P-state; the step does not exercise the key")
 	}
-	p.refreshTickMemo()
+	p.syncTickMemo()
 	p.tickEvalFor(0, &phases[0])
 	expectEvals(t, p, 4, "budget grant")
 
+	// The same grant again hits the PBM memo and leaves the platform
+	// as it was: nothing to refresh, and the slot stays warm.
+	if _, _, err := p.applyPBM(&phases[0], 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if p.reprogrammed {
+		t.Fatal("a PBM memo hit marked the platform reprogrammed")
+	}
+	p.syncTickMemo()
+	p.tickEvalFor(0, &phases[0])
+	expectEvals(t, p, 4, "repeated grant")
+
 	// A DVFS transition forces re-evaluation and changes the result.
-	stall, err := p.maybeTransition(0, PolicyDecision{Target: p.cfg.Ladder[1], OptimizedMRC: true})
+	stall, err := p.maybeTransition(0, &PolicyDecision{Target: p.cfg.Ladder[1], OptimizedMRC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +145,30 @@ func TestTickMemoInvalidation(t *testing.T) {
 	if p.currentIdx != 1 {
 		t.Fatalf("currentIdx = %d after transition to ladder[1]", p.currentIdx)
 	}
-	p.refreshTickMemo()
+	p.syncTickMemo()
 	evLow := *p.tickEvalFor(0, &phases[0])
 	expectEvals(t, p, 5, "operating-point transition")
 	if evLow == evHigh {
 		t.Fatal("evaluation unchanged across an operating-point transition")
 	}
+
+	// A decision for the point the platform already sits at is no
+	// transition and reprograms nothing.
+	if _, err := p.maybeTransition(0, &PolicyDecision{Target: p.cfg.Ladder[1], OptimizedMRC: true}); err != nil {
+		t.Fatal(err)
+	}
+	if p.reprogrammed {
+		t.Fatal("a same-point decision marked the platform reprogrammed")
+	}
+
+	// The transition back to the boot point invalidates the slot
+	// again.
+	if _, err := p.maybeTransition(0, &PolicyDecision{Target: p.cfg.Ladder[0], OptimizedMRC: true}); err != nil {
+		t.Fatal(err)
+	}
+	p.syncTickMemo()
+	p.tickEvalFor(0, &phases[0])
+	expectEvals(t, p, 6, "transition back")
 }
 
 // TestTransitionLadderIndex checks the ladder index a transition books
@@ -163,7 +195,7 @@ func TestTransitionLadderIndex(t *testing.T) {
 		if err := p.Reset(cfg); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.maybeTransition(0, PolicyDecision{Target: row.target, OptimizedMRC: true}); err != nil {
+		if _, err := p.maybeTransition(0, &PolicyDecision{Target: row.target, OptimizedMRC: true}); err != nil {
 			t.Fatal(err)
 		}
 		if p.current != row.target {
@@ -235,14 +267,14 @@ func TestTickMemoRunSkipsSteadyTicks(t *testing.T) {
 func TestPersistentFlowStats(t *testing.T) {
 	p := memoTestPlatform(t)
 	low, high := p.cfg.Ladder[1], p.cfg.Ladder[0]
-	if _, err := p.maybeTransition(0, PolicyDecision{Target: low, OptimizedMRC: true}); err != nil {
+	if _, err := p.maybeTransition(0, &PolicyDecision{Target: low, OptimizedMRC: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.maybeTransition(0, PolicyDecision{Target: high, OptimizedMRC: false}); err != nil {
+	if _, err := p.maybeTransition(0, &PolicyDecision{Target: high, OptimizedMRC: false}); err != nil {
 		t.Fatal(err)
 	}
 	// Same-point decision is a no-op, not a transition.
-	if _, err := p.maybeTransition(0, PolicyDecision{Target: high, OptimizedMRC: true}); err != nil {
+	if _, err := p.maybeTransition(0, &PolicyDecision{Target: high, OptimizedMRC: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.flow.Transitions(); got != 2 {

@@ -94,6 +94,7 @@ func (p *Platform) program(cfg Config) error {
 	p.spans = 0
 	p.imageSpans = 0
 	p.pbmMemo = pbmMemo{}
+	p.reprogrammed = false
 	return nil
 }
 

@@ -97,12 +97,14 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 
 	nTicks := int(cfg.Duration / tick)
 
-	// Program the initial compute P-states from the boot budgets.
+	// Program the initial compute P-states from the boot budgets. The
+	// PBM memo starts empty, so this grant runs the arbitration and the
+	// sync sizes and fills the tick memo's key.
 	firstPhase := cfg.Workload.PhaseAt(0)
 	if _, _, err := p.applyPBM(&firstPhase, 0, 0); err != nil {
 		return Result{}, err
 	}
-	p.refreshTickMemo()
+	p.syncTickMemo()
 
 	// The loop advances in spans: runs of consecutive ticks over which
 	// the platform programming, the phase, and the stall charge are all
@@ -173,10 +175,10 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 				GfxBusy:       ph.GfxFrac > 0.02 || ph.GfxActivity > 0,
 			}
 			dec := cfg.Policy.Decide(ctx)
-			if err := p.executeDecision(dec); err != nil {
+			if err := p.executeDecision(&dec); err != nil {
 				return Result{}, err
 			}
-			stall, err := p.maybeTransition(now, dec)
+			stall, err := p.maybeTransition(now, &dec)
 			if err != nil {
 				return Result{}, err
 			}
@@ -188,7 +190,7 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 			p.counters.ResetWindow()
 			ioMemPowerInterval = 0
 			intervalTicks = 0
-			p.refreshTickMemo()
+			p.syncTickMemo()
 		}
 
 		// Span length: how many ticks from i share this exact evaluation.
@@ -387,7 +389,7 @@ func (p *Platform) setBonus(b power.Watt) {
 
 // executeDecision programs the budget reservations (clamped by the
 // TDP-proportional reservation cap).
-func (p *Platform) executeDecision(dec PolicyDecision) error {
+func (p *Platform) executeDecision(dec *PolicyDecision) error {
 	io, mem := dec.IOBudget, dec.MemBudget
 	if io <= 0 {
 		io = p.worst[0].io
@@ -403,8 +405,9 @@ func (p *Platform) executeDecision(dec PolicyDecision) error {
 // from the current one, honoring the decision's MRC mode. The platform
 // owns one persistent flow, allocated at assembly and reconfigured per
 // decision, so cumulative transition statistics accrue natively on it
-// and the hot loop allocates nothing per transition.
-func (p *Platform) maybeTransition(now sim.Time, dec PolicyDecision) (sim.Time, error) {
+// and the hot loop allocates nothing per transition. A transition
+// marks the platform reprogrammed.
+func (p *Platform) maybeTransition(now sim.Time, dec *PolicyDecision) (sim.Time, error) {
 	if dec.Target.Name == "" || dec.Target == p.current {
 		return 0, nil
 	}
@@ -417,6 +420,7 @@ func (p *Platform) maybeTransition(now sim.Time, dec PolicyDecision) (sim.Time, 
 	}
 	p.current = dec.Target
 	p.currentIdx = p.ladderIndex(p.current)
+	p.reprogrammed = true
 	return stall, nil
 }
 
@@ -462,7 +466,9 @@ type pbmMemo struct {
 }
 
 // applyPBM converts the current budgets into compute P-states for the
-// phase, honoring fixed-frequency overrides and policy caps.
+// phase, honoring fixed-frequency overrides and policy caps. A call
+// that misses the memo and runs the arbitration marks the platform
+// reprogrammed.
 func (p *Platform) applyPBM(ph *workload.Phase, coreCap, gfxCap vf.Hz) (vf.Hz, vf.Hz, error) {
 	req := pmu.Request{
 		ActiveCores: ph.ActiveCores,
@@ -491,6 +497,7 @@ func (p *Platform) applyPBM(ph *workload.Phase, coreCap, gfxCap vf.Hz) (vf.Hz, v
 		p.cores.DutyCycle() == m.duty {
 		return m.coreF, m.gfxF, nil
 	}
+	p.reprogrammed = true
 	coreF, gfxF, err := p.pbm.Apply(req)
 	if err != nil {
 		return 0, 0, err
@@ -577,13 +584,26 @@ func (p *Platform) programming() tickProg {
 	}
 }
 
+// syncTickMemo refreshes the tick memo when the platform was
+// reprogrammed since the last refresh. Only a transition or a PBM
+// grant that missed its memo can move the programming the memo keys
+// on, so a policy epoch that did neither skips the snapshot and its
+// comparison.
+func (p *Platform) syncTickMemo() {
+	if p.reprogrammed {
+		p.refreshTickMemo()
+	}
+}
+
 // refreshTickMemo re-snapshots the programming state after the
-// decision path (executeDecision, maybeTransition, applyPBM) ran, and
-// invalidates the per-phase memo if anything actually changed.
-// Reprogramming identical values keeps the memo warm — the steady
-// state — so between decisions, and across decisions that do not move
-// the platform, each phase's fixpoint is resolved exactly once.
+// decision path reprogrammed the platform (a transition, or a PBM
+// grant that missed its memo), and invalidates the per-phase memo if
+// anything actually changed. Reprogramming identical values keeps the
+// memo warm — the steady state — so between decisions, and across
+// decisions that do not move the platform, each phase's fixpoint is
+// resolved exactly once.
 func (p *Platform) refreshTickMemo() {
+	p.reprogrammed = false
 	prog := p.programming()
 	if p.memoReady && prog == p.tickProg {
 		return

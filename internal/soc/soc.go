@@ -255,6 +255,13 @@ type Platform struct {
 	// state all match the previous applyPBM outcome.
 	pbmMemo pbmMemo
 
+	// reprogrammed marks that tickProg's inputs may have moved since
+	// the last refreshTickMemo: maybeTransition sets it when it takes a
+	// transition and applyPBM when it misses its memo, the only writers
+	// of that state inside run. syncTickMemo refreshes the tick memo
+	// only when it is set.
+	reprogrammed bool
+
 	// worst is the PBM reservation table: the worst-case IO and memory
 	// budgets of every ladder point, in ladder order, filled by program
 	// (budgets.go). worstIOFn/worstMemFn serve it as method values,

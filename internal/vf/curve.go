@@ -106,6 +106,14 @@ func (c *Curve) VminFreq() Hz { return c.points[0].F }
 // Fmax returns the highest characterized frequency.
 func (c *Curve) Fmax() Hz { return c.points[len(c.points)-1].F }
 
+// NumPoints returns the number of characterized points.
+func (c *Curve) NumPoints() int { return len(c.points) }
+
+// Point returns the i-th characterized point, in ascending frequency.
+// Between Point(i-1) and Point(i) VoltageAt is the straight line
+// through the two; at or below Point(0) it is the Vmin floor.
+func (c *Curve) Point(i int) CurvePoint { return c.points[i] }
+
 // VoltageAt returns the minimum functional voltage for frequency f.
 func (c *Curve) VoltageAt(f Hz) Volt {
 	ps := c.points
