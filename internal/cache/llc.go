@@ -70,7 +70,6 @@ type Epoch struct {
 // LLC is the last-level cache model.
 type LLC struct {
 	params Params
-	last   Epoch
 }
 
 // New constructs an LLC.
@@ -106,18 +105,8 @@ func (l *LLC) Evaluate(t Traffic, memLatency float64) Epoch {
 		stall = 1
 	}
 	ep.Stalls = 100 * stall
-	l.last = ep
 	return ep
 }
-
-// LastEpoch returns the most recently evaluated epoch.
-func (l *LLC) LastEpoch() Epoch { return l.last }
-
-// RestoreEpoch reinstates ep as the rolling last-evaluated state, as
-// if Evaluate had just resolved it. Used by the simulator's
-// steady-state tick memo so that skipping Evaluate on a repeated tick
-// leaves the cache's observable state identical to evaluating it.
-func (l *LLC) RestoreEpoch(ep Epoch) { l.last = ep }
 
 // Power returns the LLC draw given the core-rail voltage and clock and
 // the epoch's hit+miss activity (bytes/s through the cache).

@@ -36,9 +36,6 @@ func TestCounters(t *testing.T) {
 	if ep.DemandBytes != 9.6e9 {
 		t.Fatalf("DemandBytes = %v", ep.DemandBytes)
 	}
-	if l.LastEpoch().Stalls != ep.Stalls {
-		t.Fatal("LastEpoch not stored")
-	}
 }
 
 func TestStallClamping(t *testing.T) {

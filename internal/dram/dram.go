@@ -139,10 +139,6 @@ type Device struct {
 	state State
 
 	timing Timing // active timing set (loaded from configuration registers)
-
-	// Self-refresh statistics.
-	srEntries  int
-	srExitTime sim.Time // cumulative time spent exiting self-refresh
 }
 
 // NewDevice creates a device at the given transfer-rate bin.
@@ -159,9 +155,9 @@ func NewDevice(kind Kind, geom Geometry, freq vf.Hz) (*Device, error) {
 }
 
 // Reset returns the device to the state NewDevice would build at the
-// given bin: active, optimal timing for the bin, and cleared
-// self-refresh statistics. Platform pooling uses it to recycle a device
-// across runs without reallocating.
+// given bin: active, with the optimal timing for the bin. Platform
+// pooling uses it to recycle a device across runs without
+// reallocating.
 func (d *Device) Reset(freq vf.Hz) error {
 	if !d.kind.SupportsBin(freq) {
 		return fmt.Errorf("dram: %v does not support bin %v", d.kind, freq)
@@ -169,8 +165,6 @@ func (d *Device) Reset(freq vf.Hz) error {
 	d.freq = freq
 	d.state = Active
 	d.timing = OptimalTiming(d.kind, freq)
-	d.srEntries = 0
-	d.srExitTime = 0
 	return nil
 }
 
@@ -203,10 +197,7 @@ func (d *Device) PeakBandwidth() float64 { return d.geom.PeakBandwidth(d.freq) }
 // EnterSelfRefresh puts the device into self-refresh. Frequency changes
 // are only legal in self-refresh (step 4 of the Fig. 5 flow).
 func (d *Device) EnterSelfRefresh() {
-	if d.state != SelfRefresh {
-		d.state = SelfRefresh
-		d.srEntries++
-	}
+	d.state = SelfRefresh
 }
 
 // ExitSelfRefresh returns the device to the active state and returns
@@ -216,9 +207,7 @@ func (d *Device) ExitSelfRefresh() sim.Time {
 		return 0
 	}
 	d.state = Active
-	lat := SelfRefreshExitLatency
-	d.srExitTime += lat
-	return lat
+	return SelfRefreshExitLatency
 }
 
 // SetFrequency retargets the device to a new bin. The device must be in
@@ -250,10 +239,6 @@ func (d *Device) LoadTiming(t Timing) error {
 	d.timing = t
 	return nil
 }
-
-// SelfRefreshEntries returns how many times the device entered
-// self-refresh (one per DVFS transition plus deep-idle entries).
-func (d *Device) SelfRefreshEntries() int { return d.srEntries }
 
 // SelfRefreshExitLatency is the worst-case self-refresh exit latency
 // with fast relock training (§5: "less than 5us").

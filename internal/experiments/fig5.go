@@ -58,7 +58,7 @@ func Fig5Latency() (Fig5Result, error) {
 		return Fig5Result{}, err
 	}
 
-	down, err := flow.Transition(0, low)
+	down, err := flow.Transition(0, low, 0)
 	if err != nil {
 		return Fig5Result{}, err
 	}
@@ -66,7 +66,7 @@ func Fig5Latency() (Fig5Result, error) {
 	for _, e := range log.Events() {
 		steps = append(steps, e.Message)
 	}
-	up, err := flow.Transition(0, high)
+	up, err := flow.Transition(0, high, 0)
 	if err != nil {
 		return Fig5Result{}, err
 	}

@@ -82,7 +82,6 @@ type Fabric struct {
 	freq    vf.Hz
 	volt    vf.Volt
 	blocked bool
-	last    Epoch
 }
 
 // New constructs a fabric at the given clock and voltage.
@@ -117,18 +116,18 @@ func (f *Fabric) Capacity() float64 { return f.params.BytesPerCycle * float64(f.
 
 // BlockAndDrain stops admission of new requests and completes all
 // outstanding ones (step 3 of the Fig. 5 flow). The returned drain
-// latency scales with how full the buffers were (last epoch's
-// utilization) and is bounded by the parameterized maximum.
-func (f *Fabric) BlockAndDrain() sim.Time {
+// latency scales with how full the buffers were, util being the
+// utilization of the traffic being drained, and is bounded by the
+// parameterized maximum.
+func (f *Fabric) BlockAndDrain(util float64) sim.Time {
 	f.blocked = true
-	frac := f.last.Utilization
-	if frac < 0.1 {
-		frac = 0.1 // draining an idle fabric still costs a handshake
+	if util < 0.1 {
+		util = 0.1 // draining an idle fabric still costs a handshake
 	}
-	if frac > 1 {
-		frac = 1
+	if util > 1 {
+		util = 1
 	}
-	return sim.Time(float64(f.params.DrainLatencyMax) * frac)
+	return sim.Time(float64(f.params.DrainLatencyMax) * util)
 }
 
 // Release resumes request admission (step 9 of the Fig. 5 flow).
@@ -165,8 +164,7 @@ func (f *Fabric) Evaluate(demandBytes float64) Epoch {
 }
 
 // Resolve is Evaluate at terms t, which must be the fabric's current
-// Terms: it resolves the epoch for demandBytes and records it as the
-// last evaluated one.
+// Terms: it resolves the epoch for demandBytes.
 func (f *Fabric) Resolve(t *Terms, demandBytes float64) Epoch {
 	if demandBytes < 0 {
 		demandBytes = 0
@@ -174,7 +172,6 @@ func (f *Fabric) Resolve(t *Terms, demandBytes float64) Epoch {
 	ep := Epoch{DemandBytes: demandBytes}
 	if !t.serving {
 		ep.Latency = math.Inf(1)
-		f.last = ep
 		return ep
 	}
 	ep.AchievedBytes = min(demandBytes, t.capacity)
@@ -194,20 +191,8 @@ func (f *Fabric) Resolve(t *Terms, demandBytes float64) Epoch {
 		occ = float64(f.params.BufferEntries)
 	}
 	ep.RPQOccupancy = occ
-	f.last = ep
 	return ep
 }
-
-// LastEpoch returns the most recently evaluated epoch.
-func (f *Fabric) LastEpoch() Epoch { return f.last }
-
-// RestoreEpoch reinstates ep as the rolling last-evaluated state, as
-// if Evaluate had just resolved it. The simulator's steady-state tick
-// memo serves repeated ticks without re-running Evaluate; the rolling
-// epoch feeds the drain latency of the next DVFS transition
-// (BlockAndDrain), so a memoized tick must leave it exactly as a
-// per-tick evaluation would.
-func (f *Fabric) RestoreEpoch(ep Epoch) { f.last = ep }
 
 // Power returns the fabric draw at the epoch's utilization.
 func (f *Fabric) Power(utilization float64) power.Watt {

@@ -56,9 +56,6 @@ func TestEvaluate(t *testing.T) {
 	if f.Evaluate(-1).AchievedBytes != 0 {
 		t.Fatal("negative demand served")
 	}
-	if f.LastEpoch().DemandBytes != 0 {
-		t.Fatal("LastEpoch not updated")
-	}
 }
 
 func TestLatencyMonotone(t *testing.T) {
@@ -77,8 +74,8 @@ func TestLatencyMonotone(t *testing.T) {
 
 func TestBlockAndDrain(t *testing.T) {
 	f := newFabric(t)
-	f.Evaluate(20e9) // load the buffers
-	d := f.BlockAndDrain()
+	loaded := f.Evaluate(20e9) // load the buffers
+	d := f.BlockAndDrain(loaded.Utilization)
 	if d <= 0 || d > DefaultParams().DrainLatencyMax {
 		t.Fatalf("drain latency = %v (max %v)", d, DefaultParams().DrainLatencyMax)
 	}
@@ -95,8 +92,7 @@ func TestBlockAndDrain(t *testing.T) {
 	}
 	// Idle drain is cheaper than loaded drain but not free.
 	f2 := newFabric(t)
-	f2.Evaluate(0)
-	idleDrain := f2.BlockAndDrain()
+	idleDrain := f2.BlockAndDrain(f2.Evaluate(0).Utilization)
 	if idleDrain <= 0 || idleDrain >= d {
 		t.Fatalf("idle drain %v not below loaded drain %v", idleDrain, d)
 	}
@@ -105,8 +101,8 @@ func TestBlockAndDrain(t *testing.T) {
 func TestDrainUnderBudget(t *testing.T) {
 	// §5: draining IO interconnect request buffers takes under 1us.
 	f := newFabric(t)
-	f.Evaluate(f.Capacity()) // fully loaded
-	if d := f.BlockAndDrain(); d >= sim.Microsecond {
+	full := f.Evaluate(f.Capacity()) // fully loaded
+	if d := f.BlockAndDrain(full.Utilization); d >= sim.Microsecond {
 		t.Fatalf("worst-case drain %v exceeds 1us budget", d)
 	}
 }

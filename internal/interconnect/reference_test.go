@@ -72,16 +72,13 @@ func TestEvaluateMatchesReference(t *testing.T) {
 		}
 		for _, blocked := range []bool{false, true} {
 			if blocked {
-				f.BlockAndDrain()
+				f.BlockAndDrain(0)
 			}
 			terms := f.Terms()
 			for _, d := range demands {
 				want := evaluateReference(f, d)
 				if got := f.Evaluate(d); !sameEpoch(got, want) {
 					t.Fatalf("%v blocked=%v demand %g: Evaluate\n got %+v\nwant %+v", clock, blocked, d, got, want)
-				}
-				if got := f.LastEpoch(); !sameEpoch(got, want) {
-					t.Fatalf("%v blocked=%v demand %g: LastEpoch %+v, want %+v", clock, blocked, d, got, want)
 				}
 				if got := f.Resolve(&terms, d); !sameEpoch(got, want) {
 					t.Fatalf("%v blocked=%v demand %g: Resolve\n got %+v\nwant %+v", clock, blocked, d, got, want)

@@ -64,9 +64,6 @@ type Controller struct {
 	volt vf.Volt // V_SA
 
 	blocked bool // traffic blocked during a DVFS transition
-
-	// Rolling counters for the last evaluated epoch.
-	lastEpoch Epoch
 }
 
 // Epoch is the controller's resolved state for one simulation epoch.
@@ -221,8 +218,7 @@ func (c *Controller) Evaluate(demandBytes float64) Epoch {
 }
 
 // Resolve is Evaluate at terms t, which must be the controller's
-// current Terms: it resolves the epoch for demandBytes and records it
-// as the last evaluated one.
+// current Terms: it resolves the epoch for demandBytes.
 func (c *Controller) Resolve(t *Terms, demandBytes float64) Epoch {
 	if demandBytes < 0 {
 		demandBytes = 0
@@ -231,7 +227,6 @@ func (c *Controller) Resolve(t *Terms, demandBytes float64) Epoch {
 	if !t.serving {
 		// No service; demand stalls entirely.
 		ep.Latency = math.Inf(1)
-		c.lastEpoch = ep
 		return ep
 	}
 	ep.IdleLatency = t.idle
@@ -245,8 +240,6 @@ func (c *Controller) Resolve(t *Terms, demandBytes float64) Epoch {
 		occ = float64(c.params.QueueCapacity)
 	}
 	ep.RPQOccupancy = occ
-
-	c.lastEpoch = ep
 	return ep
 }
 
@@ -259,15 +252,6 @@ func (c *Controller) burstTime() float64 {
 	}
 	return float64(c.params.LineBytes) / perChan
 }
-
-// LastEpoch returns the most recently evaluated epoch.
-func (c *Controller) LastEpoch() Epoch { return c.lastEpoch }
-
-// RestoreEpoch reinstates ep as the rolling last-evaluated state, as
-// if Evaluate had just resolved it. Used by the simulator's
-// steady-state tick memo so that skipping Evaluate on a repeated tick
-// leaves the controller's observable state identical to evaluating it.
-func (c *Controller) RestoreEpoch(ep Epoch) { c.lastEpoch = ep }
 
 // Power returns the controller's draw for an epoch with the given
 // utilization. Dynamic power scales as V²f with activity following

@@ -179,11 +179,3 @@ func TestSetOperatingPointValidation(t *testing.T) {
 		t.Fatal("zero voltage accepted")
 	}
 }
-
-func TestLastEpoch(t *testing.T) {
-	c := newMC(t, 1.6*vf.GHz)
-	c.Evaluate(3e9)
-	if c.LastEpoch().AchievedBytes != 3e9 {
-		t.Fatal("LastEpoch not recorded")
-	}
-}

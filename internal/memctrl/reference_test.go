@@ -111,9 +111,6 @@ func TestEvaluateMatchesReference(t *testing.T) {
 						if got := c.Evaluate(d); !sameEpoch(got, want) {
 							t.Fatalf("%v %v detuned=%v %s demand %g: Evaluate\n got %+v\nwant %+v", kind, bin, detuned, state, d, got, want)
 						}
-						if got := c.LastEpoch(); !sameEpoch(got, want) {
-							t.Fatalf("%v %v %s demand %g: LastEpoch %+v, want %+v", kind, bin, state, d, got, want)
-						}
 						if got := c.Resolve(&terms, d); !sameEpoch(got, want) {
 							t.Fatalf("%v %v detuned=%v %s demand %g: Resolve\n got %+v\nwant %+v", kind, bin, detuned, state, d, got, want)
 						}

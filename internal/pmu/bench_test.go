@@ -34,7 +34,7 @@ func BenchmarkFlowTransition(b *testing.B) {
 	targets := [2]vf.OperatingPoint{vf.LowPoint(), vf.HighPoint()}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := flow.Transition(0, targets[i%2]); err != nil {
+		if _, err := flow.Transition(0, targets[i%2], 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -117,8 +117,10 @@ func (f *Flow) MaxTime() sim.Time { return f.maxTime }
 //	8 DRAM exits self-refresh
 //	9 release IO interconnect and LLC→MC traffic
 //
-// It returns the total stall time charged to the SoC.
-func (f *Flow) Transition(now sim.Time, target vf.OperatingPoint) (sim.Time, error) {
+// fabricUtil is the IO interconnect's utilization at the moment the
+// flow starts: step 3 drains what it holds. It returns the total stall
+// time charged to the SoC.
+func (f *Flow) Transition(now sim.Time, target vf.OperatingPoint, fabricUtil float64) (sim.Time, error) {
 	if err := target.Validate(); err != nil {
 		return 0, err
 	}
@@ -152,7 +154,7 @@ func (f *Flow) Transition(now sim.Time, target vf.OperatingPoint) (sim.Time, err
 	}
 
 	// Step 3: block and drain.
-	drain := f.fabric.BlockAndDrain()
+	drain := f.fabric.BlockAndDrain(fabricUtil)
 	f.mc.Block()
 	total += drain
 	f.logf(now, "step3: blocked+drained IO interconnect and LLC traffic (%v)", drain)

@@ -63,14 +63,14 @@ func (r *flowRig) flow(t *testing.T, opts FlowOptions) *Flow {
 func TestFlowLatencyBudget(t *testing.T) {
 	r := newRig(t)
 	f := r.flow(t, DefaultFlowOptions(1.6*vf.GHz))
-	down, err := f.Transition(0, vf.LowPoint())
+	down, err := f.Transition(0, vf.LowPoint(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if down >= MaxTransitionLatency {
 		t.Fatalf("down transition %v exceeds the 10us budget (§5)", down)
 	}
-	up, err := f.Transition(0, vf.HighPoint())
+	up, err := f.Transition(0, vf.HighPoint(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFlowLatencyBudget(t *testing.T) {
 func TestFlowStepOrdering(t *testing.T) {
 	r := newRig(t)
 	f := r.flow(t, DefaultFlowOptions(1.6*vf.GHz))
-	if _, err := f.Transition(0, vf.LowPoint()); err != nil {
+	if _, err := f.Transition(0, vf.LowPoint(), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Fig. 5 ordering for a frequency decrease: drain before
@@ -115,11 +115,11 @@ func TestFlowStepOrdering(t *testing.T) {
 func TestFlowVoltageOrderOnIncrease(t *testing.T) {
 	r := newRig(t)
 	f := r.flow(t, DefaultFlowOptions(1.6*vf.GHz))
-	if _, err := f.Transition(0, vf.LowPoint()); err != nil {
+	if _, err := f.Transition(0, vf.LowPoint(), 0); err != nil {
 		t.Fatal(err)
 	}
 	r.log.Reset()
-	if _, err := f.Transition(0, vf.HighPoint()); err != nil {
+	if _, err := f.Transition(0, vf.HighPoint(), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Frequency increase: voltages rise BEFORE the clock change (step2
@@ -136,7 +136,7 @@ func TestFlowVoltageOrderOnIncrease(t *testing.T) {
 func TestFlowLeavesSystemReleased(t *testing.T) {
 	r := newRig(t)
 	f := r.flow(t, DefaultFlowOptions(1.6*vf.GHz))
-	if _, err := f.Transition(0, vf.LowPoint()); err != nil {
+	if _, err := f.Transition(0, vf.LowPoint(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if r.fabric.Blocked() || r.mc.Blocked() {
@@ -162,7 +162,7 @@ func TestFlowDetunedMode(t *testing.T) {
 	opts := DefaultFlowOptions(1.6 * vf.GHz)
 	opts.OptimizedMRC = false
 	f := r.flow(t, opts)
-	if _, err := f.Transition(0, vf.LowPoint()); err != nil {
+	if _, err := f.Transition(0, vf.LowPoint(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if r.dev.Timing().InterfaceEff >= 1.0 {
@@ -176,7 +176,7 @@ func TestFlowReconfigure(t *testing.T) {
 	// survive reconfiguration, and the new options must take effect.
 	r := newRig(t)
 	f := r.flow(t, DefaultFlowOptions(1.6*vf.GHz))
-	if _, err := f.Transition(0, vf.LowPoint()); err != nil {
+	if _, err := f.Transition(0, vf.LowPoint(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if r.dev.Timing().InterfaceEff < 1.0 {
@@ -191,7 +191,7 @@ func TestFlowReconfigure(t *testing.T) {
 	}
 	// Re-land on the low point: its frequency differs from the boot
 	// image's, so a detuned load is observable in the timing trims.
-	if _, err := f.Transition(0, vf.LowPoint()); err != nil {
+	if _, err := f.Transition(0, vf.LowPoint(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if r.dev.Timing().InterfaceEff >= 1.0 {
@@ -210,7 +210,7 @@ func TestFlowSequentialSlower(t *testing.T) {
 	// Ablation: the overlapped flow must be faster than the serial one.
 	rOv := newRig(t)
 	fOv := rOv.flow(t, DefaultFlowOptions(1.6*vf.GHz))
-	dOv, err := fOv.Transition(0, vf.LowPoint())
+	dOv, err := fOv.Transition(0, vf.LowPoint(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestFlowSequentialSlower(t *testing.T) {
 	opts := DefaultFlowOptions(1.6 * vf.GHz)
 	opts.Overlap = false
 	fSeq := rSeq.flow(t, opts)
-	dSeq, err := fSeq.Transition(0, vf.LowPoint())
+	dSeq, err := fSeq.Transition(0, vf.LowPoint(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestFlowSequentialSlower(t *testing.T) {
 func TestFlowRejectsBadTarget(t *testing.T) {
 	r := newRig(t)
 	f := r.flow(t, DefaultFlowOptions(1.6*vf.GHz))
-	if _, err := f.Transition(0, vf.OperatingPoint{Name: "bad"}); err == nil {
+	if _, err := f.Transition(0, vf.OperatingPoint{Name: "bad"}, 0); err == nil {
 		t.Fatal("invalid target accepted")
 	}
 	if _, err := NewFlow(nil, r.fabric, r.mc, r.dev, r.store, r.log, DefaultFlowOptions(1.6*vf.GHz)); err == nil {
@@ -378,5 +378,25 @@ func TestFirmwareCosts(t *testing.T) {
 	// §5: ~0.6KB firmware.
 	if FirmwareBytes > 700 || FirmwareBytes < 500 {
 		t.Fatalf("firmware size %dB outside ~0.6KB", FirmwareBytes)
+	}
+}
+
+func TestFlowDrainScalesWithFabricUtil(t *testing.T) {
+	// Step 3 drains what the fabric holds: from the same state, a
+	// transition out of a saturated fabric stalls longer than one out of
+	// an idle fabric (floored at 10% of the maximum drain) by exactly
+	// the difference in drain time.
+	stall := func(util float64) sim.Time {
+		r := newRig(t)
+		d, err := r.flow(t, DefaultFlowOptions(1.6*vf.GHz)).Transition(0, vf.LowPoint(), util)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	idle, full := stall(0), stall(1)
+	want := interconnect.DefaultParams().DrainLatencyMax * 9 / 10
+	if got := full - idle; got != want {
+		t.Fatalf("stall(1) - stall(0) = %v, want 0.9 x DrainLatencyMax = %v", got, want)
 	}
 }

@@ -57,8 +57,6 @@ type Meter struct {
 	name    string
 	energy  Joule
 	elapsed sim.Time
-	peak    Watt
-	last    Watt
 }
 
 // NewMeter returns a meter with the given channel name.
@@ -76,8 +74,7 @@ func (m *Meter) Accumulate(p Watt, d sim.Time) { m.AccumulateN(p, d, 1) }
 // AccumulateN records that the rail drew p watts for n consecutive
 // intervals of duration d each — the batch form of Accumulate used by
 // the span-batched simulation core. The energy integral is computed in
-// closed form (p × n·d) instead of n repeated additions; peak and last
-// tracking are unchanged because the draw is constant over the span.
+// closed form (p × n·d) instead of n repeated additions.
 // AccumulateN(p, d, 1) is arithmetically identical to Accumulate(p, d).
 func (m *Meter) AccumulateN(p Watt, d sim.Time, n int) {
 	if d < 0 {
@@ -89,10 +86,6 @@ func (m *Meter) AccumulateN(p Watt, d sim.Time, n int) {
 	total := sim.Time(n) * d
 	m.energy += Joule(float64(p) * total.Seconds())
 	m.elapsed += total
-	m.last = p
-	if p > m.peak {
-		m.peak = p
-	}
 }
 
 // Energy returns the total integrated energy.
@@ -109,17 +102,11 @@ func (m *Meter) Average() Watt {
 	return Watt(float64(m.energy) / m.elapsed.Seconds())
 }
 
-// Peak returns the highest instantaneous sample.
-func (m *Meter) Peak() Watt { return m.peak }
-
-// Last returns the most recent sample.
-func (m *Meter) Last() Watt { return m.last }
-
 // Reset clears the meter.
 func (m *Meter) Reset() { *m = Meter{name: m.name} }
 
 func (m *Meter) String() string {
-	return fmt.Sprintf("%s: avg %.3fW peak %.3fW over %v", m.name, m.Average(), m.peak, m.elapsed)
+	return fmt.Sprintf("%s: avg %.3fW over %v", m.name, m.Average(), m.elapsed)
 }
 
 // MeterBank groups one meter per SoC rail plus a package-level total,

@@ -18,9 +18,9 @@ import (
 // delayedSwitch holds the current point until its nth decision, then
 // transitions to the other ladder point, alternating afterwards. It
 // forces DVFS transitions to fire at decision ticks that fall mid-way
-// through a phase pattern, which is where stale component state (e.g.
-// the fabric's rolling epoch feeding the drain latency) would make a
-// memoized run diverge from a plain one.
+// through a phase pattern, which is where a stale fabric load feeding
+// the drain latency would make a memoized run diverge from a plain
+// one.
 type delayedSwitch struct{ n, decisions, at int }
 
 func (p *delayedSwitch) Name() string { return "delayed-switch" }
@@ -47,8 +47,8 @@ func (p *delayedSwitch) Decide(ctx soc.PolicyContext) soc.PolicyDecision {
 // broad suite test cannot reach: phases with very different IO
 // utilization, and transitions decided only after several intervals of
 // memoized steady-state ticks. The drain step of the Fig. 5 flow
-// scales with the fabric's last-evaluated utilization, so the memoized
-// run must leave the components' rolling epochs exactly as a per-tick
+// scales with the fabric utilization of the last integrated span, so
+// a span served from the memo must record it exactly as a per-tick
 // evaluation would.
 func TestTickMemoTransitionDrainBitIdentical(t *testing.T) {
 	allC0 := compute.Residency{C0: 1}
@@ -58,8 +58,8 @@ func TestTickMemoTransitionDrainBitIdentical(t *testing.T) {
 		// Durations are chosen against the 30ms evaluation interval so
 		// that, between two transitions, the phase preceding the next
 		// decision tick differs from the phase whose evaluation last
-		// refreshed the memo — the exact interleaving where stale
-		// rolling state would surface in the drain latency.
+		// refreshed the memo — the exact interleaving where a stale
+		// fabric load would surface in the drain latency.
 		Phases: []workload.Phase{
 			{Duration: 5 * sim.Millisecond, CoreFrac: 0.8, ActiveCores: 1,
 				CoreActivity: 0.5, Residency: allC0},

@@ -3,10 +3,8 @@ package soc
 import (
 	"context"
 	"fmt"
+	"slices"
 
-	"sysscale/internal/cache"
-	"sysscale/internal/interconnect"
-	"sysscale/internal/memctrl"
 	"sysscale/internal/pmu"
 	"sysscale/internal/vf"
 )
@@ -38,11 +36,12 @@ func (p *Platform) Reset(cfg Config) error {
 
 // program puts every piece of mutable state at cfg's boot point
 // (ladder[0]) with the trained MRC image and worst-case reservations:
-// clock, rail voltages, DRAM timing image and self-refresh statistics,
-// controller/fabric/LLC operating points and rolling epochs, IO
-// configuration, compute P-states, counters, meters, the reservation
-// table, budget, flow statistics and options, the reference-latency
-// terms, and the tick and PBM memos. It is the only code that programs
+// clock, rail voltages, DRAM state and timing image, controller and
+// fabric operating points, IO configuration, compute P-states,
+// counters, meters, the reservation table, budget, flow statistics and
+// options, the reference-latency terms, the fabric load a transition
+// drains, and the tick and PBM memos, the tick memo sized for cfg's
+// workload with every slot invalid. It is the only code that programs
 // the boot point; newPlatform and Reset both end in it.
 func (p *Platform) program(cfg Config) error {
 	boot := cfg.Ladder[0]
@@ -62,13 +61,10 @@ func (p *Platform) program(cfg Config) error {
 		return err
 	}
 	p.mc.Release()
-	p.mc.RestoreEpoch(memctrl.Epoch{})
-	p.llc.RestoreEpoch(cache.Epoch{})
 	if err := p.fabric.SetOperatingPoint(boot.Interco, boot.VSA); err != nil {
 		return err
 	}
 	p.fabric.Release()
-	p.fabric.RestoreEpoch(interconnect.Epoch{})
 	p.ioeng.Configure(cfg.CSR)
 	p.cores.Reset()
 	p.gfx.Reset()
@@ -88,8 +84,11 @@ func (p *Platform) program(cfg Config) error {
 	p.current = boot
 	p.currentIdx = 0
 	p.bonus = 0
+	p.fabUtil = 0
 	p.tickProg = tickProg{}
-	p.memoReady = false
+	n := len(cfg.Workload.Phases)
+	p.tickMemo = slices.Grow(p.tickMemo[:0], n)[:n]
+	clear(p.tickMemo)
 	p.evalCalls = 0
 	p.spans = 0
 	p.imageSpans = 0

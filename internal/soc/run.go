@@ -41,12 +41,14 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 
 // tickEval is the resolved state of one simulation tick, and the tick
 // memo's per-phase slot. The fields up to c2BW are the fixpoint
-// evaluation evalTick writes. img is the stall-free span image
-// integrateSpan derives from them: the counter sample, the rails, and
-// the per-tick work and active-time products of a span with no DVFS
-// stall charge. It is a pure function of the evaluation, the phase and
-// the programming tickProg keys on, so it stays valid exactly as long
-// as the evaluation does; evalTick clears imgOK.
+// evaluation evalTick writes, a pure function of the phase and the
+// programming tickProg keys on; the evaluation writes nothing outside
+// the slot. img is the stall-free span image integrateSpan derives
+// from them: the counter sample, the rails, and the per-tick work and
+// active-time products of a span with no DVFS stall charge. It is a
+// function of the same inputs, so it stays valid exactly as long as
+// the evaluation does; evalTick clears imgOK. valid marks the slot as
+// holding the evaluation for the current tickProg.
 type tickEval struct {
 	r      float64 // progress rate relative to reference (C0)
 	mcEp   memctrl.Epoch
@@ -60,6 +62,8 @@ type tickEval struct {
 	// multiplied by a span length); imgOK marks it filled.
 	img   spanDelta
 	imgOK bool
+
+	valid bool
 }
 
 func (p *Platform) run(ctx context.Context) (Result, error) {
@@ -99,7 +103,7 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 
 	// Program the initial compute P-states from the boot budgets. The
 	// PBM memo starts empty, so this grant runs the arbitration and the
-	// sync sizes and fills the tick memo's key.
+	// sync fills the tick memo's key.
 	firstPhase := cfg.Workload.PhaseAt(0)
 	if _, _, err := p.applyPBM(&firstPhase, 0, 0); err != nil {
 		return Result{}, err
@@ -282,11 +286,11 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 }
 
 // integrateSpan resolves one span: the tick evaluation (via the
-// steady-state memo, which also leaves the components' rolling epochs
-// as a full evaluation would), the residency split, and the
-// accumulator increments, pre-multiplied by the span length. It writes
-// every field of *d in place, so the delta is never copied on its way
-// to the caller.
+// steady-state memo), the residency split, and the accumulator
+// increments, pre-multiplied by the span length. It writes every field
+// of *d in place, so the delta is never copied on its way to the
+// caller, and records the span's fabric utilization as the load the
+// next transition drains.
 //
 // A stall-free span whose memo slot already holds the span image is
 // served from it: the image stores effRate*c0*tickSec and c0*tickSec,
@@ -296,6 +300,7 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 func (p *Platform) integrateSpan(d *spanDelta, idx int, ph *workload.Phase, stallFrac, tickSec, fn float64) {
 	ev := p.tickEvalFor(idx, ph)
 	p.spans++
+	p.fabUtil = ev.fabEp.Utilization
 	if stallFrac == 0 && ev.imgOK {
 		p.imageSpans++
 		*d = ev.img
@@ -402,7 +407,8 @@ func (p *Platform) executeDecision(dec *PolicyDecision) error {
 }
 
 // maybeTransition runs the Fig. 5 flow when the target point differs
-// from the current one, honoring the decision's MRC mode. The platform
+// from the current one, honoring the decision's MRC mode; the flow
+// drains the fabric load of the last integrated span. The platform
 // owns one persistent flow, allocated at assembly and reconfigured per
 // decision, so cumulative transition statistics accrue natively on it
 // and the hot loop allocates nothing per transition. A transition
@@ -414,7 +420,7 @@ func (p *Platform) maybeTransition(now sim.Time, dec *PolicyDecision) (sim.Time,
 	opts := pmu.DefaultFlowOptions(p.cfg.Ladder[0].DDR)
 	opts.OptimizedMRC = dec.OptimizedMRC
 	p.flow.Reconfigure(opts)
-	stall, err := p.flow.Transition(now, dec.Target)
+	stall, err := p.flow.Transition(now, dec.Target, p.fabUtil)
 	if err != nil {
 		return 0, err
 	}
@@ -605,55 +611,29 @@ func (p *Platform) syncTickMemo() {
 func (p *Platform) refreshTickMemo() {
 	p.reprogrammed = false
 	prog := p.programming()
-	if p.memoReady && prog == p.tickProg {
+	if prog == p.tickProg {
 		return
 	}
 	p.tickProg = prog
-	if !p.memoReady {
-		n := len(p.cfg.Workload.Phases)
-		if cap(p.tickMemo) >= n && cap(p.tickValid) >= n {
-			// Pooled platform: recycle the per-phase backing arrays.
-			p.tickMemo = p.tickMemo[:n]
-			p.tickValid = p.tickValid[:n]
-			for i := range p.tickValid {
-				p.tickValid[i] = false
-			}
-		} else {
-			p.tickMemo = make([]tickEval, n)
-			p.tickValid = make([]bool, n)
-		}
-		p.memoReady = true
-		return
-	}
-	for i := range p.tickValid {
-		p.tickValid[i] = false
+	for i := range p.tickMemo {
+		p.tickMemo[i].valid = false
 	}
 }
 
-// tickEvalFor returns the tick evaluation for phase idx, serving it
-// from the memo when the programming snapshot is unchanged. The result
-// points into the phase's memo slot, which evalTick fills in place
-// (with the memo off the slot is scratch, refilled on every call), so
-// a caller must not hold it across another tickEvalFor.
-//
-// A memo hit must leave the platform in the same state a fresh
-// evalTick would: evalTick's only side effects are the components'
-// rolling last-evaluated epochs, and the fabric's feeds the drain
-// latency of the next DVFS transition. Restore all three so memoized
-// and per-tick runs stay bit-identical.
+// tickEvalFor returns the tick evaluation for phase idx: the phase's
+// memo slot, evaluated first unless it is valid. Evaluation writes
+// only the slot, so serving a valid one leaves the platform exactly as
+// evaluating it afresh would. The result points into the slot (with
+// the memo off the slot is scratch, refilled on every call), so a
+// caller must not hold it across another tickEvalFor.
 func (p *Platform) tickEvalFor(idx int, ph *workload.Phase) *tickEval {
 	ev := &p.tickMemo[idx]
-	if !p.cfg.noTickMemo && p.tickValid[idx] {
-		p.mc.RestoreEpoch(ev.mcEp)
-		p.fabric.RestoreEpoch(ev.fabEp)
-		p.llc.RestoreEpoch(ev.llcEp)
+	if ev.valid {
 		return ev
 	}
 	p.evalCalls++
 	p.evalTick(ev, ph, p.refLatOf(ph))
-	if !p.cfg.noTickMemo {
-		p.tickValid[idx] = true
-	}
+	ev.valid = !p.cfg.noTickMemo
 	return ev
 }
 
@@ -666,7 +646,8 @@ func (p *Platform) refLatOf(ph *workload.Phase) float64 {
 
 // evalTick resolves the tick's progress-rate fixpoint and component
 // epochs for the active (C0) scenario, plus the C2 (static-only)
-// utilizations used for idle-state power, into *ev.
+// utilizations used for idle-state power, into *ev. It reads the
+// platform's programming and writes nothing but *ev.
 //
 // Only the progress rate r changes across the fixpoint's iterations:
 // the controller's operating-point terms, the bandwidth headroom and
@@ -675,8 +656,7 @@ func (p *Platform) refLatOf(ph *workload.Phase) float64 {
 // latency, which it takes from the same helper Evaluate uses, and
 // nothing of the fabric at all. The full controller and fabric epochs
 // are resolved once, after the loop, on the demands its last iteration
-// used, which leaves both components' rolling epochs exactly as
-// evaluating them on every iteration would.
+// used.
 func (p *Platform) evalTick(ev *tickEval, ph *workload.Phase, refLat float64) {
 	ev.imgOK = false
 	static := p.ioeng.StaticBandwidth()

@@ -237,18 +237,22 @@ type Platform struct {
 	// Steady-state tick memo (run.go): one tickEval slot per phase —
 	// the resolved fixpoint plus its stall-free span image — valid
 	// while tickProg, the programmable state feeding evalTick,
-	// sampleFor and tickPower, is unchanged. memoReady marks the
-	// per-phase slices as sized for the current workload (pooled
-	// platforms recycle their backing arrays across runs). evalCalls
-	// counts full fixpoint evaluations, spans integrated spans, and
-	// imageSpans the spans served from a slot's span image.
+	// sampleFor and tickPower, is unchanged. An evaluation writes only
+	// its slot, so a slot marked valid is all a memo hit needs. program
+	// sizes the memo for the workload, recycling a pooled platform's
+	// backing array. evalCalls counts full fixpoint evaluations, spans
+	// integrated spans, and imageSpans the spans served from a slot's
+	// span image.
 	tickProg   tickProg
 	tickMemo   []tickEval
-	tickValid  []bool
-	memoReady  bool
 	evalCalls  int
 	spans      int
 	imageSpans int
+
+	// fabUtil is the IO interconnect's utilization on the last
+	// integrated span: the load a DVFS transition's block-and-drain
+	// step empties (maybeTransition).
+	fabUtil float64
 
 	// pbm grant memo (run.go): skips the budget→P-state search when the
 	// request, the compute budget, and the currently programmed compute
