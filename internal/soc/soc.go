@@ -9,6 +9,7 @@ package soc
 
 import (
 	"fmt"
+	"time"
 
 	"sysscale/internal/cache"
 	"sysscale/internal/compute"
@@ -193,6 +194,17 @@ func (c Config) Validate() error {
 	}
 	if c.Duration < c.SampleInterval {
 		return fmt.Errorf("%w: duration %v shorter than one tick (%v)", ErrInvalidConfig, c.Duration, c.SampleInterval)
+	}
+	// The run integrates whole ticks and reads the phase at each tick's
+	// start, so a run or phase duration off the tick grid would drop
+	// time from the energy and residency sums or alias a phase away.
+	if c.Duration%c.SampleInterval != 0 {
+		return fmt.Errorf("%w: duration %v is not a whole number of ticks (%v)", ErrInvalidConfig, time.Duration(c.Duration), time.Duration(c.SampleInterval))
+	}
+	for i, p := range c.Workload.Phases {
+		if p.Duration%c.SampleInterval != 0 {
+			return fmt.Errorf("%w: phase %d duration %v is not a whole number of ticks (%v)", ErrInvalidConfig, i, time.Duration(p.Duration), time.Duration(c.SampleInterval))
+		}
 	}
 	return nil
 }

@@ -615,8 +615,9 @@ func TestOversizedMalformedBody413(t *testing.T) {
 	}
 }
 
-// TestSubTickDurationIs400: a job shorter than one sample interval is
-// a configuration error, so /v1/jobs answers 400 invalid_spec instead
+// TestSubTickDurationIs400: a job shorter than one sample interval, or
+// one whose duration is not a whole number of sample intervals, is a
+// configuration error, so /v1/jobs answers 400 invalid_spec instead
 // of failing the run mid-flight with a 500. So is a document that sets
 // a switch retired in spec v3: the service refuses it rather than
 // answering with results it did not ask for.
@@ -630,7 +631,7 @@ func TestSubTickDurationIs400(t *testing.T) {
 	if bytes.Equal(short, body) {
 		t.Fatal("example spec has no 2 s duration to shorten")
 	}
-	for i, b := range append([][]byte{short}, retiredSwitchBodies(t)...) {
+	for i, b := range append([][]byte{short, offGridBody(t)}, retiredSwitchBodies(t)...) {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
@@ -639,6 +640,17 @@ func TestSubTickDurationIs400(t *testing.T) {
 			t.Errorf("body %d: code %q, want invalid_spec", i, code)
 		}
 	}
+}
+
+// offGridBody returns the example 470.lbm document with a 2.0005 s
+// run, which is not a whole number of its 1 ms sample ticks.
+func offGridBody(tb testing.TB) []byte {
+	tb.Helper()
+	body, err := os.ReadFile("../../examples/specs/sysscale-470.lbm.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bytes.Replace(body, []byte(`"duration_ns": 2000000000`), []byte(`"duration_ns": 2000500000`), 1)
 }
 
 // retiredSwitchBodies returns the v2 example document once with each
@@ -679,7 +691,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		docs = append(docs, b)
 	}
 	docs = append(docs, retiredSwitchBodies(f)...)
-	return append(docs,
+	return append(docs, offGridBody(f),
 		[]byte(`{"version":3}`),
 		[]byte(`[]`),
 		append([]byte(`{"version":3`), bytes.Repeat([]byte(" "), fuzzMaxBody)...))
@@ -746,8 +758,9 @@ const maxFuzzTicks = 1_000_000
 // FuzzJobBody posts arbitrary bodies to /v1/jobs. Whatever the bytes,
 // the server must not panic, must answer with a documented status
 // (200, 400, 413, 503 or 504), and must give every non-200 answer a
-// typed ErrorInfo body with a documented code. Bodies that decode to
-// runs longer than maxFuzzTicks are skipped.
+// typed ErrorInfo body with a documented code. A 200 answer's result
+// must pass Result.Check. Bodies that decode to runs longer than
+// maxFuzzTicks are skipped.
 func FuzzJobBody(f *testing.F) {
 	for _, b := range fuzzSeeds(f) {
 		f.Add(b)
@@ -760,8 +773,17 @@ func FuzzJobBody(f *testing.F) {
 				t.Skip("run longer than maxFuzzTicks")
 			}
 		}
-		if resp := fuzzPost(t, ts.URL+"/v1/jobs", body); resp != nil {
-			resp.Body.Close()
+		resp := fuzzPost(t, ts.URL+"/v1/jobs", body)
+		if resp == nil {
+			return
+		}
+		defer resp.Body.Close()
+		var jr sweepd.JobResponse
+		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+			t.Fatalf("200 body is not a JobResponse: %v", err)
+		}
+		if err := jr.Result.Check(1e-12); err != nil {
+			t.Fatalf("result breaks its physics: %v", err)
 		}
 	})
 }
@@ -771,8 +793,8 @@ func FuzzJobBody(f *testing.F) {
 // form). The server must not panic and must answer with a documented
 // status; a non-200 answer must carry a typed ErrorInfo, and a 200
 // stream must end in a Done line, with every earlier line holding
-// either a result or a typed ErrorInfo and the Done counts matching
-// them. Sweeps simulating more than maxFuzzTicks in all are skipped.
+// either a result that passes Result.Check or a typed ErrorInfo, and
+// the Done counts matching them. Sweeps simulating more than maxFuzzTicks in all are skipped.
 func FuzzSweepBody(f *testing.F) {
 	for _, b := range fuzzSeeds(f) {
 		f.Add(b)
@@ -812,6 +834,13 @@ func FuzzSweepBody(f *testing.F) {
 				}
 				errs++
 			case ln.Error == nil && len(ln.Result) > 0:
+				var r soc.Result
+				if err := json.Unmarshal(ln.Result, &r); err != nil {
+					t.Fatalf("line %d: result does not decode: %v", i, err)
+				}
+				if err := r.Check(1e-12); err != nil {
+					t.Fatalf("line %d: result breaks its physics: %v", i, err)
+				}
 			default:
 				t.Fatalf("line %d holds neither exactly a result nor an error: %s", i, ln.Raw)
 			}
