@@ -32,6 +32,11 @@ func AppendFloat(b []byte, f float64) (_ []byte, ok bool) {
 		return b, false
 	}
 	abs := math.Abs(f)
+	// Below 2^53 every integer is exact, so its shortest round-trip form
+	// is its decimal digits. -0 keeps the strconv path, which writes "-0".
+	if abs < 1<<53 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(b, int64(f), 10), true
+	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

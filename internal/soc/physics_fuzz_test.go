@@ -7,6 +7,7 @@ import (
 	"errors"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"sysscale/internal/compute"
@@ -146,5 +147,23 @@ func TestValidateRejectsOffGridDurations(t *testing.T) {
 	}
 	if _, err := soc.Run(cfg); !errors.Is(err, soc.ErrInvalidConfig) {
 		t.Errorf("250 µs phases on a 1 ms tick: Run = %v, want ErrInvalidConfig", err)
+	}
+}
+
+// TestValidateMessagesExactDurations: a config error states the
+// durations it rejects to the nanosecond, not rounded to three
+// decimals as sim.Time's String does.
+func TestValidateMessagesExactDurations(t *testing.T) {
+	lbm, err := workload.SPEC("470.lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := soc.DefaultConfig()
+	cfg.Workload = lbm
+	cfg.Policy = policy.NewBaseline()
+	cfg.Duration = 999999 * sim.Nanosecond
+	err = cfg.Validate()
+	if !errors.Is(err, soc.ErrInvalidConfig) || !strings.Contains(err.Error(), "duration 999.999µs shorter than one tick (1ms)") {
+		t.Errorf("999 999 ns run on a 1 ms tick: Validate = %v", err)
 	}
 }

@@ -193,7 +193,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: sample interval exceeds evaluation interval", ErrInvalidConfig)
 	}
 	if c.Duration < c.SampleInterval {
-		return fmt.Errorf("%w: duration %v shorter than one tick (%v)", ErrInvalidConfig, c.Duration, c.SampleInterval)
+		return fmt.Errorf("%w: duration %v shorter than one tick (%v)", ErrInvalidConfig, time.Duration(c.Duration), time.Duration(c.SampleInterval))
 	}
 	// The run integrates whole ticks and reads the phase at each tick's
 	// start, so a run or phase duration off the tick grid would drop

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -184,7 +185,23 @@ func Encode(cfg soc.Config) (Job, error) {
 // workload reference and building the policy through the registry. The
 // result is validated through soc.Config.Validate (including the
 // policy's PolicyValidator), so a decoded config is a runnable one.
-func Decode(job Job) (soc.Config, error) {
+func Decode(job Job) (soc.Config, error) { return (*Decoder)(nil).Decode(job) }
+
+// A Decoder decodes the specs of one document, such as a sweep body,
+// and builds each distinct policy section once: specs whose policy
+// name, params bytes and wrap list are byte-identical get one shared
+// policy instance. That is safe where every run clones its policy
+// first, as the engine does for each job. A Decoder keeps every policy
+// it built, so it should live no longer than the document. The zero
+// value is ready to use; a Decoder is not safe for concurrent use.
+type Decoder struct {
+	built map[string]soc.Policy
+	key   []byte
+}
+
+// Decode is the package-level Decode, reusing the policy of an earlier
+// spec with the same policy section. A nil Decoder shares nothing.
+func (dec *Decoder) Decode(job Job) (soc.Config, error) {
 	if job.Version < 1 || job.Version > Version {
 		return soc.Config{}, fmt.Errorf("spec: unsupported version %d (this build reads versions 1 to %d)", job.Version, Version)
 	}
@@ -234,7 +251,7 @@ func Decode(job Job) (soc.Config, error) {
 	}
 	cfg.Workload = wl
 
-	pol, err := policy.Build(job.Policy.Name, job.Policy.Params, job.Policy.Wrap)
+	pol, err := dec.policy(job.Policy)
 	if err != nil {
 		return soc.Config{}, fmt.Errorf("spec: %w", err)
 	}
@@ -250,6 +267,37 @@ func Decode(job Job) (soc.Config, error) {
 		return soc.Config{}, err
 	}
 	return cfg, nil
+}
+
+// policy builds p through the registry, or returns the instance built
+// for a byte-identical section before.
+func (dec *Decoder) policy(p Policy) (soc.Policy, error) {
+	if dec == nil {
+		return policy.Build(p.Name, p.Params, p.Wrap)
+	}
+	// Each part is length-prefixed, so distinct sections never share a
+	// key.
+	k := binary.AppendUvarint(dec.key[:0], uint64(len(p.Name)))
+	k = append(k, p.Name...)
+	k = binary.AppendUvarint(k, uint64(len(p.Params)))
+	k = append(k, p.Params...)
+	for _, w := range p.Wrap {
+		k = binary.AppendUvarint(k, uint64(len(w)))
+		k = append(k, w...)
+	}
+	dec.key = k
+	if pol, ok := dec.built[string(k)]; ok {
+		return pol, nil
+	}
+	pol, err := policy.Build(p.Name, p.Params, p.Wrap)
+	if err != nil {
+		return nil, err
+	}
+	if dec.built == nil {
+		dec.built = make(map[string]soc.Policy)
+	}
+	dec.built[string(k)] = pol
+	return pol, nil
 }
 
 // resolveWorkload materializes the workload reference; exactly one of

@@ -416,6 +416,63 @@ func BenchmarkKey(b *testing.B) {
 	}
 }
 
+// BenchmarkKeyGenerated keys the sweep-hot spec shape: a generated
+// workload, 2 s, sysscale.
+func BenchmarkKeyGenerated(b *testing.B) {
+	cfg := soc.DefaultConfig()
+	cfg.Workload = gen.Generate(gen.DefaultConfig(1))
+	cfg.Policy = policy.NewSysScaleDefault()
+	cfg.Duration = 2 * sim.Second
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ok := Key(cfg); !ok {
+			b.Fatal("uncacheable")
+		}
+	}
+}
+
+// TestDecoderSharesPolicySections: a Decoder builds a byte-identical
+// policy section once and any other section anew, and every config it
+// returns equals the one Decode returns for that spec alone.
+func TestDecoderSharesPolicySections(t *testing.T) {
+	js, err := Encode(baseConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := []Policy{
+		js.Policy,
+		{Name: "sysscale", Params: json.RawMessage(`{"high_scale":2}`)},
+		{Name: "sysscale", Params: json.RawMessage(`{"high_scale":2}`), Wrap: []string{"no-redist"}},
+		{Name: "baseline"},
+		js.Policy,
+		{Name: "sysscale", Params: json.RawMessage(`{"high_scale":2}`)},
+	}
+	var dec Decoder
+	var got []soc.Policy
+	for i, p := range sections {
+		js.Policy = p
+		cfg, err := dec.Decode(js)
+		if err != nil {
+			t.Fatalf("section %d: %v", i, err)
+		}
+		want, err := Decode(js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cfg, want) {
+			t.Errorf("section %d: Decoder config differs from Decode's", i)
+		}
+		got = append(got, cfg.Policy)
+	}
+	for i := range got {
+		for j := range i {
+			if shared, same := got[i] == got[j], i-j == 4; shared != same {
+				t.Errorf("sections %d and %d: shared instance %v, want %v", j, i, shared, same)
+			}
+		}
+	}
+}
+
 type unregisteredPolicy struct{}
 
 func (unregisteredPolicy) Name() string      { return "unregistered" }

@@ -285,12 +285,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("sweep of %d specs over the %d-spec limit; split it", len(specs), s.maxSpecs))
 		return
 	}
+	// One Decoder per body: specs with the same policy section share
+	// one build, and the engine clones the policy for each run.
+	var dec spec.Decoder
 	jobs := make([]engine.Job, len(specs))
 	for i, sp := range specs {
-		if jobs[i], err = engine.FromSpec(sp); err != nil {
+		cfg, err := dec.Decode(sp)
+		if err != nil {
 			s.writeError(w, http.StatusBadRequest, "invalid_spec", fmt.Sprintf("spec %d: %v", i, err))
 			return
 		}
+		jobs[i] = engine.Job{Config: cfg}
 	}
 	s.sweepsTotal.Add(1)
 	s.jobsAccepted.Add(int64(len(jobs)))
@@ -319,7 +324,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	enc := json.NewEncoder(w)
 	delivered, errCount := 0, 0
-	for jr := range s.eng.Stream(ctx, jobs) {
+	results := s.eng.Stream(ctx, jobs)
+	for jr := range results {
 		line := StreamLine{Index: jr.Index}
 		if jr.Err != nil {
 			line.Error = errInfoFor(jr.Err)
@@ -336,7 +342,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		delivered++
-		if flusher != nil {
+		// Flush only when no further result is ready. A ready one is
+		// taken at once and its line joins this one, so a written line
+		// is never held while the handler waits on the engine.
+		if flusher != nil && len(results) == 0 {
 			flusher.Flush()
 		}
 	}

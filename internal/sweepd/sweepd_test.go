@@ -31,6 +31,7 @@ import (
 	"sysscale/internal/sweepd"
 	"sysscale/internal/sweepd/loadgen"
 	"sysscale/internal/workload"
+	"sysscale/internal/workload/gen"
 )
 
 // slowPolicy wraps the baseline governor with a wall-clock sleep per
@@ -327,6 +328,181 @@ func TestSweepStreamBitIdentical(t *testing.T) {
 		if !bytes.Equal(got, wantJSON) {
 			t.Errorf("job %d: streamed result bytes differ from in-process run", i)
 		}
+	}
+}
+
+// sectionSpecs returns two workloads under each of three policy
+// sections: sysscale with default params, sysscale with a custom
+// high_scale, and baseline. In body order each section repeats, so a
+// sweep of them shares policy builds.
+func sectionSpecs(t *testing.T) []spec.Job {
+	t.Helper()
+	sections := []spec.Policy{
+		{Name: "sysscale"},
+		{Name: "sysscale", Params: json.RawMessage(`{"high_scale":1}`)},
+		{Name: "baseline"},
+	}
+	var specs []spec.Job
+	for _, name := range []string{"403.gcc", "473.astar"} {
+		w, err := workload.SPEC(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := soc.DefaultConfig()
+		cfg.Workload = w
+		cfg.Policy = policy.NewBaseline()
+		cfg.Duration = 400 * sim.Millisecond
+		js, err := spec.Encode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range sections {
+			js.Policy = p
+			specs = append(specs, js)
+		}
+	}
+	return specs
+}
+
+// TestSweepSharedPolicySections: specs of one body that share a policy
+// section share its build, and each still returns what /v1/jobs
+// returns for it alone, under the same fingerprint.
+func TestSweepSharedPolicySections(t *testing.T) {
+	srv, ts := newServer(t, sweepd.Config{})
+	specs := sectionSpecs(t)
+	resp := postSweep(t, ts.URL, specs)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	lines := readStream(t, resp.Body)
+	if d := lines[len(lines)-1].Done; d == nil || d.Jobs != len(specs) || d.Errors != 0 {
+		t.Fatalf("stream ended with %+v, want %d clean jobs", lines[len(lines)-1], len(specs))
+	}
+	swept := make([]json.RawMessage, len(specs))
+	for _, ln := range lines[:len(lines)-1] {
+		swept[ln.Index] = ln.Result
+	}
+	if ref := freshResults(t, specs[:2]); reflect.DeepEqual(ref[0], ref[1]) {
+		t.Fatal("custom high_scale does not change the result; the test cannot tell sections apart")
+	}
+
+	_, alone := newServer(t, sweepd.Config{})
+	for i, js := range specs {
+		body, err := json.Marshal(js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := spec.Fingerprint(js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// On a fresh server the spec is simulated alone; on the sweep's
+		// server it must hit the entry the sweep stored under the same
+		// key.
+		for _, url := range []string{alone.URL, ts.URL} {
+			before := srv.Engine().CacheStats()
+			resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var jr struct {
+				Fingerprint string          `json:"fingerprint"`
+				Result      json.RawMessage `json:"result"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&jr)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || err != nil {
+				t.Fatalf("spec %d on %s: status %d, decode error %v", i, url, resp.StatusCode, err)
+			}
+			if !bytes.Equal(jr.Result, swept[i]) {
+				t.Errorf("spec %d on %s: /v1/jobs result differs from the sweep's", i, url)
+			}
+			if jr.Fingerprint != fmt.Sprintf("%x", fp) {
+				t.Errorf("spec %d on %s: fingerprint %s, want %x", i, url, jr.Fingerprint, fp)
+			}
+			if after := srv.Engine().CacheStats(); url == ts.URL && (after.Hits != before.Hits+1 || after.Misses != before.Misses) {
+				t.Errorf("spec %d: /v1/jobs after the sweep missed its entry (hits %d → %d, misses %d → %d)",
+					i, before.Hits, after.Hits, before.Misses, after.Misses)
+			}
+		}
+	}
+}
+
+// TestSweepBadSectionNamesItsSpec: a body whose spec k carries bad
+// policy params is refused with a 400 naming spec k and its decode
+// error, even when earlier specs share the family and a later one
+// repeats the bad section.
+func TestSweepBadSectionNamesItsSpec(t *testing.T) {
+	_, ts := newServer(t, sweepd.Config{})
+	for _, params := range []string{`{"high_scale":-1}`, `{"no_such_param":1}`} {
+		specs := sectionSpecs(t)
+		const k = 3
+		specs[k].Policy = spec.Policy{Name: "sysscale", Params: json.RawMessage(params)}
+		specs[k+1].Policy = specs[k].Policy
+		_, decErr := spec.Decode(specs[k])
+		if decErr == nil {
+			t.Fatalf("params %s decode", params)
+		}
+		resp := postSweep(t, ts.URL, specs)
+		var er struct {
+			Error sweepd.ErrorInfo `json:"error"`
+		}
+		err := json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil {
+			t.Fatalf("params %s: status %d, decode error %v", params, resp.StatusCode, err)
+		}
+		if want := fmt.Sprintf("spec %d: %v", k, decErr); er.Error.Code != "invalid_spec" || er.Error.Message != want {
+			t.Errorf("params %s: error %+v, want invalid_spec %q", params, er.Error, want)
+		}
+	}
+}
+
+// BenchmarkSweepHot is the sweep-hot path in one process: each op
+// posts a 20-spec generated body (policy i mod 4, 2 s runs) whose
+// results are resident in the server's LRU to a loopback server, and
+// the client drains the NDJSON stream.
+func BenchmarkSweepHot(b *testing.B) {
+	pols := []soc.Policy{policy.NewBaseline(), policy.NewSysScaleDefault(), policy.NewMemScaleRedist(), policy.NewCoScaleRedist()}
+	var specs []spec.Job
+	for i, w := range gen.GenerateN(gen.DefaultConfig(1), 20) {
+		cfg := soc.DefaultConfig()
+		cfg.Workload = w
+		cfg.Policy = pols[i%4]
+		cfg.Duration = 2 * sim.Second
+		js, err := spec.Encode(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		specs = append(specs, js)
+	}
+	body, err := json.Marshal(specs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := sweepd.New(sweepd.Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := ts.Client()
+	sweep := func() {
+		resp, err := client.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !bytes.HasSuffix(out, []byte(`"done":{"jobs":20,"errors":0}}`+"\n")) {
+			b.Fatalf("status %d, read error %v, stream tail %q", resp.StatusCode, err, out[max(0, len(out)-80):])
+		}
+	}
+	sweep()
+	b.ReportAllocs()
+	for b.Loop() {
+		sweep()
+	}
+	if st := srv.Engine().CacheStats(); st.Misses != len(specs) {
+		b.Fatalf("%d simulations, want only the %d of the warming sweep", st.Misses, len(specs))
 	}
 }
 

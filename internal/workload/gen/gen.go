@@ -28,6 +28,7 @@ package gen
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"sysscale/internal/compute"
 	"sysscale/internal/sim"
@@ -201,7 +202,7 @@ func (c Config) withDefaults() Config {
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	if c.MinDwell > c.MaxDwell {
-		return fmt.Errorf("gen: MinDwell %v exceeds MaxDwell %v", c.MinDwell, c.MaxDwell)
+		return fmt.Errorf("gen: MinDwell %v exceeds MaxDwell %v", time.Duration(c.MinDwell), time.Duration(c.MaxDwell))
 	}
 	if c.StartWeights != nil && len(c.StartWeights) != NumClasses {
 		return fmt.Errorf("gen: StartWeights has %d entries, want %d", len(c.StartWeights), NumClasses)

@@ -158,6 +158,11 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("inverted dwell bounds accepted")
 	}
+	bad.MinDwell = sim.Millisecond + sim.Nanosecond
+	bad.MaxDwell = sim.Millisecond
+	if err := bad.Validate(); err == nil || err.Error() != "gen: MinDwell 1.000001ms exceeds MaxDwell 1ms" {
+		t.Errorf("dwell bounds 1 ns apart: Validate = %v", err)
+	}
 	bad = DefaultConfig(1)
 	bad.StartWeights = []float64{1, 2}
 	if err := bad.Validate(); err == nil {
