@@ -27,9 +27,10 @@
 //
 // -specs runs every job-spec file (*.json, sorted by name) in a
 // directory as one engine batch instead of the paper set, printing
-// each file's fingerprint and result. Identical specs — and repeats of
-// a spec already run this invocation — are simulated once and served
-// from the engine's result cache.
+// each file's fingerprint and result. A spec whose twin already
+// finished — in this batch or an earlier one this invocation — is
+// served from the engine's result cache; identical specs that run at
+// the same time each simulate, with the same result.
 //
 // -cache-dir layers the persistent on-disk result tier under the
 // engine's in-memory cache: results are keyed by the canonical spec

@@ -21,9 +21,12 @@
 // (beyond that the server answers 503 with Retry-After instead of
 // queueing), a sweep carries at most -max-specs specs, request bodies
 // are capped at -max-body bytes, and each job's wall time is bounded
-// by -job-timeout. -cache-dir layers the shared persistent result
-// cache under the in-memory tier, so a fleet of sweepd processes
-// pointed at one directory computes each distinct config once.
+// by -job-timeout. -cache-dir layers the persistent result cache under
+// the in-memory tier, so a restarted sweepd, or another one pointed at
+// the same directory on a host of the same GOARCH, serves a config
+// already computed there from disk. Entries are bit-identical only
+// between hosts of one GOARCH. Two processes that miss the same config
+// at the same time both simulate it.
 //
 // On SIGINT/SIGTERM the server stops accepting, drains in-flight
 // sweeps for up to -drain, then force-closes and exits 130.
@@ -49,7 +52,7 @@ func run() int {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
 		parallel  = flag.Int("parallel", 0, "simulation workers (0 = GOMAXPROCS)")
-		cacheDir  = flag.String("cache-dir", "", "persistent on-disk result cache directory (shared across the fleet)")
+		cacheDir  = flag.String("cache-dir", "", "persistent on-disk result cache directory (share it only between processes on hosts of one GOARCH)")
 		cacheSize = flag.Int("cache-size", 0, "in-memory result cache entries (0 = default)")
 		maxSweeps = flag.Int("max-sweeps", 0, "max concurrently admitted requests; beyond it the server answers 503 (0 = 2×GOMAXPROCS)")
 		maxSpecs  = flag.Int("max-specs", sweepd.DefaultMaxSpecsPerSweep, "max specs per sweep")

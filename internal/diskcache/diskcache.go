@@ -243,26 +243,16 @@ func (s *Store) Put(key Key, res soc.Result) error {
 	buf = append(buf, sum[:]...)
 	buf = append(buf, payload...)
 
-	path := s.path(key)
-	var replaced int64 // size of an entry this Put overwrites
-	hadOld := false
-	if info, err := os.Stat(path); err == nil {
-		replaced, hadOld = info.Size(), true
+	tmp, err := writeTemp(s.dir, buf)
+	if err == nil {
+		err = s.commit(tmp, s.path(key), int64(len(buf)))
 	}
-	if err := writeAtomic(s.dir, path, buf); err != nil {
+	if err != nil {
 		s.mu.Lock()
 		s.errors++
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %w", ErrIO, err)
 	}
-	s.mu.Lock()
-	s.bytes += int64(len(buf))
-	s.entries++
-	if hadOld {
-		s.bytes -= replaced
-		s.entries--
-	}
-	s.mu.Unlock()
 	s.evict()
 	return nil
 }
@@ -272,39 +262,52 @@ func (s *Store) Put(key Key, res soc.Result) error {
 // removed on that path too.
 var osRename = os.Rename
 
-// writeAtomic writes data to path via a synced temp file in dir and an
-// atomic rename, so concurrent readers (any process) see either the
-// old entry, no entry, or the complete new entry. The temp file is
-// removed on every failure path — the deferred cleanup is structural,
-// not per-branch, so no future error return can leak one (the Open
+// writeTemp writes data to a synced temp file in dir and returns its
+// path, for commit to rename into place. The temp file is removed on
+// every failure path — the deferred cleanup is structural, not
+// per-branch, so no future error return can leak one (the Open
 // stale-temp sweep remains a crash backstop only).
-func writeAtomic(dir, path string, data []byte) (err error) {
+func writeTemp(dir string, data []byte) (tmp string, err error) {
 	f, err := os.CreateTemp(dir, tmpPrefix+"*")
 	if err != nil {
-		return err
+		return "", err
 	}
-	tmp := f.Name()
-	committed := false
 	defer func() {
-		if !committed {
-			os.Remove(tmp)
+		if err != nil {
+			os.Remove(f.Name())
 		}
 	}()
 	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return err
+		return "", err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return err
+		return "", err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
+	return f.Name(), f.Close()
+}
+
+// commit renames the temp file tmp over path, so concurrent readers
+// (any process) see either the old entry, no entry, or the complete
+// new one, and accounts for the size-byte entry. The stat of the entry
+// it replaces, the rename and the accounting run under s.mu, so
+// concurrent Puts of one key count that key once. A failed rename
+// removes tmp.
+func (s *Store) commit(tmp, path string, size int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old, statErr := os.Stat(path)
 	if err := osRename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return err
 	}
-	committed = true
+	s.bytes += size
+	if statErr == nil {
+		s.bytes -= old.Size()
+	} else {
+		s.entries++
+	}
 	return nil
 }
 

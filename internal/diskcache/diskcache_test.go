@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -307,6 +308,58 @@ func TestConcurrentPutGet(t *testing.T) {
 	for i := byte(0); i < 8; i++ {
 		if res, ok, _ := s.Get(keyOf(i)); ok && !reflect.DeepEqual(res, testResult("a")) {
 			t.Errorf("concurrent traffic corrupted entry %d", i)
+		}
+	}
+}
+
+// TestConcurrentPutOneKey: concurrent Puts of one key, as two sweeps
+// of one spec issue them, leave one entry counted once, its bytes
+// counted once, and Get serving it.
+func TestConcurrentPutOneKey(t *testing.T) {
+	const writers = 8
+	want := testResult("470.lbm")
+	for round := 0; round < 5; round++ {
+		dir := t.TempDir()
+		s := mustOpen(t, dir)
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := s.Put(keyOf(3), want); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		info, err := os.Stat(EntryPath(dir, keyOf(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Entries != 1 || st.Bytes != info.Size() {
+			t.Fatalf("round %d: %d concurrent Puts of one key left %d entries / %d bytes, want 1 / %d",
+				round, writers, st.Entries, st.Bytes, info.Size())
+		}
+		if got, ok, _ := s.Get(keyOf(3)); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: Get after concurrent Puts: found=%v", round, ok)
+		}
+	}
+}
+
+// BenchmarkGet times a warm entry's read: the file read, the checksum,
+// the result decode and the mtime refresh.
+func BenchmarkGet(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Put(keyOf(1), testResult("470.lbm")); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ok, _ := s.Get(keyOf(1)); !ok {
+			b.Fatal("warm entry missed")
 		}
 	}
 }

@@ -12,21 +12,23 @@
 // The primitive execution surface is the streaming core (runJobs): a
 // batch is one pass per job. Parallelism() workers, the calling
 // goroutine among them, claim job indices from an atomic counter, and
-// each worker keys its job, looks it up in the cache tiers, coalesces it
-// onto an identical in-batch sibling or simulates it, and delivers one
-// JobResult per job as it completes. Stream exposes the core on a
-// channel that holds O(parallelism) results; RunBatchContext is a thin
-// collector over the same core that delivers straight into the ordered
-// results slice and restores fail-fast semantics. All entry points
+// each worker keys its job, looks it up in the LRU and the disk tier or
+// simulates it, and delivers one JobResult per job as it completes.
+// Stream exposes the core on a channel that holds O(parallelism)
+// results; RunBatchContext is a thin collector over the same core that
+// delivers straight into the ordered results slice and restores
+// fail-fast semantics. All entry points
 // accept a context: cancellation stops the claiming of further jobs,
 // unwinds in-flight simulations within one policy epoch, and returns
 // every pooled platform cleanly.
 //
 // Results come back in input order (batch paths) or tagged with their
-// input index (Stream) regardless of worker count, and a batch that
-// contains the same configuration several times simulates it once. The
-// cache persists across batches, so an experiment harness that re-runs
-// the same baselines for several figures pays for them once.
+// input index (Stream) regardless of worker count. The cache persists
+// across batches, so an experiment harness that re-runs the same
+// baselines for several figures pays for them once. Duplicates inside
+// one batch are not coalesced: a copy claimed after its twin finished
+// hits the LRU, and one claimed while the twin still runs simulates
+// again, which yields the same bits.
 package engine
 
 import (
@@ -48,12 +50,6 @@ import (
 // Job is one unit of batch work: a fully-specified simulation run.
 type Job struct {
 	Config soc.Config
-	// Timeout, when positive, bounds this job's simulation wall time,
-	// overriding the engine-wide WithJobTimeout. A job that exceeds it
-	// fails with an ErrJobTimeout-classed *JobError (never confused
-	// with batch-cancellation collateral). Jobs coalesced onto an
-	// identical in-batch sibling share its run, and so its timeout.
-	Timeout time.Duration
 }
 
 // FromSpec builds a Job from a serialized job spec, resolving the
@@ -107,8 +103,8 @@ func (e *JobError) Error() string {
 // Unwrap supports errors.Is/As.
 func (e *JobError) Unwrap() error { return e.Err }
 
-// ErrJobTimeout classes a job that exceeded its own deadline
-// (WithJobTimeout or Job.Timeout). It is deliberately a plain sentinel
+// ErrJobTimeout classes a job that exceeded the engine's per-job
+// deadline (WithJobTimeout). It is deliberately a plain sentinel
 // — NOT context.DeadlineExceeded — so the batch paths' cancellation-
 // collateral filters can never mistake a job's own timeout for the
 // batch being cancelled: a timed-out job is a genuine, reported
@@ -148,9 +144,9 @@ func WithParallelism(n int) Option {
 	return func(e *Engine) { e.parallelism = n }
 }
 
-// WithCache enables or disables result memoization and in-batch
-// coalescing (enabled by default). Disable it to measure raw
-// simulation throughput in benchmarks.
+// WithCache enables or disables result memoization in the LRU and the
+// disk tier (enabled by default). Disable it to measure raw simulation
+// throughput in benchmarks.
 func WithCache(enabled bool) Option {
 	return func(e *Engine) { e.cacheOn = enabled }
 }
@@ -197,13 +193,12 @@ func WithDiskTier(tier diskcache.Tier) Option {
 	return func(e *Engine) { e.disk = tier }
 }
 
-// WithJobTimeout bounds every job's simulation wall time (overridable
-// per job via Job.Timeout; d <= 0 means no engine-wide bound, the
-// default). A job over its deadline unwinds within one policy epoch,
-// returns its pooled platform, and fails with an ErrJobTimeout-classed
-// *JobError — a genuine per-job failure, distinct from batch
-// cancellation (fail-fast RunBatchContext reports it; Stream delivers
-// it).
+// WithJobTimeout bounds every job's simulation wall time (d <= 0 means
+// no bound, the default). A job over its deadline unwinds within one
+// policy epoch, returns its pooled platform, and fails with an
+// ErrJobTimeout-classed *JobError — a genuine per-job failure, distinct
+// from batch cancellation (fail-fast RunBatchContext reports it; Stream
+// delivers it).
 func WithJobTimeout(d time.Duration) Option {
 	return func(e *Engine) { e.jobTimeout = d }
 }
@@ -216,8 +211,8 @@ func WithJobTimeout(d time.Duration) Option {
 type Stats struct {
 	// Entries is the number of memoized results.
 	Entries int `json:"entries"`
-	// Hits counts jobs served from cache (including jobs coalesced
-	// onto an identical in-batch sibling).
+	// Hits counts jobs served from the in-memory LRU. Disk-tier hits
+	// count in DiskHits instead.
 	Hits int `json:"hits"`
 	// Misses counts jobs that executed a simulation.
 	Misses int `json:"misses"`
@@ -483,10 +478,7 @@ func (e *Engine) RunBatchContext(ctx context.Context, jobs []Job) ([]soc.Result,
 // job). Results are not accumulated for delivery: the channel holds
 // O(parallelism) of them. The engine cache is bounded (WithCacheSize),
 // so even an unbounded config space cycles cache memory instead of
-// growing it. With the cache on, the batch also keeps one task slot
-// per job, holding the outcome of each key's first job until the
-// channel closes, so in-batch duplicates are served even after the
-// LRU evicted them.
+// growing it, and the batch keeps no per-job state.
 //
 // A failed job delivers a JobResult with a *JobError instead of
 // killing the stream; jobs are independent and the remaining jobs
@@ -533,10 +525,10 @@ func (e *Engine) Stream(ctx context.Context, jobs []Job) <-chan JobResult {
 // RunBatchContext. Parallelism() workers, at most one per job and the
 // calling goroutine among them, claim job indices in input order from
 // an atomic counter, and each takes its job from start to finish
-// (batch.do): key, LRU, in-batch coalescing, disk tier, simulation,
-// cache fill, and delivery of the outcome to every coalesced sibling.
-// deliver is called concurrently from the workers; it returns false to
-// stop deliveries early. Once ctx is done no further job is claimed.
+// (batch.do): key, LRU, disk tier, simulation, cache fill and
+// delivery. deliver is called concurrently from the workers; it returns
+// false to stop deliveries early. Once ctx is done no further job is
+// claimed.
 // runJobs returns once every worker has finished — on cancellation
 // that means unclaimed jobs were abandoned, in-flight simulations
 // unwound within one policy epoch, and every pooled Runner is back in
@@ -563,25 +555,6 @@ type batch struct {
 	jobs    []Job
 	deliver func(JobResult) bool
 	next    atomic.Int64 // the next unclaimed job index
-
-	mu sync.Mutex
-	// byKey maps each key's first claim in the batch to its task;
-	// tasks is the slab the tasks come from, tasks[i] being job i's.
-	// Both are made on the batch's first claim that misses the LRU.
-	byKey map[cacheKey]*task
-	tasks []task
-}
-
-// task is the outcome of the job that first claimed a key in its
-// batch, shared with the identical siblings claimed after it. A sibling
-// claimed while the job still runs appends its index to dups, and the
-// job delivers to it; one claimed after done reads res and err itself.
-// Every field is guarded by the batch's mu.
-type task struct {
-	done bool
-	res  soc.Result
-	err  error
-	dups []int
 }
 
 // work claims jobs until none is left, ctx is done, or deliver
@@ -601,21 +574,21 @@ func (b *batch) work() {
 	}
 }
 
-// do resolves job i from the first tier that has it — LRU, an in-batch
-// sibling, the disk tier (promoted into the LRU), else a simulation
-// that fills both tiers — and delivers the outcome to i and every
-// sibling queued on it. It returns false once deliver declines.
+// do resolves job i from the first tier that has it — the LRU, the
+// disk tier (promoted into the LRU), else a simulation that fills both
+// tiers — and delivers the outcome. It returns false once deliver
+// declines.
 func (b *batch) do(i int) bool {
-	e, job := b.e, &b.jobs[i]
-	if job.Config.Policy == nil {
+	e, cfg := b.e, &b.jobs[i].Config
+	if cfg.Policy == nil {
 		return b.send(i, soc.Result{}, fmt.Errorf("%w: nil policy", soc.ErrInvalidConfig))
 	}
 	key, cacheable := cacheKey{}, false
 	if e.cacheOn {
-		key, cacheable = spec.Key(job.Config)
+		key, cacheable = spec.Key(*cfg)
 	}
 	if !cacheable {
-		res, err := e.simulate(b.ctx, *job, nil)
+		res, err := e.simulate(b.ctx, *cfg, nil)
 		if err != nil {
 			return b.send(i, res, err)
 		}
@@ -630,15 +603,8 @@ func (b *batch) do(i int) bool {
 	}
 	e.mu.Unlock()
 	if hit {
-		return b.deliver(JobResult{Index: i, Result: cloneResult(r)})
+		return b.send(i, r, nil)
 	}
-	if twin, queued := b.claim(key, i); twin != nil {
-		e.mu.Lock()
-		e.stats.Hits++
-		e.mu.Unlock()
-		return queued || b.send(i, twin.res, twin.err)
-	}
-	t := &b.tasks[i]
 	// A disk hit counts as DiskHits, not Hits: the tiers are reported
 	// separately. The Get error is diagnostic only (the tier counts it
 	// and the breaker watches it); found is authoritative and every
@@ -648,56 +614,15 @@ func (b *batch) do(i int) bool {
 			e.mu.Lock()
 			e.cachePut(key, r)
 			e.mu.Unlock()
-			return b.finish(i, t, r, nil)
+			return b.send(i, r, nil)
 		}
 	}
-	res, err := e.simulate(b.ctx, *job, &key)
-	return b.finish(i, t, res, err)
+	res, err := e.simulate(b.ctx, *cfg, &key)
+	return b.send(i, res, err)
 }
 
-// claim makes job i the owner of key in the batch and returns nil, or
-// returns the task of the earlier claim that owns it. A twin still
-// running queues i on its dups (queued is true); a finished one is
-// returned for the caller to serve i from, even if the LRU has since
-// evicted its result.
-func (b *batch) claim(key cacheKey, i int) (twin *task, queued bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if t, ok := b.byKey[key]; ok {
-		if !t.done {
-			t.dups = append(t.dups, i)
-		}
-		return t, !t.done
-	}
-	if b.byKey == nil {
-		b.byKey = make(map[cacheKey]*task, len(b.jobs))
-		b.tasks = make([]task, len(b.jobs))
-	}
-	b.byKey[key] = &b.tasks[i]
-	return nil, false
-}
-
-// finish records job i's outcome on its task t, so that siblings
-// claimed from now on read it, then delivers it to i and to every
-// sibling that queued while it ran.
-func (b *batch) finish(i int, t *task, res soc.Result, err error) bool {
-	b.mu.Lock()
-	t.res, t.err, t.done = res, err, true
-	dups := t.dups
-	b.mu.Unlock()
-	if !b.send(i, res, err) {
-		return false
-	}
-	for _, d := range dups {
-		if !b.send(d, res, err) {
-			return false
-		}
-	}
-	return true
-}
-
-// send delivers a shared outcome to job i: a copy of res, or err
-// wrapped in a *JobError naming job i.
+// send delivers job i's outcome: a copy of res, which the LRU holds,
+// or err wrapped in a *JobError naming job i.
 func (b *batch) send(i int, res soc.Result, err error) bool {
 	if err != nil {
 		return b.deliver(JobResult{Index: i, Err: &JobError{Index: i, Config: b.jobs[i].Config, Err: err}})
@@ -729,13 +654,13 @@ var runnersInFlight atomic.Int64
 // the fault-injection torture tests assert exactly that.
 func RunnersInFlight() int64 { return runnersInFlight.Load() }
 
-// simulate runs job and, on success, counts a miss; given a key, it
+// simulate runs cfg and, on success, counts a miss; given a key, it
 // also fills the LRU and writes through to the disk tier (atomic on
 // disk; a failed write counts a DiskError, feeds the breaker, and
 // costs nothing else). The LRU keeps res itself: entries leave it only
 // as copies, so no caller ever aliases one.
-func (e *Engine) simulate(ctx context.Context, job Job, key *cacheKey) (soc.Result, error) {
-	res, err := e.runOnce(ctx, job)
+func (e *Engine) simulate(ctx context.Context, cfg soc.Config, key *cacheKey) (soc.Result, error) {
+	res, err := e.runOnce(ctx, cfg)
 	if err != nil {
 		return res, err
 	}
@@ -751,7 +676,7 @@ func (e *Engine) simulate(ctx context.Context, job Job, key *cacheKey) (soc.Resu
 	return res, nil
 }
 
-// runOnce executes one simulation under the job's deadline with
+// runOnce executes one simulation under the engine's job deadline with
 // full panic isolation. The single deferred block owns the Runner's
 // whole lifecycle — gauge decrement, pool return, panic recovery — so
 // no return path, early or panicking, can leak a checked-out Runner or
@@ -759,20 +684,15 @@ func (e *Engine) simulate(ctx context.Context, job Job, key *cacheKey) (soc.Resu
 // platform may be mid-epoch, mid-mutation — Reset guarantees hold for
 // runs that unwound through RunContext, not for arbitrary interrupt
 // points) and surfaces as *PanicError.
-func (e *Engine) runOnce(ctx context.Context, job Job) (res soc.Result, err error) {
-	cfg := job.Config
+func (e *Engine) runOnce(ctx context.Context, cfg soc.Config) (res soc.Result, err error) {
 	cfg.Policy = cfg.Policy.Clone()
-	timeout := job.Timeout
-	if timeout <= 0 {
-		timeout = e.jobTimeout
-	}
-	if timeout > 0 {
+	if e.jobTimeout > 0 {
 		// The cause brands the deadline as this job's own: soc returns
 		// context.Cause at its per-epoch check, so the job fails with
 		// ErrJobTimeout while batch cancellation still reads as
 		// context.Canceled collateral.
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, timeout, ErrJobTimeout)
+		ctx, cancel = context.WithTimeoutCause(ctx, e.jobTimeout, ErrJobTimeout)
 		defer cancel()
 	}
 
@@ -797,8 +717,7 @@ func (e *Engine) runOnce(ctx context.Context, job Job) (res soc.Result, err erro
 }
 
 // cloneResult deep-copies the result's one slice, PointResidency, so
-// cached entries and coalesced siblings never alias caller-visible
-// memory.
+// a delivered result never aliases an LRU entry or another delivery.
 func cloneResult(r soc.Result) soc.Result {
 	c := r
 	if r.PointResidency != nil {

@@ -142,35 +142,6 @@ func TestCacheMemoizesAcrossBatches(t *testing.T) {
 	}
 }
 
-func TestBatchCoalescesDuplicates(t *testing.T) {
-	w, err := workload.SPEC("403.gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := soc.DefaultConfig()
-	cfg.Workload = w
-	cfg.Policy = policy.NewBaseline()
-	cfg.Duration = 300 * sim.Millisecond
-
-	e := New(WithParallelism(2))
-	rs, err := e.RunBatchContext(context.Background(), []Job{{Config: cfg}, {Config: cfg}, {Config: cfg}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rs[0], rs[1]) || !reflect.DeepEqual(rs[1], rs[2]) {
-		t.Fatal("coalesced duplicates disagree")
-	}
-	if st := e.CacheStats(); st.Misses != 1 || st.Hits != 2 {
-		t.Fatalf("stats = %+v, want 1 miss / 2 hits", st)
-	}
-	// The copies must not alias: mutating one result's slice must not
-	// leak into its siblings or the cache.
-	rs[0].PointResidency[0] = -1
-	if rs[1].PointResidency[0] == -1 {
-		t.Fatal("results alias one another")
-	}
-}
-
 func TestDistinctConfigsDistinctKeys(t *testing.T) {
 	w, err := workload.SPEC("403.gcc")
 	if err != nil {

@@ -157,18 +157,17 @@ func TestStreamDeliversPanicInBand(t *testing.T) {
 }
 
 // TestJobTimeout: a job over its deadline fails with ErrJobTimeout — a
-// genuine, reported failure, distinct from context.DeadlineExceeded —
-// through both the per-job and the engine-wide knobs; Stream delivers
-// it, and fail-fast RunBatchContext reports it rather than eating it as
-// collateral.
+// genuine, reported failure, distinct from context.DeadlineExceeded;
+// Stream delivers it, and fail-fast RunBatchContext reports it rather
+// than eating it as collateral.
 func TestJobTimeout(t *testing.T) {
 	slow := robustnessConfig(t, "470.lbm")
 	slow.Policy = &slowPolicy{inner: policy.NewBaseline(), sleep: 30 * time.Millisecond}
 
-	t.Run("per-job", func(t *testing.T) {
-		e := New()
+	t.Run("engine-wide", func(t *testing.T) {
+		e := New(WithJobTimeout(20 * time.Millisecond))
 		var errs []error
-		for jr := range e.Stream(context.Background(), []Job{{Config: slow, Timeout: 20 * time.Millisecond}}) {
+		for jr := range e.Stream(context.Background(), []Job{{Config: slow}}) {
 			errs = append(errs, jr.Err)
 		}
 		if len(errs) != 1 {
@@ -181,11 +180,8 @@ func TestJobTimeout(t *testing.T) {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			t.Fatalf("ErrJobTimeout matches context sentinels — collateral filters would drop real timeouts")
 		}
-	})
 
-	t.Run("engine-wide", func(t *testing.T) {
-		e := New(WithJobTimeout(20 * time.Millisecond))
-		_, err := e.RunBatchContext(context.Background(), []Job{{Config: slow}})
+		_, err = e.RunBatchContext(context.Background(), []Job{{Config: slow}})
 		var je *JobError
 		if !errors.As(err, &je) || !errors.Is(err, ErrJobTimeout) {
 			t.Fatalf("fail-fast batch err = %v, want *JobError wrapping ErrJobTimeout", err)

@@ -17,8 +17,9 @@ const (
 	// *PanicError on that one job.
 	ModePanic Mode = iota + 1
 	// ModeStall sleeps inside the decision, modelling a wedged or
-	// pathologically slow governor; with a per-job deadline set the
-	// job fails with engine.ErrJobTimeout at the next epoch check.
+	// pathologically slow governor; with an engine job deadline
+	// (engine.WithJobTimeout) shorter than the stall, the job fails
+	// with engine.ErrJobTimeout at the next epoch check.
 	ModeStall
 )
 
@@ -29,7 +30,7 @@ const DefaultStall = 100 * time.Millisecond
 // stall — at a chosen decision index, on every run. It is deliberately
 // not registered with the policy registry (and does not expose
 // Unwrap), so a chaotic config has no canonical key: the engine never
-// serves it from any cache tier and never coalesces it onto a sibling.
+// serves it from the LRU or the disk tier, and never stores it there.
 type Chaos struct {
 	// FireAt is the decision index (0-based) at which the fault
 	// fires.

@@ -25,6 +25,14 @@ const tortureSize = 600
 // deterministically in the seed.
 var torturePlan = Plan{Seed: 0xC0FFEE, PanicPerMille: 20, StallPerMille: 10}
 
+// tortureTimeout is the torture engine's per-job deadline. A clean job
+// must finish well inside it, even under -race with many workers per
+// core, and a stall job's tortureStall must outlast it.
+const (
+	tortureTimeout = 100 * time.Millisecond
+	tortureStall   = 300 * time.Millisecond
+)
+
 // tortureWorkloads returns a small mixed suite.
 func tortureWorkloads(t *testing.T) []workload.Workload {
 	t.Helper()
@@ -41,10 +49,11 @@ func tortureWorkloads(t *testing.T) []workload.Workload {
 
 // tortureJobs builds the torture batch: tortureSize jobs over a mixed
 // workload × policy grid, every config made distinct by a per-job
-// Duration step (so nothing coalesces and stats count exactly), with the plan's fault
-// kinds wired in as chaos policy wrappers. Stall jobs carry a per-job
-// deadline far below their stall, so they fail with ErrJobTimeout
-// deterministically. Returns the jobs and each job's planned kind.
+// Duration step (so no job is a cache hit and stats count exactly),
+// with the plan's fault kinds wired in as chaos policy wrappers. Stall
+// jobs sleep for tortureStall, three times the engine's tortureTimeout,
+// so they fail with ErrJobTimeout deterministically. Returns the jobs
+// and each job's planned kind.
 func tortureJobs(t *testing.T) ([]engine.Job, []Kind) {
 	t.Helper()
 	ws := tortureWorkloads(t)
@@ -68,9 +77,8 @@ func tortureJobs(t *testing.T) ([]engine.Job, []Kind) {
 			job.Config.Policy = NewChaos(cfg.Policy, ModePanic)
 		case KindStall:
 			ch := NewChaos(cfg.Policy, ModeStall)
-			ch.Stall = 150 * time.Millisecond
+			ch.Stall = tortureStall
 			job.Config.Policy = ch
-			job.Timeout = 30 * time.Millisecond
 		}
 		jobs = append(jobs, job)
 	}
@@ -129,6 +137,7 @@ func TestTortureBatch(t *testing.T) {
 			faulty.FailPuts(150) // 15% of keys fail writes
 			e := engine.New(
 				engine.WithParallelism(par),
+				engine.WithJobTimeout(tortureTimeout),
 				engine.WithDiskTier(faulty), // bare tier: exact per-job error accounting
 			)
 

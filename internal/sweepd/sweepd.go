@@ -17,9 +17,10 @@
 //
 // The payload is the PR 7 versioned job spec (internal/spec), so a
 // job submitted over the wire has the same identity — validation,
-// canonical bytes, cache fingerprint — as one run locally: a sweep
-// service fleet sharing one disk cache directory (engine.WithDiskCache)
-// serves each distinct config once, whoever computed it.
+// canonical bytes, cache fingerprint — as one run locally: services on
+// hosts of one GOARCH sharing a disk cache directory
+// (engine.WithDiskCache) serve a config one of them finished from disk.
+// Two that miss the same config at the same time both simulate it.
 //
 // Memory per sweep is O(parallelism): results go straight from
 // engine.Stream to the response writer and are never accumulated.

@@ -207,8 +207,8 @@ func NewEngine(opts ...EngineOption) *Engine { return engine.New(opts...) }
 // selects GOMAXPROCS, the default).
 func WithParallelism(n int) EngineOption { return engine.WithParallelism(n) }
 
-// WithCache enables or disables the engine's result memoization and
-// in-batch coalescing (enabled by default). With it off, every job
+// WithCache enables or disables the engine's result memoization in
+// its LRU and disk tier (enabled by default). With it off, every job
 // simulates in full, which is how benchmarks measure raw simulation
 // throughput.
 func WithCache(enabled bool) EngineOption { return engine.WithCache(enabled) }
@@ -231,10 +231,10 @@ func WithCacheSize(n int) EngineOption { return engine.WithCacheSize(n) }
 // NewEngine when the directory comes from user input.
 func WithDiskCache(dir string) EngineOption { return engine.WithDiskCache(dir) }
 
-// WithJobTimeout bounds every job's simulation wall time (overridable
-// per job via Job.Timeout). A job over its deadline unwinds within one
-// policy epoch and fails with an ErrJobTimeout-classed *JobError — a
-// genuine per-job failure, never confused with batch cancellation.
+// WithJobTimeout bounds every job's simulation wall time. A job over
+// its deadline unwinds within one policy epoch and fails with an
+// ErrJobTimeout-classed *JobError — a genuine per-job failure, never
+// confused with batch cancellation.
 func WithJobTimeout(d time.Duration) EngineOption { return engine.WithJobTimeout(d) }
 
 // PanicError is a worker panic captured by the engine's panic
@@ -243,8 +243,8 @@ func WithJobTimeout(d time.Duration) EngineOption { return engine.WithJobTimeout
 // survive. Retrieve with errors.As.
 type PanicError = engine.PanicError
 
-// ErrJobTimeout classes a job that exceeded its own deadline
-// (WithJobTimeout / Job.Timeout); test with errors.Is.
+// ErrJobTimeout classes a job that exceeded the engine's per-job
+// deadline (WithJobTimeout); test with errors.Is.
 var ErrJobTimeout = engine.ErrJobTimeout
 
 // ErrDiskDegraded reports the disk tier's circuit breaker standing
