@@ -12,7 +12,7 @@ set -euo pipefail
 parent=$(cd "$1" && pwd) change=$(cd "$2" && pwd) out=$(mkdir -p "$3" && cd "$3" && pwd)
 rm -f "$out/parent.out" "$out/change.out"
 for side in parent change; do
-	for pkg in internal/soc . internal/spec internal/compute internal/sweepd internal/diskcache; do
+	for pkg in internal/soc . internal/spec internal/compute internal/sweepd internal/diskcache internal/engine; do
 		(cd "${!side}" && go test -c -trimpath -o "$out/$side/${pkg//[.\/]/_}.test" "./$pkg")
 	done
 done
@@ -21,12 +21,13 @@ bench() { # side pkg regexp benchtime
 		-test.benchtime "$4" -test.benchmem -test.timeout 10m) >>"$out/$1.out"
 }
 side() {
-	bench "$1" internal/soc 'BenchmarkTickLoop(SteadyState|MemoOff)$|BenchmarkRunnerPooled' 1s
+	bench "$1" internal/soc 'BenchmarkTickLoop(SteadyState|MemoOff)$|BenchmarkRunnerPooled|BenchmarkResultCodec$' 1s
 	GOMAXPROCS=2 bench "$1" . 'BenchmarkEngineParallel$|BenchmarkEngineStream$|BenchmarkMonteCarlo$' 5x
 	bench "$1" internal/spec 'BenchmarkReadJobs$|BenchmarkKeyGenerated$' 1s
 	bench "$1" internal/compute 'BenchmarkFreqForBudget$' 1s
 	GOMAXPROCS=2 bench "$1" internal/sweepd 'BenchmarkSweepHot$' 1s
 	bench "$1" internal/diskcache 'BenchmarkGet$' 1s
+	GOMAXPROCS=2 bench "$1" internal/engine 'BenchmarkLookup$' 1s
 }
 for round in 1 2 3 4 5 6 7 8 9 10; do
 	if ((round % 2)); then order="parent change"; else order="change parent"; fi

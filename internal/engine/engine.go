@@ -69,10 +69,18 @@ func FromSpec(job spec.Job) (Job, error) {
 // index it belongs to, and either the Result or a non-nil Err (a
 // *JobError, whose chain includes soc.ErrInvalidConfig for rejected
 // configs and ctx.Err() for cancelled runs).
+//
+// Key is the job's cache key, spec.Key of its config, as the engine
+// computed it to consult the result tiers; Keyed reports that it did.
+// A job is unkeyed when its policy is not registered or the engine
+// runs WithCache(false). Lookup(Key) later finds the result while a
+// tier still holds it.
 type JobResult struct {
 	Index  int
 	Result soc.Result
 	Err    error
+	Key    [32]byte
+	Keyed  bool
 }
 
 // JobError reports which batch job failed and why. It wraps the
@@ -574,28 +582,53 @@ func (b *batch) work() {
 	}
 }
 
-// do resolves job i from the first tier that has it — the LRU, the
-// disk tier (promoted into the LRU), else a simulation that fills both
-// tiers — and delivers the outcome. It returns false once deliver
-// declines.
+// do resolves job i from the first tier that has it (Lookup), else
+// by a simulation that fills both tiers, and delivers the outcome. It
+// returns false once deliver declines.
 func (b *batch) do(i int) bool {
 	e, cfg := b.e, &b.jobs[i].Config
 	if cfg.Policy == nil {
-		return b.send(i, soc.Result{}, fmt.Errorf("%w: nil policy", soc.ErrInvalidConfig))
+		return b.send(JobResult{Index: i, Err: fmt.Errorf("%w: nil policy", soc.ErrInvalidConfig)})
 	}
-	key, cacheable := cacheKey{}, false
+	jr := JobResult{Index: i}
 	if e.cacheOn {
-		key, cacheable = spec.Key(*cfg)
+		jr.Key, jr.Keyed = spec.Key(*cfg)
 	}
-	if !cacheable {
-		res, err := e.simulate(b.ctx, *cfg, nil)
-		if err != nil {
-			return b.send(i, res, err)
-		}
+	if !jr.Keyed {
 		// Nothing else holds this result, so it is delivered uncopied.
-		return b.deliver(JobResult{Index: i, Result: res})
+		jr.Result, jr.Err = e.simulate(b.ctx, *cfg, nil)
+		return b.send(jr)
 	}
+	if r, ok := e.Lookup(jr.Key); ok {
+		jr.Result = r
+		return b.send(jr)
+	}
+	res, err := e.simulate(b.ctx, *cfg, &jr.Key)
+	// The LRU holds res, so the delivery is a copy.
+	jr.Result, jr.Err = cloneResult(res), err
+	return b.send(jr)
+}
 
+// send delivers jr, its Err wrapped in a *JobError naming the job.
+func (b *batch) send(jr JobResult) bool {
+	if jr.Err != nil {
+		jr.Result = soc.Result{}
+		jr.Err = &JobError{Index: jr.Index, Config: b.jobs[jr.Index].Config, Err: jr.Err}
+	}
+	return b.deliver(jr)
+}
+
+// Lookup returns the result cached under key, a config's spec.Key:
+// from the LRU (counted in Stats.Hits), else from the disk tier
+// (counted by the tier in Stats.DiskHits, or DiskMisses when absent)
+// and promoted into the LRU. It reports false when neither tier holds
+// the key, and always when the engine runs WithCache(false). The
+// result is a copy: no caller aliases a cached entry. The batch paths
+// resolve every keyed job through Lookup before simulating it.
+func (e *Engine) Lookup(key [32]byte) (soc.Result, bool) {
+	if !e.cacheOn {
+		return soc.Result{}, false
+	}
 	e.mu.Lock()
 	r, hit := e.cacheGet(key)
 	if hit {
@@ -603,31 +636,22 @@ func (b *batch) do(i int) bool {
 	}
 	e.mu.Unlock()
 	if hit {
-		return b.send(i, r, nil)
+		return cloneResult(r), true
 	}
-	// A disk hit counts as DiskHits, not Hits: the tiers are reported
-	// separately. The Get error is diagnostic only (the tier counts it
-	// and the breaker watches it); found is authoritative and every
-	// failure degrades to a miss.
-	if e.disk != nil {
-		if r, ok, _ := e.disk.Get(key); ok {
-			e.mu.Lock()
-			e.cachePut(key, r)
-			e.mu.Unlock()
-			return b.send(i, r, nil)
-		}
+	// The Get error is diagnostic only (the tier counts it and the
+	// breaker watches it); found is authoritative and every failure
+	// degrades to a miss.
+	if e.disk == nil {
+		return soc.Result{}, false
 	}
-	res, err := e.simulate(b.ctx, *cfg, &key)
-	return b.send(i, res, err)
-}
-
-// send delivers job i's outcome: a copy of res, which the LRU holds,
-// or err wrapped in a *JobError naming job i.
-func (b *batch) send(i int, res soc.Result, err error) bool {
-	if err != nil {
-		return b.deliver(JobResult{Index: i, Err: &JobError{Index: i, Config: b.jobs[i].Config, Err: err}})
+	r, ok, _ := e.disk.Get(key)
+	if !ok {
+		return soc.Result{}, false
 	}
-	return b.deliver(JobResult{Index: i, Result: cloneResult(res)})
+	e.mu.Lock()
+	e.cachePut(key, r)
+	e.mu.Unlock()
+	return cloneResult(r), true
 }
 
 // runnerPool recycles assembled platforms across jobs and batches:

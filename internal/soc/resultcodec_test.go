@@ -9,6 +9,7 @@ import (
 	"sysscale/internal/power"
 	"sysscale/internal/sim"
 	"sysscale/internal/vf"
+	"sysscale/internal/workload/gen"
 )
 
 // codecResult builds a Result exercising every field, including
@@ -141,4 +142,26 @@ func TestResultCodecCoversResult(t *testing.T) {
 		t.Errorf("Result has %d fields, codec written for %d: update AppendResult/DecodeResult and this test", n, wantFields)
 	}
 	_ = perfcounters.NumCounters // codec also depends on the counter topology
+}
+
+// BenchmarkResultCodec times one disk-tier round trip of a result's
+// payload, AppendResult then DecodeResult, on a 2 s generated-workload
+// result.
+func BenchmarkResultCodec(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Workload = gen.Generate(gen.DefaultConfig(1))
+	cfg.Policy = highPinBench()
+	cfg.Duration = 2 * sim.Second
+	res, err := Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf []byte
+	b.ReportAllocs()
+	for b.Loop() {
+		buf = AppendResult(buf[:0], res)
+		if _, err := DecodeResult(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -106,9 +106,9 @@ func TestReadJobsSweepBodyMatchesStdlib(t *testing.T) {
 }
 
 // FuzzReadJobsMatchesStdlib holds the hand-written decoder to
-// encoding/json: for any input, ReadJob and ReadJobs accept exactly
-// when referenceReadDoc does, and then decode to DeepEqual values that
-// share no memory with the buffer the input was read into. Plain go
+// encoding/json: for any input, ReadJob, ReadJobs and ParseJobs accept
+// exactly when referenceReadDoc does, and then decode to DeepEqual
+// values that share no memory with the buffer the input was read into. Plain go
 // test runs every seed, trap seeds included.
 func FuzzReadJobsMatchesStdlib(f *testing.F) {
 	for _, seed := range readJobsSeeds(f) {
@@ -119,8 +119,9 @@ func FuzzReadJobsMatchesStdlib(f *testing.F) {
 	})
 }
 
-// checkMatchesStdlib compares ReadJob on data, and ReadJobs on data and
-// on a two-element array of it, with the reference.
+// checkMatchesStdlib compares ReadJob on data, and ReadJobs and
+// ParseJobs on data and on a two-element array of it, with the
+// reference.
 func checkMatchesStdlib(t *testing.T, data []byte) {
 	t.Helper()
 	var want Job
@@ -137,6 +138,11 @@ func checkMatchesStdlib(t *testing.T, data []byte) {
 		gots, err := ReadJobs(cr)
 		cr.clobber()
 		compareDecodes(t, "ReadJobs", doc, gots, err, wants, wantErr)
+
+		buf := bytes.Clone(doc)
+		gots, err = ParseJobs(buf)
+		copy(buf, bytes.Repeat([]byte("#"), len(buf)))
+		compareDecodes(t, "ParseJobs", doc, gots, err, wants, wantErr)
 	}
 }
 

@@ -31,8 +31,8 @@ var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBody = 1 << 20
 
-// readDoc reads at most MaxDocBytes+1 bytes from r, applies the size
-// bound, and decodes the whole input as one document with decode.
+// readDoc reads at most MaxDocBytes+1 bytes from r and hands them to
+// parseDoc.
 func readDoc(r io.Reader, decode func(*decoder) error) error {
 	buf := bodies.Get().(*bytes.Buffer)
 	defer func() {
@@ -44,10 +44,16 @@ func readDoc(r io.Reader, decode func(*decoder) error) error {
 	if _, err := buf.ReadFrom(io.LimitReader(r, MaxDocBytes+1)); err != nil {
 		return fmt.Errorf("spec: decode: %w", err)
 	}
-	if buf.Len() > MaxDocBytes {
+	return parseDoc(buf.Bytes(), decode)
+}
+
+// parseDoc applies the size bound and decodes all of data as one
+// document with decode.
+func parseDoc(data []byte, decode func(*decoder) error) error {
+	if len(data) > MaxDocBytes {
 		return fmt.Errorf("%w (%d-byte limit)", ErrDocTooLarge, MaxDocBytes)
 	}
-	d := decoder{data: buf.Bytes()}
+	d := decoder{data: data}
 	if err := decode(&d); err != nil {
 		return fmt.Errorf("spec: decode: %w", err)
 	}
@@ -88,12 +94,26 @@ func ReadJob(r io.Reader) (Job, error) {
 // slice; semantic validation is per-job via Decode.
 func ReadJobs(r io.Reader) ([]Job, error) {
 	var jobs []Job
-	if err := readDoc(r, func(d *decoder) error {
-		return decodeSlice(d, &jobs, nil, "[]spec.Job", (*decoder).job)
-	}); err != nil {
+	if err := readDoc(r, func(d *decoder) error { return d.jobs(&jobs) }); err != nil {
 		return nil, err
 	}
 	return jobs, nil
+}
+
+// ParseJobs is ReadJobs over a document already in memory, for a
+// caller that needs the bytes themselves too. The specs share no
+// memory with data.
+func ParseJobs(data []byte) ([]Job, error) {
+	var jobs []Job
+	if err := parseDoc(data, func(d *decoder) error { return d.jobs(&jobs) }); err != nil {
+		return nil, err
+	}
+	return jobs, nil
+}
+
+// jobs decodes a JSON array of job specs.
+func (d *decoder) jobs(jobs *[]Job) error {
+	return decodeSlice(d, jobs, nil, "[]spec.Job", (*decoder).job)
 }
 
 // WriteJob encodes a job spec (indented) to w. The output is readable

@@ -24,7 +24,9 @@ import (
 //     incomplete set.
 //
 // Lines arrive in completion order, not input order; Index is the
-// job's position in the submitted spec array.
+// job's position in the submitted spec array. A sweep served from the
+// memo of bodies seen before (see the package doc) completes in index
+// order.
 type StreamLine struct {
 	Index  int         `json:"index"`
 	Result *soc.Result `json:"result,omitempty"`
@@ -56,8 +58,9 @@ type DoneInfo struct {
 
 // JobResponse is the body of a successful POST /v1/jobs: the result
 // plus the job's canonical fingerprint (hex; its cache identity across
-// the fleet). Fingerprint is empty for jobs whose policy is not
-// registered.
+// the fleet), the key the engine looked the job up by. Fingerprint is
+// empty when the engine computed no key: the job's policy is not
+// registered, or the engine runs WithCache(false).
 type JobResponse struct {
 	Fingerprint string     `json:"fingerprint,omitempty"`
 	Result      soc.Result `json:"result"`
@@ -78,6 +81,9 @@ type ServerStats struct {
 	SweepsActive   int   `json:"sweeps_active"`
 	SweepsTotal    int64 `json:"sweeps_total"`
 	SweepsCanceled int64 `json:"sweeps_canceled"`
+	// SweepsByKey counts the admitted sweeps served by their cache
+	// keys, from the memo of bodies seen before (see the package doc).
+	SweepsByKey int64 `json:"sweeps_by_key"`
 	// JobsAccepted counts specs admitted across all sweeps and single
 	// jobs; JobErrors counts in-band per-job failures delivered.
 	JobsAccepted int64 `json:"jobs_accepted"`

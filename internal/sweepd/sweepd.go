@@ -25,6 +25,28 @@
 // Memory per sweep is O(parallelism): results go straight from
 // engine.Stream to the response writer and are never accumulated.
 //
+// # Bodies seen before
+//
+// A server keeps a bounded LRU memo from the sha256 of a /v1/sweeps
+// body's exact bytes to the cache keys (spec.Key) of its jobs in index
+// order: 32 B a job, and no decoded spec, config or result. An entry is
+// stored only after a sweep of that body delivered every job with a key
+// and without an error or cancellation, so an engine built
+// WithCache(false) never gets one. The memo holds at most
+// engine.DefaultCacheSize keys in all (256 KiB).
+//
+// A body the memo holds is neither decoded nor keyed: its lines are
+// written in index order from Engine.Lookup, which counts hits and
+// promotes disk hits exactly as a batch does, and the sweep context is
+// checked between jobs. A job whose result neither engine tier still
+// holds (evicted, or dropped by ClearCache) is then decoded from the
+// body and streamed under its own index, so a stale entry costs time,
+// never a result; its disk lookup counts twice in DiskMisses. Any
+// other body pays one sha256 more than decoding. The memo rests on one
+// assumption: identical bytes decode to identical configs. That holds
+// because the policy and workload registries only grow, at init, and
+// a spec embeds its trace.
+//
 // # Admission control
 //
 // The server degrades loudly instead of queueing unboundedly. A
@@ -38,10 +60,14 @@
 package sweepd
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -50,6 +76,7 @@ import (
 	"time"
 
 	"sysscale/internal/engine"
+	"sysscale/internal/soc"
 	"sysscale/internal/spec"
 )
 
@@ -112,7 +139,10 @@ type Server struct {
 	sweeps map[string]context.CancelCauseFunc
 	nextID int64
 
+	memo sweepMemo
+
 	sweepsTotal    atomic.Int64
+	sweepsByKey    atomic.Int64
 	sweepsCanceled atomic.Int64
 	jobsAccepted   atomic.Int64
 	jobErrors      atomic.Int64
@@ -169,6 +199,7 @@ func (s *Server) Stats() ServerStats {
 	return ServerStats{
 		SweepsActive:    s.ActiveSweeps(),
 		SweepsTotal:     s.sweepsTotal.Load(),
+		SweepsByKey:     s.sweepsByKey.Load(),
 		SweepsCanceled:  s.sweepsCanceled.Load(),
 		JobsAccepted:    s.jobsAccepted.Load(),
 		JobErrors:       s.jobErrors.Load(),
@@ -235,36 +266,46 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	s.jobsAccepted.Add(1)
 
-	res, err := s.eng.RunContext(r.Context(), job.Config)
-	if err != nil {
-		info := errInfoFor(err)
+	// Stream delivers nothing for a job unwound by cancellation: the
+	// client is gone (or going), and there is nobody to answer.
+	jr, delivered := <-s.eng.Stream(r.Context(), []engine.Job{job})
+	if !delivered {
+		s.jobErrors.Add(1)
+		return
+	}
+	if jr.Err != nil {
+		s.jobErrors.Add(1)
+		info := errInfoFor(jr.Err)
 		status := http.StatusInternalServerError
 		switch info.Code {
 		case "timeout":
 			status = http.StatusGatewayTimeout
 		case "invalid_config":
 			status = http.StatusBadRequest
-		case "canceled":
-			// The client is gone (or going); there is nobody to answer.
-			s.jobErrors.Add(1)
-			return
 		}
-		s.jobErrors.Add(1)
 		s.writeError(w, status, info.Code, info.Message)
 		return
 	}
 
-	resp := JobResponse{Result: res}
-	// The key of the decoded config is spec.Fingerprint(js), without
-	// decoding the spec again.
-	if key, ok := spec.Key(job.Config); ok {
-		resp.Fingerprint = fmt.Sprintf("%x", key)
+	// The engine's key of the decoded config is spec.Fingerprint(js).
+	resp := JobResponse{Result: jr.Result}
+	if jr.Keyed {
+		resp.Fingerprint = hex.EncodeToString(jr.Key[:])
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }
 
-// handleSweep streams a batch: POST /v1/sweeps.
+// bodies recycles the buffers handleSweep reads request bodies into;
+// buffers over maxPooledBody are left to the garbage collector.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// handleSweep streams a batch: POST /v1/sweeps. A body whose digest
+// the memo holds is served by its cache keys (serveByKey); any other
+// is decoded, and stored in the memo once every job in it was
+// delivered keyed and without error.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.admit(w)
 	if !ok {
@@ -272,34 +313,33 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	specs, err := spec.ReadJobs(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodies.Put(buf)
+		}
+	}()
+	// The decoder refuses a document over spec.MaxDocBytes, so one byte
+	// more is all a body needs to be refused by it.
+	if _, err := buf.ReadFrom(io.LimitReader(http.MaxBytesReader(w, r.Body, s.maxBody), spec.MaxDocBytes+1)); err != nil {
 		s.decodeBodyError(w, err)
 		return
 	}
-	if len(specs) == 0 {
-		s.writeError(w, http.StatusBadRequest, "invalid_spec", "empty sweep: no job specs")
-		return
-	}
-	if len(specs) > s.maxSpecs {
-		s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("sweep of %d specs over the %d-spec limit; split it", len(specs), s.maxSpecs))
-		return
-	}
-	// One Decoder per body: specs with the same policy section share
-	// one build, and the engine clones the policy for each run.
-	var dec spec.Decoder
-	jobs := make([]engine.Job, len(specs))
-	for i, sp := range specs {
-		cfg, err := dec.Decode(sp)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "invalid_spec", fmt.Sprintf("spec %d: %v", i, err))
+	body := buf.Bytes()
+	sum := sha256.Sum256(body)
+	keys, byKey := s.memo.get(sum)
+	var jobs []engine.Job
+	if byKey {
+		s.sweepsByKey.Add(1)
+		s.jobsAccepted.Add(int64(len(keys)))
+	} else {
+		if jobs, ok = s.decodeSweep(w, body); !ok {
 			return
 		}
-		jobs[i] = engine.Job{Config: cfg}
+		s.jobsAccepted.Add(int64(len(jobs)))
 	}
 	s.sweepsTotal.Add(1)
-	s.jobsAccepted.Add(int64(len(jobs)))
 
 	// The sweep runs on a cancellable child of the request context:
 	// DELETE /v1/sweeps/{id} cancels it from another connection, and
@@ -315,51 +355,182 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	h.Set("Content-Type", "application/x-ndjson")
 	h.Set("Sweep-Id", id)
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Publish the headers (and the sweep id) before the first
-		// result is ready, so a client can cancel a sweep it has not
-		// yet received anything from.
-		flusher.Flush()
+	sw := &sweepWriter{enc: json.NewEncoder(w), cancel: cancel}
+	sw.flusher, _ = w.(http.Flusher)
+	if byKey {
+		s.serveByKey(ctx, sw, keys, body)
+	} else if keys := s.stream(ctx, sw, jobs, nil); keys != nil && ctx.Err() == nil {
+		s.memo.put(sum, keys)
 	}
+	s.jobErrors.Add(int64(sw.errs))
 
-	enc := json.NewEncoder(w)
-	delivered, errCount := 0, 0
-	results := s.eng.Stream(ctx, jobs)
-	for jr := range results {
-		line := StreamLine{Index: jr.Index}
-		if jr.Err != nil {
-			line.Error = errInfoFor(jr.Err)
-			errCount++
-		} else {
-			res := jr.Result
-			line.Result = &res
-		}
-		if err := enc.Encode(&line); err != nil {
-			// The connection died mid-write. Cancel the sweep — Stream
-			// closes its channel once in-flight jobs unwind — and stop
-			// delivering.
-			cancel(err)
-			break
-		}
-		delivered++
-		// Flush only when no further result is ready. A ready one is
-		// taken at once and its line joins this one, so a written line
-		// is never held while the handler waits on the engine.
-		if flusher != nil && len(results) == 0 {
-			flusher.Flush()
-		}
-	}
-	s.jobErrors.Add(int64(errCount))
-
-	done := DoneInfo{Jobs: delivered, Errors: errCount}
+	done := DoneInfo{Jobs: sw.delivered, Errors: sw.errs}
 	if ctx.Err() != nil {
 		done.Canceled = true
 		s.sweepsCanceled.Add(1)
 	}
 	// Best-effort: if the connection is gone this write fails silently,
 	// and the absent Done marker is itself the truncation signal.
-	enc.Encode(StreamLine{Index: -1, Done: &done})
+	sw.enc.Encode(StreamLine{Index: -1, Done: &done})
+}
+
+// decodeSweep decodes a sweep body into its jobs, or answers the
+// request with the typed error and reports false.
+func (s *Server) decodeSweep(w http.ResponseWriter, body []byte) ([]engine.Job, bool) {
+	specs, err := spec.ParseJobs(body)
+	if err != nil {
+		s.decodeBodyError(w, err)
+		return nil, false
+	}
+	if len(specs) == 0 {
+		s.writeError(w, http.StatusBadRequest, "invalid_spec", "empty sweep: no job specs")
+		return nil, false
+	}
+	if len(specs) > s.maxSpecs {
+		s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+			fmt.Sprintf("sweep of %d specs over the %d-spec limit; split it", len(specs), s.maxSpecs))
+		return nil, false
+	}
+	// One Decoder per body: specs with the same policy section share
+	// one build, and the engine clones the policy for each run.
+	var dec spec.Decoder
+	jobs := make([]engine.Job, len(specs))
+	for i, sp := range specs {
+		cfg, err := dec.Decode(sp)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, "invalid_spec", fmt.Sprintf("spec %d: %v", i, err))
+			return nil, false
+		}
+		jobs[i] = engine.Job{Config: cfg}
+	}
+	return jobs, true
+}
+
+// serveByKey answers a sweep from its jobs' cache keys: each job's
+// line is written in index order from Engine.Lookup, with no decoding
+// and no keying. The jobs whose results neither tier still holds are
+// decoded from body afterwards and streamed under their own indices,
+// so a stale memo entry costs time, never a result. The sweep stops at
+// the first job after ctx is done.
+func (s *Server) serveByKey(ctx context.Context, sw *sweepWriter, keys [][32]byte, body []byte) {
+	var (
+		missing []int
+		res     soc.Result
+		line    = StreamLine{Result: &res}
+	)
+	for i, key := range keys {
+		if ctx.Err() != nil {
+			return
+		}
+		var ok bool
+		if res, ok = s.eng.Lookup(key); !ok {
+			missing = append(missing, i)
+			continue
+		}
+		line.Index = i
+		if !sw.write(&line) {
+			return
+		}
+	}
+	if len(missing) == 0 {
+		return
+	}
+	// The body decoded before, and the policy and workload registries
+	// only grow, so this decode fails only on a bug. Its error then
+	// answers each job it leaves undecoded.
+	specs, parseErr := spec.ParseJobs(body)
+	var dec spec.Decoder
+	jobs := make([]engine.Job, 0, len(missing))
+	idx := make([]int, 0, len(missing))
+	for _, i := range missing {
+		cfg, err := soc.Config{}, parseErr
+		if err == nil {
+			cfg, err = dec.Decode(specs[i])
+		}
+		if err != nil {
+			if !sw.write(&StreamLine{Index: i, Error: errInfoFor(err)}) {
+				return
+			}
+			continue
+		}
+		jobs = append(jobs, engine.Job{Config: cfg})
+		idx = append(idx, i)
+	}
+	s.stream(ctx, sw, jobs, idx)
+}
+
+// sweepWriter writes a sweep's NDJSON lines and counts them.
+type sweepWriter struct {
+	enc     *json.Encoder
+	flusher http.Flusher // nil when the writer cannot flush
+	cancel  context.CancelCauseFunc
+	// delivered counts the result and error lines written, errs the
+	// error lines among them.
+	delivered, errs int
+}
+
+// write writes one result or error line. A failed write means the
+// connection died: it cancels the sweep and reports false.
+func (sw *sweepWriter) write(line *StreamLine) bool {
+	if err := sw.enc.Encode(line); err != nil {
+		sw.cancel(err)
+		return false
+	}
+	sw.delivered++
+	if line.Error != nil {
+		sw.errs++
+	}
+	return true
+}
+
+// stream runs jobs on the engine and writes a line per delivered
+// result to sw, under index idx[j] for job j when idx is non-nil. It
+// returns the jobs' cache keys in job order, or nil unless every job
+// was delivered keyed and without error.
+func (s *Server) stream(ctx context.Context, sw *sweepWriter, jobs []engine.Job, idx []int) [][32]byte {
+	if sw.flusher != nil {
+		// Publish what is written, the headers and the sweep id at
+		// least, before waiting on the engine, so a client can cancel a
+		// sweep it has not yet received a result from.
+		sw.flusher.Flush()
+	}
+	keys := make([][32]byte, len(jobs))
+	keyed := 0
+	var (
+		res  soc.Result
+		line StreamLine
+	)
+	results := s.eng.Stream(ctx, jobs)
+	for jr := range results {
+		line = StreamLine{Index: jr.Index}
+		if idx != nil {
+			line.Index = idx[jr.Index]
+		}
+		if jr.Err != nil {
+			line.Error = errInfoFor(jr.Err)
+		} else {
+			res = jr.Result
+			line.Result = &res
+			if jr.Keyed {
+				keys[jr.Index] = jr.Key
+				keyed++
+			}
+		}
+		if !sw.write(&line) {
+			// Stream closes its channel once in-flight jobs unwind.
+			break
+		}
+		// Flush only when no further result is ready. A ready one is
+		// taken at once and its line joins this one, so a written line
+		// is never held while the handler waits on the engine.
+		if sw.flusher != nil && len(results) == 0 {
+			sw.flusher.Flush()
+		}
+	}
+	if keyed < len(jobs) {
+		return nil
+	}
+	return keys
 }
 
 // handleCancel cancels a running sweep: DELETE /v1/sweeps/{id}.

@@ -20,6 +20,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -281,11 +282,52 @@ func TestJobEndpoint(t *testing.T) {
 	}
 }
 
+// sweepOnce posts body to /v1/sweeps and returns each job's result
+// bytes by index, and whether the lines arrived in index order. It
+// fails unless the answer is 200 and the stream ends in a Done marker
+// for n jobs with no error or cancellation. It is safe to call from
+// several goroutines.
+func sweepOnce(url string, body []byte, n int) (res []json.RawMessage, inOrder bool, err error) {
+	resp, err := http.Post(url+"/v1/sweeps", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, false, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, false, fmt.Errorf("status %d", resp.StatusCode)
+	}
+	res = make([]json.RawMessage, n)
+	inOrder = true
+	dec := json.NewDecoder(resp.Body)
+	for i := 0; ; i++ {
+		var ln loadgen.Line
+		if err := dec.Decode(&ln); err != nil {
+			return nil, false, fmt.Errorf("line %d: %v", i, err)
+		}
+		if ln.Done != nil {
+			if ln.Index != -1 || ln.Done.Jobs != n || ln.Done.Errors != 0 || ln.Done.Canceled || i != n {
+				return nil, false, fmt.Errorf("line %d: done marker %+v after %d lines, want %d clean jobs", i, *ln.Done, i, n)
+			}
+			return res, inOrder, nil
+		}
+		if ln.Error != nil {
+			return nil, false, fmt.Errorf("in-band error for job %d: %+v", ln.Index, *ln.Error)
+		}
+		if ln.Index < 0 || ln.Index >= n || res[ln.Index] != nil {
+			return nil, false, fmt.Errorf("bad or duplicate index %d", ln.Index)
+		}
+		res[ln.Index] = ln.Result
+		inOrder = inOrder && ln.Index == i
+	}
+}
+
 // TestSweepStreamBitIdentical: a sweep's NDJSON results, reordered by
 // input index, are byte-for-byte the JSON of an in-process
-// RunBatchContext on a fresh engine.
+// RunBatchContext on a fresh engine. Posted again, the same body is
+// served by its cache keys: in index order, with the same bytes and no
+// simulation.
 func TestSweepStreamBitIdentical(t *testing.T) {
-	_, ts := newServer(t, sweepd.Config{})
+	srv, ts := newServer(t, sweepd.Config{})
 	specs := fastSpecs(t, 6)
 	want := freshResults(t, specs)
 
@@ -329,6 +371,154 @@ func TestSweepStreamBitIdentical(t *testing.T) {
 			t.Errorf("job %d: streamed result bytes differ from in-process run", i)
 		}
 	}
+
+	body, err := json.Marshal(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey, misses := srv.Stats().SweepsByKey, srv.Engine().CacheStats().Misses
+	again, inOrder, err := sweepOnce(ts.URL, body, len(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Stats().SweepsByKey; got != byKey+1 {
+		t.Errorf("SweepsByKey %d -> %d, want one more", byKey, got)
+	}
+	if got := srv.Engine().CacheStats().Misses; got != misses {
+		t.Errorf("the repeated body simulated: misses %d -> %d", misses, got)
+	}
+	if !inOrder {
+		t.Error("a sweep served by key did not stream in index order")
+	}
+	for i := range again {
+		if !bytes.Equal(again[i], byIndex[i]) {
+			t.Errorf("job %d: result bytes served by key differ from the first post's", i)
+		}
+	}
+}
+
+// TestSweepMemoFallback: a memoized body whose results left the LRU
+// (all of them by ClearCache, or some by eviction) is still served by
+// key, with every job the engine no longer holds simulated again and
+// each index's bytes equal to the first post's.
+func TestSweepMemoFallback(t *testing.T) {
+	specs := fastSpecs(t, 6)
+	body, err := json.Marshal(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name       string
+		eng        *engine.Engine
+		drop       func(*engine.Engine)
+		wantMisses int
+	}{
+		{"ClearCache", engine.New(), (*engine.Engine).ClearCache, len(specs)},
+		// Six distinct results cannot all stay in a 3-entry LRU.
+		{"eviction", engine.New(engine.WithCacheSize(3)), func(*engine.Engine) {}, len(specs) - 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv, ts := newServer(t, sweepd.Config{Engine: c.eng})
+			first, _, err := sweepOnce(ts.URL, body, len(specs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.drop(c.eng)
+			misses := c.eng.CacheStats().Misses
+			again, _, err := sweepOnce(ts.URL, body, len(specs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := srv.Stats().SweepsByKey; got != 1 {
+				t.Errorf("SweepsByKey = %d, want 1", got)
+			}
+			if got := c.eng.CacheStats().Misses - misses; got != c.wantMisses {
+				t.Errorf("%d jobs simulated again, want %d", got, c.wantMisses)
+			}
+			for i := range again {
+				if !bytes.Equal(again[i], first[i]) {
+					t.Errorf("job %d: result bytes differ from the first post's", i)
+				}
+			}
+		})
+	}
+}
+
+// TestSweepMemoSkipsIncompleteSweeps: a body is served by key only
+// after a sweep of it delivered every job keyed and without error. One
+// with an in-band job error, or sent to an engine built
+// WithCache(false), is decoded on every post. (A canceled sweep is
+// covered by TestSweepCancelMidStream.)
+func TestSweepMemoSkipsIncompleteSweeps(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		eng   *engine.Engine
+		specs []spec.Job
+		errs  int
+	}{
+		{"job error", engine.New(engine.WithParallelism(2), engine.WithJobTimeout(40*time.Millisecond)),
+			append(slowSpecs(t, 1, 50), fastSpecs(t, 2)...), 1},
+		{"no cache", engine.New(engine.WithCache(false)), fastSpecs(t, 2), 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv, ts := newServer(t, sweepd.Config{Engine: c.eng})
+			for post := range 2 {
+				resp := postSweep(t, ts.URL, c.specs)
+				lines := readStream(t, resp.Body)
+				resp.Body.Close()
+				if d := lines[len(lines)-1].Done; d == nil || d.Jobs != len(c.specs) || d.Errors != c.errs {
+					t.Fatalf("post %d ended with %+v, want %d jobs and %d errors", post, lines[len(lines)-1], len(c.specs), c.errs)
+				}
+			}
+			if st := srv.Stats(); st.SweepsByKey != 0 || st.SweepsTotal != 2 {
+				t.Errorf("server stats %+v, want 2 sweeps, none by key", st)
+			}
+		})
+	}
+}
+
+// TestSweepMemoConcurrent: identical bodies posted at once, round after
+// round, all stream the bytes of a fresh in-process run, whether they
+// were decoded or served by key.
+func TestSweepMemoConcurrent(t *testing.T) {
+	eng := engine.New(engine.WithParallelism(2))
+	srv, ts := newServer(t, sweepd.Config{Engine: eng, MaxConcurrentSweeps: 16})
+	specs := fastSpecs(t, 4)
+	body, err := json.Marshal(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]byte, len(specs))
+	for i, res := range freshResults(t, specs) {
+		if want[i], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const clients, rounds = 8, 3
+	for range rounds {
+		var wg sync.WaitGroup
+		for range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, _, err := sweepOnce(ts.URL, body, len(specs))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range got {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Errorf("job %d: streamed bytes differ from a fresh run", i)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if st := srv.Stats(); st.SweepsTotal != clients*rounds || st.SweepsByKey < clients {
+		t.Errorf("server stats %+v, want %d sweeps, at least the last round's %d by key", st, clients*rounds, clients)
+	}
+	waitIdle(t, "after concurrent identical sweeps")
 }
 
 // sectionSpecs returns two workloads under each of three policy
@@ -662,6 +852,20 @@ func TestSweepCancelMidStream(t *testing.T) {
 			t.Errorf("rerun job %d not bit-identical to fresh run", ln.Index)
 		}
 	}
+	// The canceled pass left no memo entry; the complete rerun did.
+	if st := srv.Stats(); st.SweepsByKey != 0 {
+		t.Errorf("the rerun of a canceled sweep was served by key (%d)", st.SweepsByKey)
+	}
+	body, err := json.Marshal(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sweepOnce(ts.URL, body, len(specs)); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.SweepsByKey != 1 {
+		t.Errorf("SweepsByKey = %d after a complete rerun, want 1", st.SweepsByKey)
+	}
 }
 
 // TestSweepClientDisconnect: a client that walks away mid-stream
@@ -970,7 +1174,10 @@ func FuzzJobBody(f *testing.F) {
 // status; a non-200 answer must carry a typed ErrorInfo, and a 200
 // stream must end in a Done line, with every earlier line holding
 // either a result that passes Result.Check or a typed ErrorInfo, and
-// the Done counts matching them. Sweeps simulating more than maxFuzzTicks in all are skipped.
+// the Done counts matching them. Every body is posted twice: when the
+// first stream was complete and free of errors, the second (served by
+// key) must carry the same result bytes per index and the same Done
+// counts. Sweeps simulating more than maxFuzzTicks in all are skipped.
 func FuzzSweepBody(f *testing.F) {
 	for _, b := range fuzzSeeds(f) {
 		f.Add(b)
@@ -990,41 +1197,65 @@ func FuzzSweepBody(f *testing.F) {
 				t.Skip("sweep longer than maxFuzzTicks")
 			}
 		}
-		resp := fuzzPost(t, ts.URL+"/v1/sweeps", body)
-		if resp == nil {
+		first, done := fuzzSweep(t, ts.URL, body)
+		if done == nil || done.Errors != 0 || done.Canceled {
 			return
 		}
-		defer resp.Body.Close()
-		lines := readStream(t, resp.Body)
-		if len(lines) == 0 || lines[len(lines)-1].Done == nil {
-			t.Fatalf("stream of %d lines ends without a Done line", len(lines))
+		again, doneAgain := fuzzSweep(t, ts.URL, body)
+		if doneAgain == nil || *doneAgain != *done {
+			t.Fatalf("second post ended with %+v, the first with %+v", doneAgain, *done)
 		}
-		errs := 0
-		for i, ln := range lines[:len(lines)-1] {
-			switch {
-			case ln.Done != nil:
-				t.Fatalf("line %d: Done line before the end of the stream", i)
-			case ln.Error != nil && len(ln.Result) == 0:
-				if !wireCodes[ln.Error.Code] {
-					t.Fatalf("line %d: undocumented error code %q", i, ln.Error.Code)
-				}
-				errs++
-			case ln.Error == nil && len(ln.Result) > 0:
-				var r soc.Result
-				if err := json.Unmarshal(ln.Result, &r); err != nil {
-					t.Fatalf("line %d: result does not decode: %v", i, err)
-				}
-				if err := r.Check(1e-12); err != nil {
-					t.Fatalf("line %d: result breaks its physics: %v", i, err)
-				}
-			default:
-				t.Fatalf("line %d holds neither exactly a result nor an error: %s", i, ln.Raw)
+		for i, res := range first {
+			if !bytes.Equal(again[i], res) {
+				t.Fatalf("job %d: second post's result bytes differ from the first's", i)
 			}
 		}
-		if d := lines[len(lines)-1].Done; d.Jobs != len(lines)-1 || d.Errors != errs {
-			t.Fatalf("Done counts %d jobs, %d errors; the stream held %d lines, %d errors", d.Jobs, d.Errors, len(lines)-1, errs)
-		}
 	})
+}
+
+// fuzzSweep posts body to /v1/sweeps and checks the answer as
+// FuzzSweepBody describes. For a 200 answer it returns the result bytes
+// by index and the Done line; otherwise nil.
+func fuzzSweep(t *testing.T, url string, body []byte) (map[int]json.RawMessage, *sweepd.DoneInfo) {
+	t.Helper()
+	resp := fuzzPost(t, url+"/v1/sweeps", body)
+	if resp == nil {
+		return nil, nil
+	}
+	defer resp.Body.Close()
+	lines := readStream(t, resp.Body)
+	if len(lines) == 0 || lines[len(lines)-1].Done == nil {
+		t.Fatalf("stream of %d lines ends without a Done line", len(lines))
+	}
+	results := make(map[int]json.RawMessage)
+	errs := 0
+	for i, ln := range lines[:len(lines)-1] {
+		switch {
+		case ln.Done != nil:
+			t.Fatalf("line %d: Done line before the end of the stream", i)
+		case ln.Error != nil && len(ln.Result) == 0:
+			if !wireCodes[ln.Error.Code] {
+				t.Fatalf("line %d: undocumented error code %q", i, ln.Error.Code)
+			}
+			errs++
+		case ln.Error == nil && len(ln.Result) > 0:
+			var r soc.Result
+			if err := json.Unmarshal(ln.Result, &r); err != nil {
+				t.Fatalf("line %d: result does not decode: %v", i, err)
+			}
+			if err := r.Check(1e-12); err != nil {
+				t.Fatalf("line %d: result breaks its physics: %v", i, err)
+			}
+			results[ln.Index] = ln.Result
+		default:
+			t.Fatalf("line %d holds neither exactly a result nor an error: %s", i, ln.Raw)
+		}
+	}
+	d := lines[len(lines)-1].Done
+	if d.Jobs != len(lines)-1 || d.Errors != errs {
+		t.Fatalf("Done counts %d jobs, %d errors; the stream held %d lines, %d errors", d.Jobs, d.Errors, len(lines)-1, errs)
+	}
+	return results, d
 }
 
 // TestStatsEndpoint: /v1/stats is valid JSON with both counter blocks,

@@ -77,7 +77,7 @@ func TestPublicSurface(t *testing.T) {
 		want []string
 	}{
 		{reflect.TypeOf(&sysscale.Engine{}), []string{
-			"CacheStats", "ClearCache", "DiskCacheError", "Parallelism",
+			"CacheStats", "ClearCache", "DiskCacheError", "Lookup", "Parallelism",
 			"RunBatchContext", "RunContext", "Stream",
 		}},
 		{reflect.TypeOf(&sysscale.Sweep{}), []string{

@@ -179,7 +179,8 @@ type (
 	// Job is one unit of Engine batch work.
 	Job = engine.Job
 	// JobResult is one job's streamed outcome: input index plus Result
-	// or error, delivered by Engine.Stream as each simulation completes.
+	// or error, and the job's cache key, delivered by Engine.Stream as
+	// each simulation completes.
 	JobResult = engine.JobResult
 	// JobError reports which batch job failed and why; errors.As
 	// recovers it from any batch-path error, and its chain exposes
