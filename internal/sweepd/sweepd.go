@@ -32,8 +32,7 @@
 // order: 32 B a job, and no decoded spec, config or result. An entry is
 // stored only after a sweep of that body delivered every job with a key
 // and without an error or cancellation, so an engine built
-// WithCache(false) never gets one. The memo holds at most
-// engine.DefaultCacheSize keys in all (256 KiB).
+// WithCache(false) never gets one.
 //
 // A body the memo holds is neither decoded nor keyed: its lines are
 // written in index order from Engine.Lookup, which counts hits and
@@ -46,6 +45,18 @@
 // assumption: identical bytes decode to identical configs. That holds
 // because the policy and workload registries only grow, at init, and
 // a spec embeds its trace.
+//
+// The first post served by key (a body's second) renders its result
+// lines and, when every job was found and written and the sweep was
+// not canceled, attaches them to the entry: one exactly-sized buffer
+// and the lines' end offsets. A later post writes each job's stored
+// line instead of encoding its result, but only after Engine.Lookup
+// found its key, so the hit counts stay exact and a line is never
+// written for a result the engine has dropped. A body posted once
+// keeps a keys-only entry. The memo holds at most
+// engine.DefaultCacheSize keys (256 KiB) and 4 MiB of lines in all,
+// dropping whole entries least recently used first; a body whose lines
+// alone exceed 4 MiB keeps a keys-only entry.
 //
 // # Admission control
 //
@@ -328,11 +339,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	body := buf.Bytes()
 	sum := sha256.Sum256(body)
-	keys, byKey := s.memo.get(sum)
+	seen, byKey := s.memo.get(sum)
 	var jobs []engine.Job
 	if byKey {
 		s.sweepsByKey.Add(1)
-		s.jobsAccepted.Add(int64(len(keys)))
+		s.jobsAccepted.Add(int64(len(seen.keys)))
 	} else {
 		if jobs, ok = s.decodeSweep(w, body); !ok {
 			return
@@ -355,10 +366,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	h.Set("Content-Type", "application/x-ndjson")
 	h.Set("Sweep-Id", id)
 	w.WriteHeader(http.StatusOK)
-	sw := &sweepWriter{enc: json.NewEncoder(w), cancel: cancel}
+	sw := &sweepWriter{w: w, enc: json.NewEncoder(w), cancel: cancel}
 	sw.flusher, _ = w.(http.Flusher)
 	if byKey {
-		s.serveByKey(ctx, sw, keys, body)
+		s.serveByKey(ctx, sw, &seen, body)
 	} else if keys := s.stream(ctx, sw, jobs, nil); keys != nil && ctx.Err() == nil {
 		s.memo.put(sum, keys)
 	}
@@ -406,19 +417,33 @@ func (s *Server) decodeSweep(w http.ResponseWriter, body []byte) ([]engine.Job, 
 	return jobs, true
 }
 
-// serveByKey answers a sweep from its jobs' cache keys: each job's
-// line is written in index order from Engine.Lookup, with no decoding
-// and no keying. The jobs whose results neither tier still holds are
-// decoded from body afterwards and streamed under their own indices,
-// so a stale memo entry costs time, never a result. The sweep stops at
-// the first job after ctx is done.
-func (s *Server) serveByKey(ctx context.Context, sw *sweepWriter, keys [][32]byte, body []byte) {
+// serveByKey answers a sweep from its body's memo entry seen: each
+// job's line is written in index order once Engine.Lookup has found its
+// key, with no decoding and no keying. The line is seen's stored bytes
+// when it has lines. Otherwise it is rendered, and when every job was
+// found and written and the sweep was not canceled, the rendered lines
+// are attached to the entry for the body's later posts. The jobs whose
+// results neither tier still holds are decoded from body afterwards
+// and streamed under their own indices, so a stale memo entry costs
+// time, never a result. The sweep stops at the first job after ctx is
+// done.
+func (s *Server) serveByKey(ctx context.Context, sw *sweepWriter, seen *memoEntry, body []byte) {
 	var (
 		missing []int
 		res     soc.Result
 		line    = StreamLine{Result: &res}
+		// rendered and ends collect this post's lines while seen has
+		// none.
+		rendered *bytes.Buffer
+		enc      *json.Encoder
+		ends     []int
 	)
-	for i, key := range keys {
+	if seen.lines == nil {
+		rendered = new(bytes.Buffer)
+		enc = json.NewEncoder(rendered)
+		ends = make([]int, 0, len(seen.keys))
+	}
+	for i, key := range seen.keys {
 		if ctx.Err() != nil {
 			return
 		}
@@ -427,12 +452,26 @@ func (s *Server) serveByKey(ctx context.Context, sw *sweepWriter, keys [][32]byt
 			missing = append(missing, i)
 			continue
 		}
-		line.Index = i
-		if !sw.write(&line) {
+		if seen.lines != nil {
+			ok = sw.writeLine(seen.line(i))
+		} else {
+			line.Index = i
+			start := rendered.Len()
+			if err := enc.Encode(&line); err != nil {
+				sw.cancel(err)
+				return
+			}
+			ends = append(ends, rendered.Len())
+			ok = sw.writeLine(rendered.Bytes()[start:])
+		}
+		if !ok {
 			return
 		}
 	}
 	if len(missing) == 0 {
+		if rendered != nil && ctx.Err() == nil {
+			s.memo.attach(seen.sum, rendered.Bytes(), ends)
+		}
 		return
 	}
 	// The body decoded before, and the policy and workload registries
@@ -461,8 +500,9 @@ func (s *Server) serveByKey(ctx context.Context, sw *sweepWriter, keys [][32]byt
 
 // sweepWriter writes a sweep's NDJSON lines and counts them.
 type sweepWriter struct {
-	enc     *json.Encoder
-	flusher http.Flusher // nil when the writer cannot flush
+	w       io.Writer
+	enc     *json.Encoder // encodes to w
+	flusher http.Flusher  // nil when the writer cannot flush
 	cancel  context.CancelCauseFunc
 	// delivered counts the result and error lines written, errs the
 	// error lines among them.
@@ -480,6 +520,17 @@ func (sw *sweepWriter) write(line *StreamLine) bool {
 	if line.Error != nil {
 		sw.errs++
 	}
+	return true
+}
+
+// writeLine writes one result line rendered before. A failed write
+// means the connection died: it cancels the sweep and reports false.
+func (sw *sweepWriter) writeLine(line []byte) bool {
+	if _, err := sw.w.Write(line); err != nil {
+		sw.cancel(err)
+		return false
+	}
+	sw.delivered++
 	return true
 }
 

@@ -521,6 +521,188 @@ func TestSweepMemoConcurrent(t *testing.T) {
 	waitIdle(t, "after concurrent identical sweeps")
 }
 
+// postRaw posts body to /v1/sweeps and returns the whole stream of a
+// 200 answer. It is safe to call from several goroutines.
+func postRaw(url string, body []byte) ([]byte, error) {
+	resp, err := http.Post(url+"/v1/sweeps", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return out, err
+}
+
+// resultLines returns stream without its last line, the Done marker.
+func resultLines(stream []byte) []byte {
+	return stream[:bytes.LastIndexByte(stream[:len(stream)-1], '\n')+1]
+}
+
+// checkPerIndex fails unless stream is a clean sweep whose result
+// bytes equal want's, index by index.
+func checkPerIndex(t *testing.T, stream []byte, want []json.RawMessage) {
+	t.Helper()
+	lines := readStream(t, bytes.NewReader(stream))
+	if len(lines) == 0 {
+		t.Fatal("empty stream")
+	}
+	if d := lines[len(lines)-1].Done; d == nil || d.Jobs != len(want) || d.Errors != 0 || d.Canceled {
+		t.Fatalf("stream ended with %s, want a Done marker for %d clean jobs", lines[len(lines)-1].Raw, len(want))
+	}
+	for _, ln := range lines[:len(lines)-1] {
+		if ln.Index < 0 || ln.Index >= len(want) || !bytes.Equal(ln.Result, want[ln.Index]) {
+			t.Fatalf("line %s: not the first post's result for its index", ln.Raw)
+		}
+	}
+}
+
+// TestSweepMemoServesLines: the first post of a body stores its keys
+// only, the second (served by key) attaches the result lines it
+// rendered, and the third is written from those lines. Every job of
+// the third still counts an engine hit, none simulates, and its stream
+// is byte for byte the second's, Done marker included.
+func TestSweepMemoServesLines(t *testing.T) {
+	eng := engine.New()
+	srv, ts := newServer(t, sweepd.Config{Engine: eng})
+	specs := fastSpecs(t, 6)
+	body, err := json.Marshal(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, err := sweepOnce(ts.URL, body, len(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, lineBytes := srv.MemoTotals(); lineBytes != 0 {
+		t.Fatalf("a decoded post stored %d line bytes", lineBytes)
+	}
+	second, err := postRaw(ts.URL, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPerIndex(t, second, first)
+	if _, lineBytes := srv.MemoTotals(); lineBytes != len(resultLines(second)) {
+		t.Fatalf("memo holds %d line bytes after the second post, want its %d", lineBytes, len(resultLines(second)))
+	}
+
+	before := eng.CacheStats()
+	third, err := postRaw(ts.URL, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := eng.CacheStats()
+	if after.Hits != before.Hits+len(specs) || after.Misses != before.Misses {
+		t.Errorf("third post: hits %d -> %d, misses %d -> %d; want %d more hits and no miss",
+			before.Hits, after.Hits, before.Misses, after.Misses, len(specs))
+	}
+	if !bytes.Equal(third, second) {
+		t.Errorf("third post's stream differs from the second's:\n%s\n%s", third, second)
+	}
+	if got := srv.Stats().SweepsByKey; got != 2 {
+		t.Errorf("SweepsByKey = %d, want 2", got)
+	}
+}
+
+// TestSweepMemoLinesAfterClearCache: once a body's lines are stored, a
+// ClearCache makes its next post simulate every job again, with the
+// same result bytes per index. The entry keeps its lines, and the post
+// after that is written from them again, byte for byte as before.
+func TestSweepMemoLinesAfterClearCache(t *testing.T) {
+	eng := engine.New()
+	_, ts := newServer(t, sweepd.Config{Engine: eng})
+	specs := fastSpecs(t, 6)
+	body, err := json.Marshal(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, err := sweepOnce(ts.URL, body, len(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored []byte
+	for range 2 {
+		if stored, err = postRaw(ts.URL, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	eng.ClearCache()
+	misses := eng.CacheStats().Misses
+	again, err := postRaw(ts.URL, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPerIndex(t, again, first)
+	if got := eng.CacheStats().Misses - misses; got != len(specs) {
+		t.Errorf("%d jobs simulated after ClearCache, want %d", got, len(specs))
+	}
+
+	misses = eng.CacheStats().Misses
+	last, err := postRaw(ts.URL, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.CacheStats().Misses; got != misses {
+		t.Errorf("the post after the re-simulation simulated %d jobs", got-misses)
+	}
+	if !bytes.Equal(last, stored) {
+		t.Error("the stream after the re-simulation differs from the stored lines' stream")
+	}
+}
+
+// TestSweepMemoLinesConcurrent: eight posts of a body seen once, sent
+// at once, all stream the same bytes, with each index's result equal
+// to the first post's, and the memo ends up holding the body's lines
+// once.
+func TestSweepMemoLinesConcurrent(t *testing.T) {
+	eng := engine.New(engine.WithParallelism(2))
+	srv, ts := newServer(t, sweepd.Config{Engine: eng, MaxConcurrentSweeps: 16})
+	specs := fastSpecs(t, 4)
+	body, err := json.Marshal(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, err := sweepOnce(ts.URL, body, len(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients = 8
+	var (
+		streams [clients][]byte
+		errs    [clients]error
+		start   = make(chan struct{})
+		wg      sync.WaitGroup
+	)
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			streams[c], errs[c] = postRaw(ts.URL, body)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for c := range clients {
+		if errs[c] != nil {
+			t.Fatalf("client %d: %v", c, errs[c])
+		}
+		if !bytes.Equal(streams[c], streams[0]) {
+			t.Errorf("client %d's stream differs from client 0's", c)
+		}
+	}
+	checkPerIndex(t, streams[0], first)
+	if _, lineBytes := srv.MemoTotals(); lineBytes != len(resultLines(streams[0])) {
+		t.Errorf("memo holds %d line bytes, want the body's %d once", lineBytes, len(resultLines(streams[0])))
+	}
+	if got := srv.Stats().SweepsByKey; got != clients {
+		t.Errorf("SweepsByKey = %d, want %d", got, clients)
+	}
+}
+
 // sectionSpecs returns two workloads under each of three policy
 // sections: sysscale with default params, sysscale with a custom
 // high_scale, and baseline. In body order each section repeats, so a
@@ -1174,10 +1356,12 @@ func FuzzJobBody(f *testing.F) {
 // status; a non-200 answer must carry a typed ErrorInfo, and a 200
 // stream must end in a Done line, with every earlier line holding
 // either a result that passes Result.Check or a typed ErrorInfo, and
-// the Done counts matching them. Every body is posted twice: when the
-// first stream was complete and free of errors, the second (served by
-// key) must carry the same result bytes per index and the same Done
-// counts. Sweeps simulating more than maxFuzzTicks in all are skipped.
+// the Done counts matching them. Every body is posted three times:
+// when the first stream was complete and free of errors, the second
+// (served by key) and the third (written from the lines the second
+// rendered) must carry the same result bytes per index and the same
+// Done line. Sweeps simulating more than maxFuzzTicks in all are
+// skipped.
 func FuzzSweepBody(f *testing.F) {
 	for _, b := range fuzzSeeds(f) {
 		f.Add(b)
@@ -1201,13 +1385,17 @@ func FuzzSweepBody(f *testing.F) {
 		if done == nil || done.Errors != 0 || done.Canceled {
 			return
 		}
-		again, doneAgain := fuzzSweep(t, ts.URL, body)
-		if doneAgain == nil || *doneAgain != *done {
-			t.Fatalf("second post ended with %+v, the first with %+v", doneAgain, *done)
-		}
-		for i, res := range first {
-			if !bytes.Equal(again[i], res) {
-				t.Fatalf("job %d: second post's result bytes differ from the first's", i)
+		// The second post is served by key and renders the lines the
+		// third is written from.
+		for post := 2; post <= 3; post++ {
+			again, doneAgain := fuzzSweep(t, ts.URL, body)
+			if doneAgain == nil || *doneAgain != *done {
+				t.Fatalf("post %d ended with %+v, the first with %+v", post, doneAgain, *done)
+			}
+			for i, res := range first {
+				if !bytes.Equal(again[i], res) {
+					t.Fatalf("job %d: post %d's result bytes differ from the first's", i, post)
+				}
 			}
 		}
 	})
