@@ -3,49 +3,42 @@ package sweepd
 import (
 	"container/list"
 	"sync"
-
-	"sysscale/internal/engine"
 )
 
-// The sweep memo's two bounds, constants both. memoBound caps the keys
-// held, summed over the entries: one result cache's worth at its
-// default size, 32 B each (256 KiB). Every admissible sweep
-// (DefaultMaxSpecsPerSweep specs) fits in it. memoLineBound caps the
-// rendered result lines held; a body whose lines exceed it on their
-// own keeps a keys-only entry. A result's workload name comes from the
-// client, so nothing else bounds a line's size.
-const (
-	memoBound     = engine.DefaultCacheSize
-	memoLineBound = 4 << 20
-)
+// memoBound caps the bytes the sweep memo holds, summed over its
+// entries: 32 B per key plus the result lines. It is a constant. A
+// result's workload name comes from the client, so nothing else bounds
+// a line's size; a body whose entry alone exceeds memoBound is not
+// stored.
+const memoBound = 4 << 20
 
 // sweepMemo maps the sha256 of a /v1/sweeps body to the cache keys of
-// its jobs in index order and, once a post of the body served by key
-// rendered them, to its result lines. It never holds a decoded spec or
-// a result: a stored line is written only after Engine.Lookup found its
-// key, and a key whose result left the engine's tiers sends its job
-// back through decoding. Whole entries leave least recently used first
-// once either total exceeds its bound. Safe for concurrent use.
+// its jobs and their result lines, both in index order. It never holds
+// a decoded spec or a result: a stored line is written only after
+// Engine.Lookup found its key, and a key whose result left the
+// engine's tiers sends its job back through decoding. Whole entries
+// leave least recently used first once the total exceeds memoBound.
+// Safe for concurrent use.
 type sweepMemo struct {
-	mu        sync.Mutex
-	bySum     map[[32]byte]*list.Element
-	order     list.List // of *memoEntry, most recently used first
-	keys      int       // summed len(memoEntry.keys)
-	lineBytes int       // summed len(memoEntry.lines)
+	mu    sync.Mutex
+	bySum map[[32]byte]*list.Element
+	order list.List // of *memoEntry, most recently used first
+	bytes int       // summed memoEntry.size()
 }
 
-// memoEntry is one body's memo. The fields are set once, under the
-// memo's lock, and never modified after, so a copy read under the lock
-// can be used without it.
+// memoEntry is one body's memo. It is never modified once stored, so
+// it can be read without the memo's lock.
 type memoEntry struct {
 	sum  [32]byte
 	keys [][32]byte
 	// lines holds job i's NDJSON result line at
-	// lines[ends[i-1]:ends[i]] (from 0 for job 0), exactly as a post
-	// served by key writes it. Both are nil until attach.
+	// lines[ends[i-1]:ends[i]] (from 0 for job 0).
 	lines []byte
 	ends  []int
 }
+
+// size is the entry's charge against memoBound.
+func (e *memoEntry) size() int { return 32*len(e.keys) + len(e.lines) }
 
 // line returns job i's stored result line.
 func (e *memoEntry) line(i int) []byte {
@@ -57,21 +50,32 @@ func (e *memoEntry) line(i int) []byte {
 }
 
 // get returns the entry stored for the body digest sum, refreshing its
-// recency. Its slices are shared and must not be modified.
-func (m *sweepMemo) get(sum [32]byte) (memoEntry, bool) {
+// recency, or nil.
+func (m *sweepMemo) get(sum [32]byte) *memoEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	el, ok := m.bySum[sum]
 	if !ok {
-		return memoEntry{}, false
+		return nil
 	}
 	m.order.MoveToFront(el)
-	return *el.Value.(*memoEntry), true
+	return el.Value.(*memoEntry)
 }
 
-// put stores keys under sum unless sum is already held, and evicts the
-// least recently used entries beyond the bounds. The memo keeps keys.
-func (m *sweepMemo) put(sum [32]byte, keys [][32]byte) {
+// put stores keys under sum with a copy of job i's line
+// lines[spans[i][0]:spans[i][1]], in index order, unless sum is
+// already held or the entry alone exceeds memoBound, and evicts the
+// least recently used entries beyond the bound. The spans must cover
+// lines exactly, in any order. The memo keeps keys.
+func (m *sweepMemo) put(sum [32]byte, keys [][32]byte, lines []byte, spans [][2]int) {
+	if 32*len(keys)+len(lines) > memoBound {
+		return
+	}
+	e := &memoEntry{sum: sum, keys: keys, lines: make([]byte, 0, len(lines)), ends: make([]int, len(spans))}
+	for i, sp := range spans {
+		e.lines = append(e.lines, lines[sp[0]:sp[1]]...)
+		e.ends[i] = len(e.lines)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.bySum == nil {
@@ -81,44 +85,11 @@ func (m *sweepMemo) put(sum [32]byte, keys [][32]byte) {
 		m.order.MoveToFront(el)
 		return
 	}
-	m.bySum[sum] = m.order.PushFront(&memoEntry{sum: sum, keys: keys})
-	m.keys += len(keys)
-	m.evict()
-}
-
-// attach stores a copy of lines, one result line per key of the entry
-// under sum with line i ending at ends[i], unless the entry is gone,
-// already holds lines, or lines alone exceed memoLineBound. It keeps
-// ends.
-func (m *sweepMemo) attach(sum [32]byte, lines []byte, ends []int) {
-	if len(lines) > memoLineBound {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.bySum[sum]
-	if !ok {
-		return
-	}
-	e := el.Value.(*memoEntry)
-	if e.lines != nil || len(ends) != len(e.keys) {
-		return
-	}
-	e.lines = make([]byte, len(lines))
-	copy(e.lines, lines)
-	e.ends = ends
-	m.lineBytes += len(lines)
-	m.order.MoveToFront(el)
-	m.evict()
-}
-
-// evict drops least recently used entries until both totals are within
-// their bounds.
-func (m *sweepMemo) evict() {
-	for m.keys > memoBound || m.lineBytes > memoLineBound {
-		e := m.order.Remove(m.order.Back()).(*memoEntry)
-		delete(m.bySum, e.sum)
-		m.keys -= len(e.keys)
-		m.lineBytes -= len(e.lines)
+	m.bySum[sum] = m.order.PushFront(e)
+	m.bytes += e.size()
+	for m.bytes > memoBound {
+		old := m.order.Remove(m.order.Back()).(*memoEntry)
+		delete(m.bySum, old.sum)
+		m.bytes -= old.size()
 	}
 }

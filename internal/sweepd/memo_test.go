@@ -5,75 +5,93 @@ import (
 	"testing"
 )
 
-// MemoTotals reports the keys and the rendered line bytes the server's
-// sweep memo holds.
+// MemoTotals reports the keys and the result line bytes the server's
+// sweep memo holds, summed over its entries.
 func (s *Server) MemoTotals() (keys, lineBytes int) {
 	s.memo.mu.Lock()
 	defer s.memo.mu.Unlock()
-	return s.memo.keys, s.memo.lineBytes
+	for el := s.memo.order.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*memoEntry)
+		keys += len(e.keys)
+		lineBytes += len(e.lines)
+	}
+	return keys, lineBytes
 }
 
-// checkTotals fails unless m's totals are the sums over its entries,
-// its map and list hold the same entries, and both totals are within
-// their bounds.
+// checkTotals fails unless m's total is the sum of its entries' sizes,
+// its map and list hold the same entries, and the total is within
+// memoBound.
 func checkTotals(t *testing.T, m *sweepMemo) {
 	t.Helper()
-	keys, lineBytes := 0, 0
+	total := 0
 	for el := m.order.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*memoEntry)
 		if m.bySum[e.sum] != el {
 			t.Fatalf("entry %x is listed but not mapped", e.sum[:4])
 		}
-		keys += len(e.keys)
-		lineBytes += len(e.lines)
+		total += e.size()
 	}
 	if len(m.bySum) != m.order.Len() {
 		t.Fatalf("%d entries mapped, %d listed", len(m.bySum), m.order.Len())
 	}
-	if keys != m.keys || lineBytes != m.lineBytes {
-		t.Fatalf("totals %d keys, %d line bytes; the entries hold %d and %d", m.keys, m.lineBytes, keys, lineBytes)
+	if total != m.bytes {
+		t.Fatalf("total %d B; the entries hold %d B", m.bytes, total)
 	}
-	if m.keys > memoBound || m.lineBytes > memoLineBound {
-		t.Fatalf("totals %d keys, %d line bytes exceed the bounds %d and %d", m.keys, m.lineBytes, memoBound, memoLineBound)
+	if m.bytes > memoBound {
+		t.Fatalf("total %d B exceeds the bound %d", m.bytes, memoBound)
 	}
 }
 
-// TestMemoBounds: lines over memoLineBound leave a keys-only entry,
-// attach keeps the first lines it is given, and eviction drops whole
-// entries, least recently used first, until both the keys and the line
-// bytes held are within their bounds.
+// TestMemoBounds: an entry over memoBound on its own is not stored,
+// lines given in completion order are stored in index order, put keeps
+// a copy of the first lines it is given for a sum, and eviction drops
+// whole entries, least recently used first, until the total is within
+// the bound.
 func TestMemoBounds(t *testing.T) {
 	var m sweepMemo
 	sum := func(i int) [32]byte { return [32]byte{byte(i), byte(i >> 8)} }
-	// lines returns n result lines of size bytes each and their ends.
-	lines := func(n, size int, fill byte) ([]byte, []int) {
-		b := bytes.Repeat([]byte{fill}, n*size)
-		ends := make([]int, n)
-		for i := range ends {
-			ends[i] = (i + 1) * size
+	// lines returns n result lines of size bytes each and their spans
+	// in index order.
+	lines := func(n, size int, fill byte) ([]byte, [][2]int) {
+		spans := make([][2]int, n)
+		for i := range spans {
+			spans[i] = [2]int{i * size, (i + 1) * size}
 		}
-		return b, ends
+		return bytes.Repeat([]byte{fill}, n*size), spans
 	}
 
-	m.put(sum(0), make([][32]byte, 2))
-	big, bigEnds := lines(2, memoLineBound/2+1, 'x')
-	m.attach(sum(0), big, bigEnds)
-	if e, ok := m.get(sum(0)); !ok || e.lines != nil || len(e.keys) != 2 {
-		t.Fatalf("lines over the bound: entry %v (lines %d B), want keys only", ok, len(e.lines))
+	over, overSpans := lines(1, memoBound-31, 'x')
+	m.put(sum(0), make([][32]byte, 1), over, overSpans)
+	if m.get(sum(0)) != nil {
+		t.Fatalf("stored an entry of %d B over the %d B bound", 32+len(over), memoBound)
+	}
+	checkTotals(t, &m)
+	full, fullSpans := lines(1, memoBound-32, 'x')
+	m.put(sum(0), make([][32]byte, 1), full, fullSpans)
+	if m.get(sum(0)) == nil || m.bytes != memoBound {
+		t.Fatalf("an entry of exactly the bound was not stored (total %d B)", m.bytes)
 	}
 	checkTotals(t, &m)
 
-	small, smallEnds := lines(2, 10, 'a')
-	m.attach(sum(0), small[:10], smallEnds[:1])
-	if e, _ := m.get(sum(0)); e.lines != nil {
-		t.Fatal("attached one line to an entry of two keys")
+	// Job 1 completed first, so its line comes first in the buffer.
+	done := []byte("bb\naaa\n")
+	m.put(sum(1), make([][32]byte, 2), done, [][2]int{{3, 7}, {0, 3}})
+	e := m.get(sum(1))
+	if e == nil || string(e.line(0)) != "aaa\n" || string(e.line(1)) != "bb\n" {
+		t.Fatalf("stored lines %q, want %q in index order", e.lines, "aaa\nbb\n")
 	}
-	m.attach(sum(0), small, smallEnds)
-	other, otherEnds := lines(2, 10, 'b')
-	m.attach(sum(0), other, otherEnds)
-	e, _ := m.get(sum(0))
+	if m.get(sum(0)) != nil {
+		t.Error("the full entry survived a second one")
+	}
+	checkTotals(t, &m)
+
+	small, smallSpans := lines(2, 10, 'a')
+	m.put(sum(2), make([][32]byte, 2), small, smallSpans)
+	other, otherSpans := lines(2, 10, 'b')
+	m.put(sum(2), make([][32]byte, 2), other, otherSpans)
+	e = m.get(sum(2))
 	if !bytes.Equal(e.line(0), small[:10]) || !bytes.Equal(e.line(1), small[10:]) {
-		t.Fatalf("stored lines %q, want the first attached %q", e.lines, small)
+		t.Fatalf("stored lines %q, want the first put's %q", e.lines, small)
 	}
 	small[0] = 'z'
 	if e.lines[0] != 'a' {
@@ -81,34 +99,34 @@ func TestMemoBounds(t *testing.T) {
 	}
 	checkTotals(t, &m)
 
-	// Three entries of a third of the line bound and more: attaching the
-	// third drops the least recently used, which is entry 1 once entry
-	// 0 was read.
-	third, thirdEnds := lines(1, memoLineBound/3+1, 'c')
-	for i := 1; i <= 3; i++ {
-		m.put(sum(i), make([][32]byte, 1))
+	// Three entries of a third of the bound and more: putting the third
+	// drops the least recently used, which is entry 3 once entries 1
+	// and 2 were read.
+	third, thirdSpans := lines(1, memoBound/3, 'c')
+	for i := 3; i <= 5; i++ {
+		if i == 5 {
+			m.get(sum(1))
+			m.get(sum(2))
+		}
+		m.put(sum(i), make([][32]byte, 1), third, thirdSpans)
+		checkTotals(t, &m)
 	}
-	for i := 1; i <= 2; i++ {
-		m.attach(sum(i), third, thirdEnds)
-	}
-	m.get(sum(0))
-	m.attach(sum(3), third, thirdEnds)
-	checkTotals(t, &m)
-	for i, want := range []bool{true, false, true, true} {
-		if _, ok := m.get(sum(i)); ok != want {
-			t.Errorf("entry %d held: %v, want %v", i, ok, want)
+	for i, want := range []bool{false, true, true, false, true, true} {
+		if held := m.get(sum(i)) != nil; held != want {
+			t.Errorf("entry %d held: %v, want %v", i, held, want)
 		}
 	}
 
-	// Keys alone evict too: a body of half the key bound and one more,
-	// twice, leaves only the later.
-	m.put(sum(4), make([][32]byte, memoBound/2+1))
-	m.put(sum(5), make([][32]byte, memoBound/2+1))
+	// Keys count too: a body of half the bound's worth of keys and one
+	// more, twice, leaves only the later.
+	m.put(sum(6), make([][32]byte, memoBound/64+1), nil, nil)
 	checkTotals(t, &m)
-	if _, ok := m.get(sum(4)); ok {
+	m.put(sum(7), make([][32]byte, memoBound/64+1), nil, nil)
+	checkTotals(t, &m)
+	if m.get(sum(6)) != nil {
 		t.Error("the older of two half-bound bodies survived")
 	}
-	if _, ok := m.get(sum(5)); !ok {
+	if m.get(sum(7)) == nil {
 		t.Error("the newer of two half-bound bodies was evicted")
 	}
 }

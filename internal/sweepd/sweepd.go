@@ -2,7 +2,7 @@
 // HTTP/JSON API, turning the in-process what-if engine into a
 // capacity/energy-planning server a fleet of clients can share.
 //
-// The API surface is four endpoints:
+// The API surface is five endpoints:
 //
 //	POST   /v1/jobs         one job spec in, its result out (synchronous)
 //	POST   /v1/sweeps       a JSON array of job specs in; results stream
@@ -22,41 +22,39 @@
 // (engine.WithDiskCache) serve a config one of them finished from disk.
 // Two that miss the same config at the same time both simulate it.
 //
-// Memory per sweep is O(parallelism): results go straight from
+// Memory per sweep is O(parallelism), plus the rendered result lines
+// a decoded sweep keeps for the memo, up to memoBound: results go from
 // engine.Stream to the response writer and are never accumulated.
 //
 // # Bodies seen before
 //
 // A server keeps a bounded LRU memo from the sha256 of a /v1/sweeps
-// body's exact bytes to the cache keys (spec.Key) of its jobs in index
-// order: 32 B a job, and no decoded spec, config or result. An entry is
-// stored only after a sweep of that body delivered every job with a key
-// and without an error or cancellation, so an engine built
+// body's exact bytes to the cache keys (spec.Key) of its jobs and their
+// NDJSON result lines, both in index order, and no decoded spec, config
+// or result. A decoded sweep renders its lines into a buffer as it
+// streams them; the entry is stored, as one exactly-sized buffer with
+// the lines' end offsets, only after the sweep delivered every job with
+// a key and without an error or cancellation, so an engine built
 // WithCache(false) never gets one.
 //
-// A body the memo holds is neither decoded nor keyed: its lines are
-// written in index order from Engine.Lookup, which counts hits and
-// promotes disk hits exactly as a batch does, and the sweep context is
-// checked between jobs. A job whose result neither engine tier still
-// holds (evicted, or dropped by ClearCache) is then decoded from the
-// body and streamed under its own index, so a stale entry costs time,
-// never a result; its disk lookup counts twice in DiskMisses. Any
-// other body pays one sha256 more than decoding. The memo rests on one
+// A body the memo holds is neither decoded nor keyed nor rendered: each
+// job's stored line is written in index order once Engine.Lookup found
+// its key, so hits are counted and disk hits promoted exactly as a
+// batch does, and a line is never written for a result the engine has
+// dropped. The sweep context is checked between jobs. A job whose
+// result neither engine tier still holds (evicted, or dropped by
+// ClearCache) is then decoded from the body and streamed under its own
+// index, so a stale entry costs time, never a result; its disk lookup
+// counts twice in DiskMisses. Any other body pays one sha256 and one
+// copy of its lines more than decoding. The memo rests on one
 // assumption: identical bytes decode to identical configs. That holds
 // because the policy and workload registries only grow, at init, and
 // a spec embeds its trace.
 //
-// The first post served by key (a body's second) renders its result
-// lines and, when every job was found and written and the sweep was
-// not canceled, attaches them to the entry: one exactly-sized buffer
-// and the lines' end offsets. A later post writes each job's stored
-// line instead of encoding its result, but only after Engine.Lookup
-// found its key, so the hit counts stay exact and a line is never
-// written for a result the engine has dropped. A body posted once
-// keeps a keys-only entry. The memo holds at most
-// engine.DefaultCacheSize keys (256 KiB) and 4 MiB of lines in all,
-// dropping whole entries least recently used first; a body whose lines
-// alone exceed 4 MiB keeps a keys-only entry.
+// The memo holds at most 4 MiB in all, 32 B per key plus the line
+// bytes, and drops whole entries least recently used first. A body
+// whose entry alone exceeds that is not stored, and is decoded on every
+// post.
 //
 // # Admission control
 //
@@ -307,16 +305,24 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// bodies recycles the buffers handleSweep reads request bodies into;
-// buffers over maxPooledBody are left to the garbage collector.
+// bodies recycles the buffers handleSweep reads request bodies and
+// renders a decoded sweep's lines into; recycle leaves buffers over
+// maxPooledBody to the garbage collector.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBody = 1 << 20
 
+func recycle(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		bodies.Put(buf)
+	}
+}
+
 // handleSweep streams a batch: POST /v1/sweeps. A body whose digest
 // the memo holds is served by its cache keys (serveByKey); any other
-// is decoded, and stored in the memo once every job in it was
-// delivered keyed and without error.
+// is decoded, and stored in the memo with the lines it streamed once
+// every job in it was delivered keyed and without error.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.admit(w)
 	if !ok {
@@ -325,12 +331,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	buf := bodies.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			buf.Reset()
-			bodies.Put(buf)
-		}
-	}()
+	defer recycle(buf)
 	// The decoder refuses a document over spec.MaxDocBytes, so one byte
 	// more is all a body needs to be refused by it.
 	if _, err := buf.ReadFrom(io.LimitReader(http.MaxBytesReader(w, r.Body, s.maxBody), spec.MaxDocBytes+1)); err != nil {
@@ -339,9 +340,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	body := buf.Bytes()
 	sum := sha256.Sum256(body)
-	seen, byKey := s.memo.get(sum)
+	seen := s.memo.get(sum)
 	var jobs []engine.Job
-	if byKey {
+	if seen != nil {
 		s.sweepsByKey.Add(1)
 		s.jobsAccepted.Add(int64(len(seen.keys)))
 	} else {
@@ -368,10 +369,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	sw := &sweepWriter{w: w, enc: json.NewEncoder(w), cancel: cancel}
 	sw.flusher, _ = w.(http.Flusher)
-	if byKey {
-		s.serveByKey(ctx, sw, &seen, body)
-	} else if keys := s.stream(ctx, sw, jobs, nil); keys != nil && ctx.Err() == nil {
-		s.memo.put(sum, keys)
+	if seen != nil {
+		s.serveByKey(ctx, sw, seen, body)
+	} else {
+		lines := bodies.Get().(*bytes.Buffer)
+		defer recycle(lines)
+		sw.lines, sw.render, sw.spans = lines, json.NewEncoder(lines), make([][2]int, len(jobs))
+		if keys := s.stream(ctx, sw, jobs, nil); keys != nil && ctx.Err() == nil {
+			s.memo.put(sum, keys, lines.Bytes(), sw.spans)
+		}
 	}
 	s.jobErrors.Add(int64(sw.errs))
 
@@ -418,60 +424,27 @@ func (s *Server) decodeSweep(w http.ResponseWriter, body []byte) ([]engine.Job, 
 }
 
 // serveByKey answers a sweep from its body's memo entry seen: each
-// job's line is written in index order once Engine.Lookup has found its
-// key, with no decoding and no keying. The line is seen's stored bytes
-// when it has lines. Otherwise it is rendered, and when every job was
-// found and written and the sweep was not canceled, the rendered lines
-// are attached to the entry for the body's later posts. The jobs whose
+// job's stored line is written in index order once Engine.Lookup has
+// found its key, with no decoding, keying or rendering. The jobs whose
 // results neither tier still holds are decoded from body afterwards
 // and streamed under their own indices, so a stale memo entry costs
 // time, never a result. The sweep stops at the first job after ctx is
 // done.
 func (s *Server) serveByKey(ctx context.Context, sw *sweepWriter, seen *memoEntry, body []byte) {
-	var (
-		missing []int
-		res     soc.Result
-		line    = StreamLine{Result: &res}
-		// rendered and ends collect this post's lines while seen has
-		// none.
-		rendered *bytes.Buffer
-		enc      *json.Encoder
-		ends     []int
-	)
-	if seen.lines == nil {
-		rendered = new(bytes.Buffer)
-		enc = json.NewEncoder(rendered)
-		ends = make([]int, 0, len(seen.keys))
-	}
+	var missing []int
 	for i, key := range seen.keys {
 		if ctx.Err() != nil {
 			return
 		}
-		var ok bool
-		if res, ok = s.eng.Lookup(key); !ok {
+		if _, ok := s.eng.Lookup(key); !ok {
 			missing = append(missing, i)
 			continue
 		}
-		if seen.lines != nil {
-			ok = sw.writeLine(seen.line(i))
-		} else {
-			line.Index = i
-			start := rendered.Len()
-			if err := enc.Encode(&line); err != nil {
-				sw.cancel(err)
-				return
-			}
-			ends = append(ends, rendered.Len())
-			ok = sw.writeLine(rendered.Bytes()[start:])
-		}
-		if !ok {
+		if !sw.writeLine(seen.line(i)) {
 			return
 		}
 	}
 	if len(missing) == 0 {
-		if rendered != nil && ctx.Err() == nil {
-			s.memo.attach(seen.sum, rendered.Bytes(), ends)
-		}
 		return
 	}
 	// The body decoded before, and the policy and workload registries
@@ -504,6 +477,14 @@ type sweepWriter struct {
 	enc     *json.Encoder // encodes to w
 	flusher http.Flusher  // nil when the writer cannot flush
 	cancel  context.CancelCauseFunc
+	// While spans is non-nil, write renders each line into lines with
+	// render, writes it from there and records job i's line at
+	// lines[spans[i][0]:spans[i][1]]. Capture stops, and spans turns
+	// nil, once lines holds more than memoBound bytes: more than
+	// sweepMemo.put stores.
+	lines  *bytes.Buffer
+	render *json.Encoder // encodes to lines
+	spans  [][2]int
 	// delivered counts the result and error lines written, errs the
 	// error lines among them.
 	delivered, errs int
@@ -512,11 +493,26 @@ type sweepWriter struct {
 // write writes one result or error line. A failed write means the
 // connection died: it cancels the sweep and reports false.
 func (sw *sweepWriter) write(line *StreamLine) bool {
-	if err := sw.enc.Encode(line); err != nil {
-		sw.cancel(err)
-		return false
+	if sw.spans == nil {
+		if err := sw.enc.Encode(line); err != nil {
+			sw.cancel(err)
+			return false
+		}
+		sw.delivered++
+	} else {
+		start := sw.lines.Len()
+		if err := sw.render.Encode(line); err != nil {
+			sw.cancel(err)
+			return false
+		}
+		sw.spans[line.Index] = [2]int{start, sw.lines.Len()}
+		if sw.lines.Len() > memoBound {
+			sw.spans = nil
+		}
+		if !sw.writeLine(sw.lines.Bytes()[start:]) {
+			return false
+		}
 	}
-	sw.delivered++
 	if line.Error != nil {
 		sw.errs++
 	}

@@ -479,7 +479,8 @@ func TestSweepMemoSkipsIncompleteSweeps(t *testing.T) {
 
 // TestSweepMemoConcurrent: identical bodies posted at once, round after
 // round, all stream the bytes of a fresh in-process run, whether they
-// were decoded or served by key.
+// were decoded or served by key. The first round's posts, all decoded
+// at once, leave the body's keys and lines in the memo once.
 func TestSweepMemoConcurrent(t *testing.T) {
 	eng := engine.New(engine.WithParallelism(2))
 	srv, ts := newServer(t, sweepd.Config{Engine: eng, MaxConcurrentSweeps: 16})
@@ -495,12 +496,16 @@ func TestSweepMemoConcurrent(t *testing.T) {
 		}
 	}
 	const clients, rounds = 8, 3
-	for range rounds {
-		var wg sync.WaitGroup
+	for round := range rounds {
+		var (
+			wg    sync.WaitGroup
+			start = make(chan struct{})
+		)
 		for range clients {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				<-start
 				got, _, err := sweepOnce(ts.URL, body, len(specs))
 				if err != nil {
 					t.Error(err)
@@ -513,10 +518,22 @@ func TestSweepMemoConcurrent(t *testing.T) {
 				}
 			}()
 		}
+		close(start)
 		wg.Wait()
+		if round > 0 {
+			continue
+		}
+		stored, err := postRaw(ts.URL, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keys, lineBytes := srv.MemoTotals(); keys != len(specs) || lineBytes != len(resultLines(stored)) {
+			t.Errorf("memo holds %d keys and %d line bytes, want the body's %d and %d once",
+				keys, lineBytes, len(specs), len(resultLines(stored)))
+		}
 	}
-	if st := srv.Stats(); st.SweepsTotal != clients*rounds || st.SweepsByKey < clients {
-		t.Errorf("server stats %+v, want %d sweeps, at least the last round's %d by key", st, clients*rounds, clients)
+	if st := srv.Stats(); st.SweepsTotal != clients*rounds+1 || st.SweepsByKey < clients+1 {
+		t.Errorf("server stats %+v, want %d sweeps, at least the last round's %d and one more by key", st, clients*rounds+1, clients)
 	}
 	waitIdle(t, "after concurrent identical sweeps")
 }
@@ -559,11 +576,14 @@ func checkPerIndex(t *testing.T, stream []byte, want []json.RawMessage) {
 	}
 }
 
-// TestSweepMemoServesLines: the first post of a body stores its keys
-// only, the second (served by key) attaches the result lines it
-// rendered, and the third is written from those lines. Every job of
-// the third still counts an engine hit, none simulates, and its stream
-// is byte for byte the second's, Done marker included.
+// doneLine returns stream's last line, the Done marker.
+func doneLine(stream []byte) []byte { return stream[len(resultLines(stream)):] }
+
+// TestSweepMemoServesLines: the first post of a body, decoded, stores
+// exactly the result lines it streamed. The second is written from
+// them: every job still counts an engine hit, none simulates, and each
+// index's result and the Done line match the first post's. The third
+// is byte for byte the second.
 func TestSweepMemoServesLines(t *testing.T) {
 	eng := engine.New()
 	srv, ts := newServer(t, sweepd.Config{Engine: eng})
@@ -572,31 +592,36 @@ func TestSweepMemoServesLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, _, err := sweepOnce(ts.URL, body, len(specs))
+	first, err := postRaw(ts.URL, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, lineBytes := srv.MemoTotals(); lineBytes != 0 {
-		t.Fatalf("a decoded post stored %d line bytes", lineBytes)
+	if _, lineBytes := srv.MemoTotals(); lineBytes != len(resultLines(first)) {
+		t.Fatalf("memo holds %d line bytes after the first post, want its %d", lineBytes, len(resultLines(first)))
 	}
-	second, err := postRaw(ts.URL, body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPerIndex(t, second, first)
-	if _, lineBytes := srv.MemoTotals(); lineBytes != len(resultLines(second)) {
-		t.Fatalf("memo holds %d line bytes after the second post, want its %d", lineBytes, len(resultLines(second)))
+	byIndex := make([]json.RawMessage, len(specs))
+	for _, ln := range readStream(t, bytes.NewReader(resultLines(first))) {
+		byIndex[ln.Index] = ln.Result
 	}
 
 	before := eng.CacheStats()
-	third, err := postRaw(ts.URL, body)
+	second, err := postRaw(ts.URL, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := eng.CacheStats()
 	if after.Hits != before.Hits+len(specs) || after.Misses != before.Misses {
-		t.Errorf("third post: hits %d -> %d, misses %d -> %d; want %d more hits and no miss",
+		t.Errorf("second post: hits %d -> %d, misses %d -> %d; want %d more hits and no miss",
 			before.Hits, after.Hits, before.Misses, after.Misses, len(specs))
+	}
+	checkPerIndex(t, second, byIndex)
+	if !bytes.Equal(doneLine(second), doneLine(first)) {
+		t.Errorf("second post's Done line %q, the first's %q", doneLine(second), doneLine(first))
+	}
+
+	third, err := postRaw(ts.URL, body)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !bytes.Equal(third, second) {
 		t.Errorf("third post's stream differs from the second's:\n%s\n%s", third, second)
@@ -606,10 +631,49 @@ func TestSweepMemoServesLines(t *testing.T) {
 	}
 }
 
+// TestSweepMemoOversizedBody: a body whose result lines alone exceed
+// memoBound (five jobs with 1 MiB workload names) streams the bytes a
+// fresh server does, index by index, and is decoded on every post:
+// the memo keeps none of it.
+func TestSweepMemoOversizedBody(t *testing.T) {
+	specs := fastSpecs(t, 5)
+	for i := range specs {
+		specs[i].Workload.Inline.Name = strings.Repeat(string(rune('a'+i)), 1<<20)
+	}
+	body, err := json.Marshal(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fresh := newServer(t, sweepd.Config{})
+	want, _, err := sweepOnce(fresh.URL, body, len(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newServer(t, sweepd.Config{})
+	for post := 1; post <= 2; post++ {
+		got, _, err := sweepOnce(ts.URL, body, len(specs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("post %d, job %d: result bytes differ from a fresh server's", post, i)
+			}
+		}
+	}
+	if got := srv.Stats().SweepsByKey; got != 0 {
+		t.Errorf("SweepsByKey = %d, want 0", got)
+	}
+	if keys, lineBytes := srv.MemoTotals(); keys != 0 || lineBytes != 0 {
+		t.Errorf("memo holds %d keys and %d line bytes of an oversized body", keys, lineBytes)
+	}
+}
+
 // TestSweepMemoLinesAfterClearCache: once a body's lines are stored, a
 // ClearCache makes its next post simulate every job again, with the
 // same result bytes per index. The entry keeps its lines, and the post
-// after that is written from them again, byte for byte as before.
+// after that is written from them again, byte for byte as the post
+// served from them before.
 func TestSweepMemoLinesAfterClearCache(t *testing.T) {
 	eng := engine.New()
 	_, ts := newServer(t, sweepd.Config{Engine: eng})
@@ -622,11 +686,9 @@ func TestSweepMemoLinesAfterClearCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stored []byte
-	for range 2 {
-		if stored, err = postRaw(ts.URL, body); err != nil {
-			t.Fatal(err)
-		}
+	stored, err := postRaw(ts.URL, body)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	eng.ClearCache()
@@ -654,9 +716,9 @@ func TestSweepMemoLinesAfterClearCache(t *testing.T) {
 }
 
 // TestSweepMemoLinesConcurrent: eight posts of a body seen once, sent
-// at once, all stream the same bytes, with each index's result equal
-// to the first post's, and the memo ends up holding the body's lines
-// once.
+// at once, are all written from the lines its first post stored: they
+// stream the same bytes, with each index's result equal to the first
+// post's, and the memo still holds the body's lines once.
 func TestSweepMemoLinesConcurrent(t *testing.T) {
 	eng := engine.New(engine.WithParallelism(2))
 	srv, ts := newServer(t, sweepd.Config{Engine: eng, MaxConcurrentSweeps: 16})
@@ -1356,12 +1418,11 @@ func FuzzJobBody(f *testing.F) {
 // status; a non-200 answer must carry a typed ErrorInfo, and a 200
 // stream must end in a Done line, with every earlier line holding
 // either a result that passes Result.Check or a typed ErrorInfo, and
-// the Done counts matching them. Every body is posted three times:
-// when the first stream was complete and free of errors, the second
-// (served by key) and the third (written from the lines the second
-// rendered) must carry the same result bytes per index and the same
-// Done line. Sweeps simulating more than maxFuzzTicks in all are
-// skipped.
+// the Done counts matching them. Every body is posted twice: when the
+// first stream was complete and free of errors, the second (written
+// from the lines the first stored) must carry the same result bytes
+// per index and the same Done line. Sweeps simulating more than
+// maxFuzzTicks in all are skipped.
 func FuzzSweepBody(f *testing.F) {
 	for _, b := range fuzzSeeds(f) {
 		f.Add(b)
@@ -1385,17 +1446,13 @@ func FuzzSweepBody(f *testing.F) {
 		if done == nil || done.Errors != 0 || done.Canceled {
 			return
 		}
-		// The second post is served by key and renders the lines the
-		// third is written from.
-		for post := 2; post <= 3; post++ {
-			again, doneAgain := fuzzSweep(t, ts.URL, body)
-			if doneAgain == nil || *doneAgain != *done {
-				t.Fatalf("post %d ended with %+v, the first with %+v", post, doneAgain, *done)
-			}
-			for i, res := range first {
-				if !bytes.Equal(again[i], res) {
-					t.Fatalf("job %d: post %d's result bytes differ from the first's", i, post)
-				}
+		again, doneAgain := fuzzSweep(t, ts.URL, body)
+		if doneAgain == nil || *doneAgain != *done {
+			t.Fatalf("second post ended with %+v, the first with %+v", doneAgain, *done)
+		}
+		for i, res := range first {
+			if !bytes.Equal(again[i], res) {
+				t.Fatalf("job %d: the second post's result bytes differ from the first's", i)
 			}
 		}
 	})
