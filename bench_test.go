@@ -330,14 +330,17 @@ func BenchmarkMonteCarlo(b *testing.B) {
 // BenchmarkSimulatorTick measures raw simulator throughput: simulated
 // milliseconds per wall-clock second on a single workload/policy pair.
 func BenchmarkSimulatorTick(b *testing.B) {
-	w, err := experiments.BenchWorkload()
+	w, err := sysscale.SPEC("473.astar")
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := experiments.BenchConfig(w)
+	cfg := sysscale.DefaultConfig()
+	cfg.Workload = w
+	cfg.Policy = sysscale.NewSysScale()
+	cfg.Duration = sysscale.Second
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.BenchRun(cfg); err != nil {
+		if _, err := sysscale.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

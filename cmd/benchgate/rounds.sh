@@ -21,7 +21,7 @@ bench() { # side pkg regexp benchtime
 		-test.benchtime "$4" -test.benchmem -test.timeout 10m) >>"$out/$1.out"
 }
 side() {
-	bench "$1" internal/soc 'BenchmarkTickLoop(SteadyState|MemoOff)$|BenchmarkRunnerPooled|BenchmarkResultCodec$' 1s
+	bench "$1" internal/soc 'BenchmarkTickLoop(SteadyState|MemoOff)$|BenchmarkRunnerPooled|BenchmarkResultCodec$|BenchmarkPlatformAssembly$' 1s
 	GOMAXPROCS=2 bench "$1" . 'BenchmarkEngineParallel$|BenchmarkEngineStream$|BenchmarkMonteCarlo$' 5x
 	bench "$1" internal/spec 'BenchmarkReadJobs$|BenchmarkKeyGenerated$' 1s
 	bench "$1" internal/compute 'BenchmarkFreqForBudget$' 1s

@@ -84,18 +84,18 @@ func run() int {
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	statsOut := flag.Bool("stats-json", false, "print one machine-readable \"stats: {...}\" engine-counter line after the run")
 	flag.Parse()
-	if *parallel != 0 {
-		experiments.SetParallelism(*parallel)
+	// One engine serves the paper set and -specs alike; an empty
+	// -cache-dir leaves the disk tier off.
+	eng := sysscale.NewEngine(
+		sysscale.WithParallelism(*parallel),
+		sysscale.WithJobTimeout(*jobTO),
+		sysscale.WithDiskCache(*cacheDir),
+	)
+	if err := eng.DiskCacheError(); err != nil {
+		fmt.Fprintf(os.Stderr, "cache-dir: %v\n", err)
+		return 1
 	}
-	if *jobTO > 0 {
-		experiments.SetJobTimeout(*jobTO)
-	}
-	if *cacheDir != "" && *specsDir == "" {
-		if err := experiments.SetDiskCache(*cacheDir); err != nil {
-			fmt.Fprintf(os.Stderr, "cache-dir: %v\n", err)
-			return 1
-		}
-	}
+	experiments.SetEngine(eng)
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -134,7 +134,7 @@ func run() int {
 	defer stop()
 
 	if *specsDir != "" {
-		return runSpecs(ctx, *specsDir, *parallel, *cacheDir, *jobTO, *statsOut)
+		return runSpecs(ctx, eng, *specsDir, *cacheDir != "", *statsOut)
 	}
 
 	mcFn := func(ctx context.Context) (fmt.Stringer, error) {
@@ -226,10 +226,10 @@ func run() int {
 		fmt.Printf("==== %s (%.1fs) ====\n%s\n", e.name, time.Since(start).Seconds(), out)
 	}
 	if *cacheDir != "" {
-		printCacheStats(experiments.Engine().CacheStats())
+		printCacheStats(eng.CacheStats())
 	}
 	if *statsOut {
-		printStatsJSON(experiments.Engine().CacheStats())
+		printStatsJSON(eng.CacheStats())
 	}
 	return 0
 }
@@ -258,11 +258,12 @@ func printCacheStats(st sysscale.EngineStats) {
 	}
 }
 
-// runSpecs runs every *.json job spec in dir as one engine batch and
-// prints each file's fingerprint and result in file order. With a
-// cache dir, results persist across invocations: a repeated run is
-// served from disk without simulating.
-func runSpecs(ctx context.Context, dir string, parallel int, cacheDir string, jobTO time.Duration, statsOut bool) int {
+// runSpecs runs every *.json job spec in dir as one batch on eng and
+// prints each file's fingerprint and result in file order. cached
+// says eng has a disk tier: results then persist across invocations,
+// so a repeated run is served from disk without simulating, and a
+// "cache:" line follows the results.
+func runSpecs(ctx context.Context, eng *sysscale.Engine, dir string, cached, statsOut bool) int {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "specs: %v\n", err)
@@ -302,18 +303,6 @@ func runSpecs(ctx context.Context, dir string, parallel int, cacheDir string, jo
 		}
 	}
 
-	opts := []sysscale.EngineOption{
-		sysscale.WithParallelism(parallel),
-		sysscale.WithJobTimeout(jobTO),
-	}
-	if cacheDir != "" {
-		opts = append(opts, sysscale.WithDiskCache(cacheDir))
-	}
-	eng := sysscale.NewEngine(opts...)
-	if err := eng.DiskCacheError(); err != nil {
-		fmt.Fprintf(os.Stderr, "cache-dir: %v\n", err)
-		return 1
-	}
 	start := time.Now()
 	results, err := eng.RunBatchContext(ctx, jobs)
 	if err != nil {
@@ -327,7 +316,7 @@ func runSpecs(ctx context.Context, dir string, parallel int, cacheDir string, jo
 	for i, res := range results {
 		fmt.Printf("%s:\n%s\n", paths[i], res)
 	}
-	if cacheDir != "" {
+	if cached {
 		printCacheStats(eng.CacheStats())
 	}
 	if statsOut {

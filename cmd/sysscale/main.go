@@ -109,26 +109,17 @@ func main() {
 	ctx, stop := cliutil.InterruptContext(context.Background())
 	defer stop()
 
-	// With -cache-dir the run goes through an engine carrying the
-	// persistent result tier: a repeated invocation with the same job
-	// is served from disk instead of simulating. -stats-json also needs
-	// the engine — it is the thing that counts.
-	run := sysscale.RunContext
-	var eng *sysscale.Engine
-	if *cacheDir != "" || *jobTO > 0 || *statsOut {
-		opts := []sysscale.EngineOption{sysscale.WithJobTimeout(*jobTO)}
-		if *cacheDir != "" {
-			opts = append(opts, sysscale.WithDiskCache(*cacheDir))
-		}
-		eng = sysscale.NewEngine(opts...)
-		if err := eng.DiskCacheError(); err != nil {
-			fmt.Fprintf(os.Stderr, "cache-dir: %v\n", err)
-			os.Exit(1)
-		}
-		run = eng.RunContext
+	// The run goes through an engine: it bounds the wall time, carries
+	// the persistent result tier when -cache-dir is set (a repeated
+	// invocation with the same job is served from disk instead of
+	// simulating), and counts what -stats-json prints.
+	eng := sysscale.NewEngine(sysscale.WithJobTimeout(*jobTO), sysscale.WithDiskCache(*cacheDir))
+	if err := eng.DiskCacheError(); err != nil {
+		fmt.Fprintf(os.Stderr, "cache-dir: %v\n", err)
+		os.Exit(1)
 	}
 
-	res, err := run(ctx, cfg)
+	res, err := eng.RunContext(ctx, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		if errors.Is(err, context.Canceled) {
@@ -143,7 +134,7 @@ func main() {
 
 	if *compare && cfg.Policy.Name() != sysscale.NewBaseline().Name() {
 		cfg.Policy = sysscale.NewBaseline()
-		base, err := run(ctx, cfg)
+		base, err := eng.RunContext(ctx, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			if errors.Is(err, context.Canceled) {
@@ -156,7 +147,7 @@ func main() {
 			100*(float64(res.AvgPower/base.AvgPower)-1),
 			100*sysscale.EDPImprovement(res, base))
 	}
-	if eng != nil && *cacheDir != "" {
+	if *cacheDir != "" {
 		st := eng.CacheStats()
 		fmt.Printf("cache: %d disk hits, %d disk misses, %d disk errors, %d bytes on disk\n",
 			st.DiskHits, st.DiskMisses, st.DiskErrors, st.DiskBytes)

@@ -28,21 +28,20 @@ func (g *utilGovernor) Clone() sysscale.Policy {
 }
 
 func (g *utilGovernor) Decide(ctx sysscale.PolicyContext) sysscale.PolicyDecision {
-	top := ctx.Ladder[0]
-	low := ctx.Ladder[len(ctx.Ladder)-1]
 	// MemReadBytes/MemWriteBytes are counter indices 5 and 6; the
 	// utilization is taken against the top point's usable bandwidth.
 	bw := ctx.Counters[5] + ctx.Counters[6]
 	peak := 25.6e9 * 0.85
-	target := top
+	target := 0
 	if !ctx.Warmup && bw < g.target*peak {
-		target = low
+		target = len(ctx.Ladder) - 1
 	}
+	// Reserve[i] is the reservation-table row of Ladder[i].
 	return sysscale.PolicyDecision{
-		Target:       target,
+		Target:       ctx.Ladder[target],
 		OptimizedMRC: true,
-		IOBudget:     ctx.WorstIO(target),
-		MemBudget:    ctx.WorstMem(target),
+		IOBudget:     ctx.Reserve[target].IO,
+		MemBudget:    ctx.Reserve[target].Mem,
 	}
 }
 

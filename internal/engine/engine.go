@@ -186,7 +186,8 @@ func WithCacheSize(n int) Option {
 // the tier instead of grinding an error into every job. An open
 // failure (unwritable dir) leaves the engine fully functional without
 // the disk tier and is reported by DiskCacheError — callers wiring a
-// user-supplied directory should check it and fail loudly.
+// user-supplied directory should check it and fail loudly. An empty
+// dir leaves the tier off.
 func WithDiskCache(dir string) Option {
 	return func(e *Engine) { e.diskDir = dir }
 }

@@ -15,7 +15,7 @@
 // instance: every figure declares its policy × workload cross-product
 // as an engine.Sweep (or submits a hand-assembled batch for the few
 // irregular shapes) and runs it as one batch, so the sweeps execute
-// with bounded parallelism (SetParallelism) and repeated runs — the
+// with bounded parallelism (SetEngine) and repeated runs — the
 // baselines every figure compares against, the §6 scalability probes
 // — are memoized across figures.
 package experiments
@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"sysscale/internal/engine"
 	"sysscale/internal/sim"
@@ -37,61 +36,25 @@ import (
 const minRunTime = 2 * sim.Second
 
 // shared is the engine every experiment submits to. Replacing it via
-// SetParallelism/SetDiskCache/SetJobTimeout drops the memoized results
-// (the on-disk tier, when configured, persists by design).
+// SetEngine or SetParallelism drops the memoized results (the on-disk
+// tier, when the new engine has one, persists by design).
 var (
-	engMu       sync.Mutex
-	parallelism int
-	diskDir     string
-	jobTimeout  time.Duration
-	shared      = engine.New()
+	engMu  sync.Mutex
+	shared = engine.New()
 )
 
-// rebuild replaces the shared engine with one reflecting the current
-// knobs. Callers hold engMu.
-func rebuild() {
-	opts := []engine.Option{
-		engine.WithParallelism(parallelism),
-		engine.WithJobTimeout(jobTimeout),
-	}
-	if diskDir != "" {
-		opts = append(opts, engine.WithDiskCache(diskDir))
-	}
-	shared = engine.New(opts...)
-}
-
-// SetJobTimeout rebuilds the shared engine with a per-job wall-time
-// budget (0 = unbounded); see engine.WithJobTimeout for the contract.
-func SetJobTimeout(timeout time.Duration) {
+// SetEngine makes e the engine every experiment submits to; the caller
+// configures it (parallelism, job timeout, disk tier) and checks its
+// DiskCacheError.
+func SetEngine(e *engine.Engine) {
 	engMu.Lock()
 	defer engMu.Unlock()
-	jobTimeout = timeout
-	rebuild()
+	shared = e
 }
 
-// SetParallelism rebuilds the shared experiment engine with at most n
-// simulations in flight (n <= 0 restores the GOMAXPROCS default). The
-// in-memory result cache starts empty; a configured disk cache
-// persists.
-func SetParallelism(n int) {
-	engMu.Lock()
-	defer engMu.Unlock()
-	parallelism = n
-	rebuild()
-}
-
-// SetDiskCache rebuilds the shared engine with the persistent on-disk
-// result tier rooted at dir (empty disables it), so repeated
-// figure-style sweeps hit disk across process restarts. A store that
-// fails to open is reported here — loudly, since the caller asked for
-// persistence — and leaves the engine running without the tier.
-func SetDiskCache(dir string) error {
-	engMu.Lock()
-	defer engMu.Unlock()
-	diskDir = dir
-	rebuild()
-	return shared.DiskCacheError()
-}
+// SetParallelism installs a fresh default engine with at most n
+// simulations in flight (n <= 0 restores the GOMAXPROCS default).
+func SetParallelism(n int) { SetEngine(engine.New(engine.WithParallelism(n))) }
 
 // Engine returns the shared experiment engine (for cache statistics
 // and direct batch submission).

@@ -104,8 +104,8 @@ func (c *CoScale) Decide(ctx soc.PolicyContext) soc.PolicyDecision {
 	dec := soc.PolicyDecision{
 		Target:       target,
 		OptimizedMRC: false,
-		IOBudget:     ctx.WorstIO(top),
-		MemBudget:    ctx.WorstMem(top),
+		IOBudget:     ctx.Reserve[0].IO,
+		MemBudget:    ctx.Reserve[0].Mem,
 	}
 
 	// CPU half of the coordinated search: demote the cores during

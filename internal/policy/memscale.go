@@ -86,8 +86,8 @@ func (m *MemScale) Decide(ctx soc.PolicyContext) soc.PolicyDecision {
 	dec := soc.PolicyDecision{
 		Target:       target,
 		OptimizedMRC: false, // keeps the boot image (Observation 4)
-		IOBudget:     ctx.WorstIO(top),
-		MemBudget:    ctx.WorstMem(top),
+		IOBudget:     ctx.Reserve[0].IO,
+		MemBudget:    ctx.Reserve[0].Mem,
 	}
 	if m.Redistribute {
 		m.credit.observe(atLow, ctx.IOMemPower)

@@ -36,12 +36,11 @@ func (*Baseline) Clone() soc.Policy { return &Baseline{} }
 // Decide implements soc.Policy: always the top point, always worst-case
 // reservations.
 func (*Baseline) Decide(ctx soc.PolicyContext) soc.PolicyDecision {
-	top := ctx.Ladder[0]
 	return soc.PolicyDecision{
-		Target:       top,
+		Target:       ctx.Ladder[0],
 		OptimizedMRC: true,
-		IOBudget:     ctx.WorstIO(top),
-		MemBudget:    ctx.WorstMem(top),
+		IOBudget:     ctx.Reserve[0].IO,
+		MemBudget:    ctx.Reserve[0].Mem,
 	}
 }
 
@@ -94,16 +93,15 @@ func (s *StaticPoint) Decide(ctx soc.PolicyContext) soc.PolicyDecision {
 	if idx < 0 || idx >= len(ctx.Ladder) {
 		idx = 0
 	}
-	target := ctx.Ladder[idx]
-	budgetPoint := ctx.Ladder[0]
+	budget := ctx.Reserve[0]
 	if s.Redistribute {
-		budgetPoint = target
+		budget = ctx.Reserve[idx]
 	}
 	return soc.PolicyDecision{
-		Target:       target,
+		Target:       ctx.Ladder[idx],
 		OptimizedMRC: s.OptimizedMRC,
-		IOBudget:     ctx.WorstIO(budgetPoint),
-		MemBudget:    ctx.WorstMem(budgetPoint),
+		IOBudget:     budget.IO,
+		MemBudget:    budget.Mem,
 	}
 }
 

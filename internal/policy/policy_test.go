@@ -5,7 +5,6 @@ import (
 
 	"sysscale/internal/ioengine"
 	"sysscale/internal/perfcounters"
-	"sysscale/internal/power"
 	"sysscale/internal/soc"
 	"sysscale/internal/vf"
 )
@@ -17,18 +16,7 @@ func testCtx(current vf.OperatingPoint, counters perfcounters.Sample) soc.Policy
 		Current:  current,
 		Ladder:   vf.TwoPointLadder(),
 		CoreFreq: 2.4 * vf.GHz,
-		WorstIO: func(op vf.OperatingPoint) power.Watt {
-			if op.DDR >= 1.6*vf.GHz {
-				return 0.9
-			}
-			return 0.3
-		},
-		WorstMem: func(op vf.OperatingPoint) power.Watt {
-			if op.DDR >= 1.6*vf.GHz {
-				return 1.7
-			}
-			return 1.0
-		},
+		Reserve:  []soc.Reservation{{IO: 0.9, Mem: 1.7}, {IO: 0.3, Mem: 1.0}},
 	}
 }
 

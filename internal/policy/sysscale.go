@@ -62,19 +62,19 @@ const calibCoreFreq vf.Hz = 2.4 * vf.GHz
 
 // Decide implements soc.Policy.
 func (s *SysScale) Decide(ctx soc.PolicyContext) soc.PolicyDecision {
+	cur := ladderIndex(ctx)
 	if ctx.Warmup {
 		// No counter samples yet (first interval after reset): hold the
 		// boot point rather than deciding on empty counters.
 		return soc.PolicyDecision{
 			Target:       ctx.Current,
 			OptimizedMRC: true,
-			IOBudget:     ctx.WorstIO(ctx.Current),
-			MemBudget:    ctx.WorstMem(ctx.Current),
+			IOBudget:     ctx.Reserve[cur].IO,
+			MemBudget:    ctx.Reserve[cur].Mem,
 		}
 	}
 	static := s.estimator.Estimate(ctx.CSR)
 
-	cur := ladderIndex(ctx)
 	thr := s.Thr
 	if ctx.CoreFreq > 0 {
 		norm := float64(calibCoreFreq) / float64(ctx.CoreFreq)
@@ -114,12 +114,11 @@ func (s *SysScale) Decide(ctx soc.PolicyContext) soc.PolicyDecision {
 			next = cur + 1
 		}
 	}
-	target := ctx.Ladder[next]
 	return soc.PolicyDecision{
-		Target:       target,
+		Target:       ctx.Ladder[next],
 		OptimizedMRC: true,
-		IOBudget:     ctx.WorstIO(target),
-		MemBudget:    ctx.WorstMem(target),
+		IOBudget:     ctx.Reserve[next].IO,
+		MemBudget:    ctx.Reserve[next].Mem,
 	}
 }
 

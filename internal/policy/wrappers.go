@@ -37,9 +37,8 @@ func (n *noRedist) Clone() soc.Policy  { return &noRedist{inner: n.inner.Clone()
 func (n *noRedist) Unwrap() soc.Policy { return n.inner }
 func (n *noRedist) Decide(ctx soc.PolicyContext) soc.PolicyDecision {
 	d := n.inner.Decide(ctx)
-	top := ctx.Ladder[0]
-	d.IOBudget = ctx.WorstIO(top)
-	d.MemBudget = ctx.WorstMem(top)
+	d.IOBudget = ctx.Reserve[0].IO
+	d.MemBudget = ctx.Reserve[0].Mem
 	d.ComputeBonus = 0
 	return d
 }

@@ -45,10 +45,10 @@ func (p *Platform) WorstCaseIOBudget(op vf.OperatingPoint) power.Watt {
 	return power.Watt(float64(fabricW+engW) * budgetGuardband)
 }
 
-// worstCase is one ladder point's row of the reservation table.
-type worstCase struct {
-	point   vf.OperatingPoint
-	io, mem power.Watt
+// Reservation is one ladder point's row of the PBM reservation table:
+// the worst-case IO and memory budgets at that point.
+type Reservation struct {
+	IO, Mem power.Watt
 }
 
 // fillWorstCase rebuilds the reservation table for the configured
@@ -58,39 +58,8 @@ type worstCase struct {
 func (p *Platform) fillWorstCase() {
 	p.worst = slices.Grow(p.worst[:0], len(p.cfg.Ladder))
 	for _, op := range p.cfg.Ladder {
-		p.worst = append(p.worst, worstCase{point: op, io: p.WorstCaseIOBudget(op), mem: p.WorstCaseMemBudget(op)})
+		p.worst = append(p.worst, Reservation{IO: p.WorstCaseIOBudget(op), Mem: p.WorstCaseMemBudget(op)})
 	}
-}
-
-// worstRow returns op's reservation-table row, or nil for a point not
-// on the ladder. The budgets read every field of a point but its name,
-// so rows match on those fields alone.
-func (p *Platform) worstRow(op vf.OperatingPoint) *worstCase {
-	for i := range p.worst {
-		if w := &p.worst[i].point; w.DDR == op.DDR && w.MC == op.MC && w.Interco == op.Interco &&
-			w.VSA == op.VSA && w.VIO == op.VIO {
-			return &p.worst[i]
-		}
-	}
-	return nil
-}
-
-// worstIO is WorstCaseIOBudget served from the reservation table; a
-// point off the ladder falls back to the formula.
-func (p *Platform) worstIO(op vf.OperatingPoint) power.Watt {
-	if row := p.worstRow(op); row != nil {
-		return row.io
-	}
-	return p.WorstCaseIOBudget(op)
-}
-
-// worstMem is WorstCaseMemBudget served from the reservation table; a
-// point off the ladder falls back to the formula.
-func (p *Platform) worstMem(op vf.OperatingPoint) power.Watt {
-	if row := p.worstRow(op); row != nil {
-		return row.mem
-	}
-	return p.WorstCaseMemBudget(op)
 }
 
 // ioControllersCdyn/Leak cover the full IO controller complex (display,

@@ -33,8 +33,8 @@ func (p *delayedSwitch) Decide(ctx soc.PolicyContext) soc.PolicyDecision {
 	p.decisions++
 	dec := soc.PolicyDecision{
 		OptimizedMRC: true,
-		IOBudget:     ctx.WorstIO(ctx.Ladder[0]),
-		MemBudget:    ctx.WorstMem(ctx.Ladder[0]),
+		IOBudget:     ctx.Reserve[0].IO,
+		MemBudget:    ctx.Reserve[0].Mem,
 	}
 	if p.decisions >= p.n && (p.decisions-p.n)%2 == 0 {
 		p.at = 1 - p.at

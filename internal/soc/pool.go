@@ -73,7 +73,7 @@ func (p *Platform) program(cfg Config) error {
 
 	// Budget: boot reservations are the worst case at the boot point.
 	p.fillWorstCase()
-	io, mem := p.clampReservations(p.worst[0].io, p.worst[0].mem)
+	io, mem := p.clampReservations(p.worst[0].IO, p.worst[0].Mem)
 	if err := p.budget.Reset(cfg.TDP, io, mem, uncoreBudget); err != nil {
 		return err
 	}

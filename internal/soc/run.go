@@ -159,18 +159,13 @@ func (p *Platform) run(ctx context.Context) (Result, error) {
 				ioMemAvg = power.Watt(ioMemPowerInterval / float64(intervalTicks))
 			}
 			ctx := PolicyContext{
-				Now:      now,
-				Interval: cfg.EvalInterval,
-				Counters: avg,
-				CSR:      p.ioeng.CSR(),
-				Current:  p.current,
-				Ladder:   cfg.Ladder,
-				// The worst-case tables go in as the method values bound
-				// once at assembly: binding them here would allocate two
-				// closures per policy epoch (they were the pooled run
-				// path's dominant allocation).
-				WorstIO:       p.worstIOFn,
-				WorstMem:      p.worstMemFn,
+				Now:           now,
+				Interval:      cfg.EvalInterval,
+				Counters:      avg,
+				CSR:           p.ioeng.CSR(),
+				Current:       p.current,
+				Ladder:        cfg.Ladder,
+				Reserve:       p.worst,
 				ComputeBudget: p.budget.Compute(),
 				ComputePower:  lastComputePower,
 				IOMemPower:    ioMemAvg,
@@ -397,10 +392,10 @@ func (p *Platform) setBonus(b power.Watt) {
 func (p *Platform) executeDecision(dec *PolicyDecision) error {
 	io, mem := dec.IOBudget, dec.MemBudget
 	if io <= 0 {
-		io = p.worst[0].io
+		io = p.worst[0].IO
 	}
 	if mem <= 0 {
-		mem = p.worst[0].mem
+		mem = p.worst[0].Mem
 	}
 	io, mem = p.clampReservations(io, mem)
 	return p.pbm.SetIOMemoryBudget(io, mem)

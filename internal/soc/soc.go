@@ -42,10 +42,11 @@ type PolicyContext struct {
 	Current vf.OperatingPoint
 	// Ladder is the supported operating points, highest first.
 	Ladder []vf.OperatingPoint
-	// WorstIO and WorstMem return the worst-case power budget the
-	// domain needs at an operating point (the PBM reservation table).
-	WorstIO  func(vf.OperatingPoint) power.Watt
-	WorstMem func(vf.OperatingPoint) power.Watt
+	// Reserve is the PBM reservation table: Reserve[i] holds the
+	// worst-case IO and memory budgets at Ladder[i]. Like Ladder it is
+	// read-only and valid only during Decide; the platform reuses its
+	// backing array across runs.
+	Reserve []Reservation
 	// ComputeBudget and ComputePower report last interval's compute
 	// allocation and measured draw (used by running-average governors
 	// such as CoScale's credit mechanism).
@@ -280,12 +281,8 @@ type Platform struct {
 
 	// worst is the PBM reservation table: the worst-case IO and memory
 	// budgets of every ladder point, in ladder order, filled by program
-	// (budgets.go). worstIOFn/worstMemFn serve it as method values,
-	// bound once at assembly so the policy-epoch context carries them
-	// without allocating two closures per decision.
-	worst      []worstCase
-	worstIOFn  func(vf.OperatingPoint) power.Watt
-	worstMemFn func(vf.OperatingPoint) power.Watt
+	// (budgets.go). Policies read it as PolicyContext.Reserve.
+	worst []Reservation
 }
 
 // NewPlatform assembles an SoC without running it, for callers that
@@ -304,8 +301,6 @@ func newPlatform(cfg Config) (*Platform, error) {
 	boot := cfg.Ladder[0]
 
 	p := &Platform{}
-	p.worstIOFn = p.worstIO
-	p.worstMemFn = p.worstMem
 	p.clock = sim.NewClock(cfg.SampleInterval)
 	p.rails = vf.DefaultRails()
 	if cfg.recordEvents {

@@ -3,7 +3,9 @@ package soc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"sysscale/internal/dram"
@@ -35,16 +37,15 @@ func (p *testPolicy) Decide(ctx PolicyContext) PolicyDecision {
 	if idx < 0 || idx >= len(ctx.Ladder) {
 		idx = 0
 	}
-	target := ctx.Ladder[idx]
-	budget := ctx.Ladder[0]
+	budget := ctx.Reserve[0]
 	if p.redistribute {
-		budget = target
+		budget = ctx.Reserve[idx]
 	}
 	return PolicyDecision{
-		Target:       target,
+		Target:       ctx.Ladder[idx],
 		OptimizedMRC: p.optimizedMRC,
-		IOBudget:     ctx.WorstIO(budget),
-		MemBudget:    ctx.WorstMem(budget),
+		IOBudget:     budget.IO,
+		MemBudget:    budget.Mem,
 	}
 }
 
@@ -231,12 +232,11 @@ func (p *alternatingPolicy) Decide(ctx PolicyContext) PolicyDecision {
 	if p.flip {
 		idx = 1
 	}
-	target := ctx.Ladder[idx]
 	return PolicyDecision{
-		Target:       target,
+		Target:       ctx.Ladder[idx],
 		OptimizedMRC: true,
-		IOBudget:     ctx.WorstIO(target),
-		MemBudget:    ctx.WorstMem(target),
+		IOBudget:     ctx.Reserve[idx].IO,
+		MemBudget:    ctx.Reserve[idx].Mem,
 	}
 }
 
@@ -296,45 +296,58 @@ func TestWorstCaseBudgetsOrdered(t *testing.T) {
 	}
 }
 
+// reserveRecorder holds the boot point and checks, on every epoch,
+// that the context carries want as its reservation table, one row per
+// ladder point.
+type reserveRecorder struct {
+	want   []Reservation
+	epochs int
+	bad    string
+}
+
+func (r *reserveRecorder) Name() string { return "reserve-recorder" }
+func (r *reserveRecorder) Reset()       {}
+func (r *reserveRecorder) Clone() Policy {
+	c := *r
+	return &c
+}
+func (r *reserveRecorder) Decide(ctx PolicyContext) PolicyDecision {
+	r.epochs++
+	if r.bad == "" && (len(ctx.Reserve) != len(ctx.Ladder) || !slices.Equal(ctx.Reserve, r.want)) {
+		r.bad = fmt.Sprintf("epoch %d: %d-point ladder, table %v, formula %v", r.epochs, len(ctx.Ladder), ctx.Reserve, r.want)
+	}
+	return PolicyDecision{Target: ctx.Ladder[0], OptimizedMRC: true}
+}
+
 // TestWorstCaseTableMatchesFormula pins the reservation table to the
-// formulas it caches: bit-for-bit on every point of the two-point,
-// LPDDR3 and DDR4 ladders, after fresh assembly and after a pooled
-// Reset onto a different ladder, so no row of the previous ladder
-// survives. Rows match on a point's electrical fields, and a point off
-// the ladder falls back to the formula.
+// formulas it caches: bit-for-bit, row i for ladder point i, on the
+// two-point, LPDDR3 and DDR4 ladders, after fresh assembly and after a
+// pooled Reset onto a different ladder, so no row of the previous
+// ladder survives. A short run after each step checks that every
+// policy epoch sees the same table as PolicyContext.Reserve.
 func TestWorstCaseTableMatchesFormula(t *testing.T) {
+	rec := &reserveRecorder{}
 	check := func(p *Platform, step string) {
 		t.Helper()
-		ladder := p.cfg.Ladder
-		if len(p.worst) != len(ladder) {
-			t.Fatalf("%s: table has %d rows for a %d-point ladder", step, len(p.worst), len(ladder))
+		rec.want = rec.want[:0]
+		for _, op := range p.cfg.Ladder {
+			rec.want = append(rec.want, Reservation{IO: p.WorstCaseIOBudget(op), Mem: p.WorstCaseMemBudget(op)})
 		}
-		for _, op := range ladder {
-			wantIO, wantMem := p.WorstCaseIOBudget(op), p.WorstCaseMemBudget(op)
-			renamed := op
-			renamed.Name += "-renamed"
-			for _, q := range []vf.OperatingPoint{op, renamed} {
-				if p.worstRow(q) == nil {
-					t.Fatalf("%s: %s has no table row", step, q.Name)
-				}
-				if got := p.worstIOFn(q); got != wantIO {
-					t.Fatalf("%s: %s IO budget %v, formula %v", step, q.Name, got, wantIO)
-				}
-				if got := p.worstMemFn(q); got != wantMem {
-					t.Fatalf("%s: %s memory budget %v, formula %v", step, q.Name, got, wantMem)
-				}
-			}
+		if !slices.Equal(p.worst, rec.want) {
+			t.Fatalf("%s: table %v, formula %v", step, p.worst, rec.want)
 		}
-		off := vf.MakeOperatingPoint("off-ladder", 1.2*vf.GHz, 0.6*vf.GHz)
-		if p.worstRow(off) != nil {
-			t.Fatalf("%s: off-ladder point matched a table row", step)
+		rec.epochs, rec.bad = 0, ""
+		if _, err := p.run(context.Background()); err != nil {
+			t.Fatalf("%s: %v", step, err)
 		}
-		if p.worstIOFn(off) != p.WorstCaseIOBudget(off) || p.worstMemFn(off) != p.WorstCaseMemBudget(off) {
-			t.Fatalf("%s: off-ladder point does not fall back to the formula", step)
+		if rec.epochs == 0 || rec.bad != "" {
+			t.Fatalf("%s: %d epochs; %s", step, rec.epochs, rec.bad)
 		}
 	}
 
 	cfg := testConfig(t, "416.gamess")
+	cfg.Policy = rec
+	cfg.Duration = 100 * sim.Millisecond
 	p, err := newPlatform(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -352,9 +365,6 @@ func TestWorstCaseTableMatchesFormula(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(p, "two-point, reset from LPDDR3")
-	if p.worstRow(vf.LowestPoint()) != nil {
-		t.Fatal("the previous ladder's lowest point survived the reset")
-	}
 
 	cfg.Ladder = vf.LadderLPDDR3()
 	if p, err = newPlatform(cfg); err != nil {
@@ -373,9 +383,6 @@ func TestWorstCaseTableMatchesFormula(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(p, "DDR4 low only, reset")
-	if p.worstRow(vf.DDR4HighPoint()) != nil {
-		t.Fatal("the previous ladder's high point survived the reset")
-	}
 }
 
 // TestRefLatencyMatchesReferenceController checks each phase's

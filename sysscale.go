@@ -229,7 +229,8 @@ func WithCacheSize(n int) EngineOption { return engine.WithCacheSize(n) }
 // counted in EngineStats.DiskErrors) — never a wrong result. The tier is
 // size-bounded, oldest entries reclaimed first. If the store cannot be
 // opened the engine runs without it; check Engine.DiskCacheError after
-// NewEngine when the directory comes from user input.
+// NewEngine when the directory comes from user input. An empty dir
+// leaves the tier off.
 func WithDiskCache(dir string) EngineOption { return engine.WithDiskCache(dir) }
 
 // WithJobTimeout bounds every job's simulation wall time. A job over

@@ -174,12 +174,12 @@ func (alwaysLow) Name() string           { return "always-low" }
 func (alwaysLow) Reset()                 {}
 func (alwaysLow) Clone() sysscale.Policy { return alwaysLow{} }
 func (alwaysLow) Decide(ctx sysscale.PolicyContext) sysscale.PolicyDecision {
-	target := ctx.Ladder[len(ctx.Ladder)-1]
+	low := len(ctx.Ladder) - 1
 	return sysscale.PolicyDecision{
-		Target:       target,
+		Target:       ctx.Ladder[low],
 		OptimizedMRC: true,
-		IOBudget:     ctx.WorstIO(target),
-		MemBudget:    ctx.WorstMem(target),
+		IOBudget:     ctx.Reserve[low].IO,
+		MemBudget:    ctx.Reserve[low].Mem,
 	}
 }
 
