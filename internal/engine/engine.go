@@ -348,21 +348,31 @@ func (e *Engine) cacheGet(key cacheKey) (soc.Result, bool) {
 	return el.Value.(*cacheEntry).res, true
 }
 
-// cachePut inserts (or refreshes) a result, evicting the least
-// recently used entry beyond the size bound. Callers hold e.mu.
+// cachePut inserts (or refreshes) a result. Into a full LRU it evicts
+// the least recently used entry and reuses its list element and
+// cacheEntry for key, so a steady stream of misses allocates nothing
+// here. Callers hold e.mu.
+//
+// An entry's res is only ever replaced whole, never written into:
+// Lookup clones a hit after releasing e.mu, so the slices of a result
+// read under the lock must stay as they were after the entry moves on.
 func (e *Engine) cachePut(key cacheKey, res soc.Result) {
 	if el, ok := e.cache[key]; ok {
 		el.Value.(*cacheEntry).res = res
 		e.order.MoveToFront(el)
 		return
 	}
-	e.cache[key] = e.order.PushFront(&cacheEntry{key: key, res: res})
-	for len(e.cache) > e.cacheSize {
-		back := e.order.Back()
-		e.order.Remove(back)
-		delete(e.cache, back.Value.(*cacheEntry).key)
-		e.stats.Evictions++
+	if len(e.cache) < e.cacheSize {
+		e.cache[key] = e.order.PushFront(&cacheEntry{key: key, res: res})
+		return
 	}
+	el := e.order.Back()
+	ent := el.Value.(*cacheEntry)
+	delete(e.cache, ent.key)
+	e.stats.Evictions++
+	ent.key, ent.res = key, res
+	e.order.MoveToFront(el)
+	e.cache[key] = el
 }
 
 // Parallelism returns the effective worker bound.

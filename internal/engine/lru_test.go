@@ -2,7 +2,10 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"sysscale/internal/policy"
@@ -138,6 +141,174 @@ func TestLookup(t *testing.T) {
 	}
 	if _, ok := off.Lookup(want); ok {
 		t.Fatal("Lookup hit on an engine built WithCache(false)")
+	}
+}
+
+// lruKeys lists the LRU's keys, most recently used first, by their
+// first byte. Callers hold e.mu or own e.
+func lruKeys(e *Engine) []byte {
+	var ks []byte
+	for el := e.order.Front(); el != nil; el = el.Next() {
+		ks = append(ks, el.Value.(*cacheEntry).key[0])
+	}
+	return ks
+}
+
+// pushThenRemove is the LRU insert that cachePut's reuse replaced:
+// push a new entry, then drop the back ones beyond the bound. It is
+// the oracle TestCachePutMatchesPushThenRemove compares against.
+func pushThenRemove(e *Engine, key cacheKey, res soc.Result) {
+	if el, ok := e.cache[key]; ok {
+		el.Value.(*cacheEntry).res = res
+		e.order.MoveToFront(el)
+		return
+	}
+	e.cache[key] = e.order.PushFront(&cacheEntry{key: key, res: res})
+	for len(e.cache) > e.cacheSize {
+		back := e.order.Back()
+		e.order.Remove(back)
+		delete(e.cache, back.Value.(*cacheEntry).key)
+		e.stats.Evictions++
+	}
+}
+
+// TestCachePutMatchesPushThenRemove runs one scripted put/get sequence
+// (fills, refreshes, hits, evictions) on a 3-entry LRU through
+// cachePut and through the push-then-remove oracle. After every step
+// the two agree on recency order, Evictions, Entries and the result
+// each resident key holds.
+func TestCachePutMatchesPushThenRemove(t *testing.T) {
+	got, want := New(WithCacheSize(3)), New(WithCacheSize(3))
+	script := "pa pb pc ga pd pb pe gc pa pa gd pf pg ph gb pi"
+	for step, op := range strings.Fields(script) {
+		key := cacheKey{op[1]}
+		res := soc.Result{Score: float64(step)}
+		if op[0] == 'p' {
+			got.cachePut(key, res)
+			pushThenRemove(want, key, res)
+		} else {
+			_, ok1 := got.cacheGet(key)
+			_, ok2 := want.cacheGet(key)
+			if ok1 != ok2 {
+				t.Fatalf("step %d %s: hit %v, oracle %v", step, op, ok1, ok2)
+			}
+		}
+		if g, w := string(lruKeys(got)), string(lruKeys(want)); g != w {
+			t.Fatalf("step %d %s: order %q, oracle %q", step, op, g, w)
+		}
+		if g, w := got.CacheStats(), want.CacheStats(); g.Evictions != w.Evictions || g.Entries != w.Entries {
+			t.Fatalf("step %d %s: evictions/entries %d/%d, oracle %d/%d", step, op, g.Evictions, g.Entries, w.Evictions, w.Entries)
+		}
+		for k, el := range want.cache {
+			if g, w := got.cache[k].Value.(*cacheEntry).res, el.Value.(*cacheEntry).res; g.Score != w.Score {
+				t.Fatalf("step %d %s: key %c holds the result of step %v, oracle %v", step, op, k[0], g.Score, w.Score)
+			}
+		}
+	}
+	if st, order := got.CacheStats(), string(lruKeys(got)); st.Evictions != 8 || st.Entries != 3 || order != "ihg" {
+		t.Fatalf("script ended with %d evictions, %d entries, order %q; want 8, 3, \"ihg\"", st.Evictions, st.Entries, order)
+	}
+}
+
+// TestCachePutFullAllocs pins an insert into a full LRU at 0
+// allocations: the evicted entry's list element and cacheEntry carry
+// the new key.
+func TestCachePutFullAllocs(t *testing.T) {
+	const size = 64
+	e := New(WithCacheSize(size))
+	var key cacheKey
+	next := func() cacheKey {
+		binary.LittleEndian.PutUint64(key[:], binary.LittleEndian.Uint64(key[:])+1)
+		return key
+	}
+	res := soc.Result{PointResidency: []float64{1}}
+	for range size {
+		e.cachePut(next(), res)
+	}
+	allocs := testing.AllocsPerRun(1000, func() { e.cachePut(next(), res) })
+	if allocs != 0 {
+		t.Errorf("cachePut into a full LRU: %v allocs, want 0", allocs)
+	}
+	if st := e.CacheStats(); st.Entries != size || st.Evictions != 1001 {
+		t.Fatalf("after the puts: %+v, want %d entries and 1001 evictions", st, size)
+	}
+}
+
+// TestLRUReuseKeepsDeliveredResults runs batch misses and Lookups at
+// once on a 1-entry LRU, so every insert evicts and reuses the entry a
+// concurrent Lookup may have just read. No delivered result may change
+// afterwards: each still equals a fresh simulation of its config when
+// all traffic has stopped. Run under -race, a write into a delivered
+// result's PointResidency also shows as a data race.
+func TestLRUReuseKeepsDeliveredResults(t *testing.T) {
+	e := New(WithCacheSize(1), WithParallelism(2))
+	var jobs []Job
+	var keys []cacheKey
+	var want []soc.Result
+	for i := range 4 {
+		cfg := lruConfig(t, sim.Time(20+10*i)*sim.Millisecond)
+		// Alternate ladder points, so the results' PointResidency differ.
+		cfg.Policy = policy.NewStaticPoint(i%2, false)
+		key, ok := spec.Key(cfg)
+		if !ok {
+			t.Fatal("config has no key")
+		}
+		res, err := soc.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, keys, want = append(jobs, Job{Config: cfg}), append(keys, key), append(want, res)
+	}
+
+	type delivered struct {
+		job int
+		res soc.Result
+	}
+	var (
+		mu   sync.Mutex
+		seen []delivered
+		wg   sync.WaitGroup
+	)
+	keep := func(job int, res soc.Result) {
+		mu.Lock()
+		seen = append(seen, delivered{job, res})
+		mu.Unlock()
+	}
+	for range 2 {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				out, err := e.RunBatchContext(context.Background(), jobs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, r := range out {
+					keep(i, r)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for range 200 {
+				for i, key := range keys {
+					if r, ok := e.Lookup(key); ok {
+						keep(i, r)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if st := e.CacheStats(); st.Entries != 1 || st.Evictions == 0 {
+		t.Fatalf("stats %+v: the LRU never evicted", st)
+	}
+	for _, d := range seen {
+		if !reflect.DeepEqual(d.res, want[d.job]) {
+			t.Fatalf("job %d: a delivered result changed after delivery", d.job)
+		}
 	}
 }
 

@@ -125,6 +125,9 @@ func (f *Flow) Transition(now sim.Time, target vf.OperatingPoint, fabricUtil flo
 		return 0, err
 	}
 	increasing := target.DDR > f.dev.Frequency()
+	// Step messages with arguments are built only when the log records:
+	// boxing their arguments would cost allocations on every flow run.
+	logOn := f.log.Enabled()
 	var total sim.Time
 
 	// Voltage moves for both scaled rails; with the overlapped flow the
@@ -150,14 +153,18 @@ func (f *Flow) Transition(now sim.Time, target vf.OperatingPoint, fabricUtil flo
 			return 0, err
 		}
 		total += d
-		f.logf(now, "step2: raised V_SA to %.3fV, V_IO to %.3fV (%v)", target.VSA, target.VIO, d)
+		if logOn {
+			f.logf(now, "step2: raised V_SA to %.3fV, V_IO to %.3fV (%v)", target.VSA, target.VIO, d)
+		}
 	}
 
 	// Step 3: block and drain.
 	drain := f.fabric.BlockAndDrain(fabricUtil)
 	f.mc.Block()
 	total += drain
-	f.logf(now, "step3: blocked+drained IO interconnect and LLC traffic (%v)", drain)
+	if logOn {
+		f.logf(now, "step3: blocked+drained IO interconnect and LLC traffic (%v)", drain)
+	}
 
 	// Step 4: self-refresh entry.
 	f.dev.EnterSelfRefresh()
@@ -171,10 +178,14 @@ func (f *Flow) Transition(now sim.Time, target vf.OperatingPoint, fabricUtil flo
 	var err error
 	if f.opts.OptimizedMRC {
 		loadLat, err = f.store.Load(f.dev, target.DDR)
-		f.logf(now, "step5: loaded optimized MRC image for %v (%v)", target.DDR, loadLat)
+		if logOn {
+			f.logf(now, "step5: loaded optimized MRC image for %v (%v)", target.DDR, loadLat)
+		}
 	} else {
 		loadLat, err = f.store.LoadDetuned(f.dev, f.opts.BootFreq, target.DDR)
-		f.logf(now, "step5: kept boot MRC image (%v) at %v (%v)", f.opts.BootFreq, target.DDR, loadLat)
+		if logOn {
+			f.logf(now, "step5: kept boot MRC image (%v) at %v (%v)", f.opts.BootFreq, target.DDR, loadLat)
+		}
 	}
 	if err != nil {
 		return 0, err
@@ -193,7 +204,9 @@ func (f *Flow) Transition(now sim.Time, target vf.OperatingPoint, fabricUtil flo
 	if err := f.fabric.SetOperatingPoint(target.Interco, target.VSA); err != nil {
 		return 0, err
 	}
-	f.logf(now, "step6: relocked PLLs/DLLs (MC %v, interconnect %v)", target.MC, target.Interco)
+	if logOn {
+		f.logf(now, "step6: relocked PLLs/DLLs (MC %v, interconnect %v)", target.MC, target.Interco)
+	}
 
 	if !increasing {
 		d, err := setVoltages()
@@ -201,7 +214,9 @@ func (f *Flow) Transition(now sim.Time, target vf.OperatingPoint, fabricUtil flo
 			return 0, err
 		}
 		total += d
-		f.logf(now, "step7: reduced V_SA to %.3fV, V_IO to %.3fV (%v)", target.VSA, target.VIO, d)
+		if logOn {
+			f.logf(now, "step7: reduced V_SA to %.3fV, V_IO to %.3fV (%v)", target.VSA, target.VIO, d)
+		}
 	}
 
 	// Step 8: self-refresh exit.
@@ -223,6 +238,8 @@ func (f *Flow) Transition(now sim.Time, target vf.OperatingPoint, fabricUtil flo
 	return total, nil
 }
 
+// logf records one step message. A call with args sits behind an
+// Enabled check (see Transition).
 func (f *Flow) logf(at sim.Time, format string, args ...any) {
 	f.log.Record(at, "pmu.flow", format, args...)
 }

@@ -112,6 +112,74 @@ func TestFlowStepOrdering(t *testing.T) {
 	}
 }
 
+// TestFlowEventText pins the Fig. 5 step messages byte for byte, in
+// order: a high→low and a low→high transition of the shipped flow, then
+// a high→low one that keeps the boot MRC image. Transition builds them
+// only when the log is on, so this is what catches a step the guard
+// drops or rewords.
+func TestFlowEventText(t *testing.T) {
+	r := newRig(t)
+	f := r.flow(t, DefaultFlowOptions(1.6*vf.GHz))
+	if _, err := f.Transition(0, vf.LowPoint(), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Transition(3, vf.HighPoint(), 0); err != nil {
+		t.Fatal(err)
+	}
+	detuned := newRig(t)
+	opts := DefaultFlowOptions(1.6 * vf.GHz)
+	opts.OptimizedMRC = false
+	if _, err := detuned.flow(t, opts).Transition(0, vf.LowPoint(), 0); err != nil {
+		t.Fatal(err)
+	}
+	want := `[0ns] pmu.flow: step3: blocked+drained IO interconnect and LLC traffic (450ns)
+[0ns] pmu.flow: step4: DRAM entered self-refresh
+[0ns] pmu.flow: step5: loaded optimized MRC image for 1.06GHz (800ns)
+[0ns] pmu.flow: step6: relocked PLLs/DLLs (MC 530MHz, interconnect 400MHz)
+[0ns] pmu.flow: step7: reduced V_SA to 0.760V, V_IO to 0.850V (3.799us)
+[0ns] pmu.flow: step8: DRAM exited self-refresh
+[0ns] pmu.flow: step9: released IO interconnect and LLC traffic
+[3ns] pmu.flow: step2: raised V_SA to 0.950V, V_IO to 1.000V (3.799us)
+[3ns] pmu.flow: step3: blocked+drained IO interconnect and LLC traffic (90ns)
+[3ns] pmu.flow: step4: DRAM entered self-refresh
+[3ns] pmu.flow: step5: loaded optimized MRC image for 1.6GHz (800ns)
+[3ns] pmu.flow: step6: relocked PLLs/DLLs (MC 800MHz, interconnect 800MHz)
+[3ns] pmu.flow: step8: DRAM exited self-refresh
+[3ns] pmu.flow: step9: released IO interconnect and LLC traffic
+[0ns] pmu.flow: step3: blocked+drained IO interconnect and LLC traffic (90ns)
+[0ns] pmu.flow: step4: DRAM entered self-refresh
+[0ns] pmu.flow: step5: kept boot MRC image (1.6GHz) at 1.06GHz (800ns)
+[0ns] pmu.flow: step6: relocked PLLs/DLLs (MC 530MHz, interconnect 400MHz)
+[0ns] pmu.flow: step7: reduced V_SA to 0.760V, V_IO to 0.850V (3.799us)
+[0ns] pmu.flow: step8: DRAM exited self-refresh
+[0ns] pmu.flow: step9: released IO interconnect and LLC traffic
+`
+	if got := r.log.String() + detuned.log.String(); got != want {
+		t.Fatalf("flow event text:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestFlowLogOffAllocs pins a flow run with the event log off at 0
+// allocations, for a nil log and for a disabled one.
+func TestFlowLogOffAllocs(t *testing.T) {
+	for name, log := range map[string]*sim.EventLog{"nil": nil, "disabled": {}} {
+		r := newRig(t)
+		r.log = log
+		f := r.flow(t, DefaultFlowOptions(1.6*vf.GHz))
+		targets := [2]vf.OperatingPoint{vf.LowPoint(), vf.HighPoint()}
+		i := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := f.Transition(0, targets[i%2], 0); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s log: %v allocs per flow run, want 0", name, allocs)
+		}
+	}
+}
+
 func TestFlowVoltageOrderOnIncrease(t *testing.T) {
 	r := newRig(t)
 	f := r.flow(t, DefaultFlowOptions(1.6*vf.GHz))

@@ -43,8 +43,10 @@ func (l *EventLog) Disable() { l.enabled = false }
 func (l *EventLog) Enabled() bool { return l != nil && l.enabled }
 
 // Record appends an event if the log is enabled. A nil log is safe to
-// record into (no-op), which lets models hold an optional log without
-// nil checks at every call site.
+// record into (no-op). The check runs after the caller has boxed args
+// into a []any, though, so a hot-path caller with arguments checks
+// Enabled before building them: a disabled log then costs no
+// allocation.
 func (l *EventLog) Record(at Time, source, format string, args ...any) {
 	if l == nil || !l.enabled {
 		return

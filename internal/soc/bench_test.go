@@ -66,18 +66,26 @@ func BenchmarkTickLoopSpanOff(b *testing.B) { benchSteadyState(b, true, false) }
 // pre-memo behaviour, kept as the cumulative speedup reference.
 func BenchmarkTickLoopMemoOff(b *testing.B) { benchSteadyState(b, true, true) }
 
-// BenchmarkRunnerPooled measures a pooled steady-state run: the
-// platform is recycled through Reset instead of reassembled, which is
-// what engine workers do per job. allocs/op versus
-// BenchmarkTickLoopSteadyState is the pooling win.
-func BenchmarkRunnerPooled(b *testing.B) {
+// BenchmarkRunnerPooled measures a pooled run of 473.astar: the
+// platform is recycled through Reset instead of reassembled, as engine
+// workers do per job. Its governor stays pinned at the high point, so
+// no DVFS flow runs; allocs/op versus BenchmarkTickLoopSteadyState is
+// the pooling win.
+func BenchmarkRunnerPooled(b *testing.B) { benchRunnerPooled(b, highPinBench()) }
+
+// BenchmarkRunnerPooledTransitions is the same pooled run under a
+// governor that switches ladder points every epoch, so each op also
+// runs the Fig. 5 flow once per epoch with the event log off.
+func BenchmarkRunnerPooledTransitions(b *testing.B) { benchRunnerPooled(b, &alternatingPolicy{}) }
+
+func benchRunnerPooled(b *testing.B, pol Policy) {
 	w, err := workload.SPEC("473.astar")
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.Workload = w
-	cfg.Policy = highPinBench()
+	cfg.Policy = pol
 	cfg.Duration = 500 * sim.Millisecond
 	r := NewRunner()
 	b.ReportAllocs()

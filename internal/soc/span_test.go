@@ -244,32 +244,43 @@ func specTestConfig(t *testing.T, wlName string, pol Policy) Config {
 	return cfg
 }
 
-// allocsConfig is the steady-state config the allocation pins run:
-// single-phase SPEC under a static governor, the engine worker's
-// recycled-platform scenario.
-func allocsConfig(t *testing.T) Config {
-	t.Helper()
-	return specTestConfig(t, "473.astar", highPin())
-}
-
 // TestRunnerPooledAllocs pins the warm pooled run at exactly 1
 // allocation: the Result's PointResidency slice, which escapes to the
 // caller and cannot be pooled. Everything else — closures, counter
-// samples, span bookkeeping — must stay off the heap. A regression
-// here is a hot-path regression for every engine worker; fix the
-// allocation, don't bump the pin.
+// samples, span bookkeeping, the Fig. 5 flow with its event log off —
+// must stay off the heap. Both cases run 473.astar on a recycled
+// platform, the engine worker's scenario: "static" under a governor
+// pinned to the high point, which never transitions, and
+// "transitioning" under one that switches points every epoch. A
+// regression here is a hot-path regression for every engine worker;
+// fix the allocation, don't bump the pin.
 func TestRunnerPooledAllocs(t *testing.T) {
-	cfg := allocsConfig(t)
-	r := NewRunner()
-	if _, err := r.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 1 {
-		t.Errorf("warm pooled run: %v allocs/op, want exactly 1 (PointResidency)", allocs)
+	for _, tc := range []struct {
+		name        string
+		pol         Policy
+		transitions bool
+	}{
+		{"static", highPin(), false},
+		{"transitioning", &alternatingPolicy{}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := specTestConfig(t, "473.astar", tc.pol)
+			r := NewRunner()
+			res, err := r.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.transitions && res.Transitions == 0 {
+				t.Fatal("no DVFS transition: the case no longer covers the flow")
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := r.Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 1 {
+				t.Errorf("warm pooled run: %v allocs/op, want exactly 1 (PointResidency)", allocs)
+			}
+		})
 	}
 }
