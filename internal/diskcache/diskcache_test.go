@@ -126,6 +126,11 @@ func TestCorruptionTorture(t *testing.T) {
 			copy(out[12:], sum[:])
 			return append(out, payload...)
 		}},
+		{"file longer than its header says", func(data []byte) []byte {
+			// The header is untouched: only a read to EOF, not to the
+			// header's length, sees the extra byte.
+			return append(data, 0x00)
+		}},
 	}
 
 	for _, tc := range corruptions {
@@ -220,6 +225,131 @@ func TestEvictionOldestFirst(t *testing.T) {
 }
 
 func pathFor(s *Store, k Key) string { return filepath.Base(s.path(k)) }
+
+// TestGetRefreshesRecency: a hit refreshes the entry's age, so the
+// next eviction reclaims the oldest entry that was not read.
+func TestGetRefreshesRecency(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	s.Put(keyOf(1), testResult("a"))
+	entrySize := s.Stats().Bytes
+
+	s = mustOpen(t, dir, WithMaxBytes(3*entrySize+entrySize/2))
+	base := time.Now().Add(-time.Hour)
+	for i := byte(1); i <= 3; i++ {
+		s.Put(keyOf(i), testResult("a"))
+		mt := base.Add(time.Duration(i) * time.Minute)
+		if err := os.Chtimes(s.path(keyOf(i)), mt, mt); err != nil {
+			t.Fatalf("Chtimes: %v", err)
+		}
+	}
+	if _, ok, _ := s.Get(keyOf(1)); !ok {
+		t.Fatalf("Get missed the oldest entry")
+	}
+	s.Put(keyOf(4), testResult("a")) // four entries: one over the cap
+
+	for k, want := range map[byte]bool{1: true, 2: false, 3: true, 4: true} {
+		_, err := os.Stat(s.path(keyOf(k)))
+		if got := err == nil; got != want {
+			t.Errorf("entry %d present = %v, want %v (stat err %v)", k, got, want, err)
+		}
+	}
+}
+
+// TestGetEntriesLargerThanPooledBuffer: entries larger than the pooled
+// read buffer (4 KiB) and than the largest one kept in the pool
+// (64 KiB) round-trip intact, and a small entry read between them
+// sees no stale bytes; no result aliases a buffer a later Get reuses.
+func TestGetEntriesLargerThanPooledBuffer(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	small := testResult("470.lbm")
+	mid := testResult(strings.Repeat("m", 10<<10))
+	huge := testResult(strings.Repeat("h", 100<<10))
+	s.Put(keyOf(1), small)
+	s.Put(keyOf(2), mid)
+	s.Put(keyOf(3), huge)
+
+	var got []soc.Result
+	for _, k := range []byte{2, 1, 3, 1, 2} {
+		res, ok, err := s.Get(keyOf(k))
+		if !ok || err != nil {
+			t.Fatalf("Get(%d): found=%v err=%v", k, ok, err)
+		}
+		got = append(got, res)
+	}
+	for i, want := range []soc.Result{mid, small, huge, small, mid} {
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("Get %d: result differs from what was put (workload length %d, want %d)",
+				i, len(got[i].Workload), len(want.Workload))
+		}
+	}
+}
+
+// TestGetUnreadableEntryIsIOError: an entry path that cannot be read
+// (here a directory) is an ErrIO-classed miss that counts an error and
+// is not pruned, while an absent entry is a plain miss.
+func TestGetUnreadableEntryIsIOError(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	if _, ok, err := s.Get(keyOf(1)); ok || err != nil {
+		t.Fatalf("absent entry: found=%v err=%v, want a plain miss", ok, err)
+	}
+	if err := os.Mkdir(s.path(keyOf(2)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, ok, err := s.Get(keyOf(2))
+	if ok || !errors.Is(err, ErrIO) {
+		t.Fatalf("unreadable entry: found=%v err=%v, want an ErrIO-classed miss", ok, err)
+	}
+	var pe *os.PathError
+	if !errors.As(err, &pe) || pe.Path != s.path(keyOf(2)) {
+		t.Errorf("error %v does not carry the entry's *os.PathError", err)
+	}
+	if st := s.Stats(); st.Misses != 2 || st.Errors != 1 {
+		t.Errorf("stats = %+v, want 2 misses / 1 error", st)
+	}
+	if _, err := os.Stat(s.path(keyOf(2))); err != nil {
+		t.Errorf("unreadable entry was pruned: %v", err)
+	}
+}
+
+// TestGetAllocs pins a warm Get: the entry path, the decoded result's
+// two strings and residency slice, and the two NUL-terminated copies
+// of the path the open and the mtime refresh hand the kernel. The read
+// buffer comes from the pool.
+func TestGetAllocs(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	s.Put(keyOf(1), testResult("470.lbm"))
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, ok, _ := s.Get(keyOf(1)); !ok {
+			t.Fatal("warm entry missed")
+		}
+	})
+	if allocs != 6 {
+		t.Errorf("warm Get allocates %v times, want 6", allocs)
+	}
+}
+
+// TestPathMatchesEntryPath: the store's one-allocation path builder
+// names the same file as the exported EntryPath, whatever form the
+// directory was given in.
+func TestPathMatchesEntryPath(t *testing.T) {
+	t.Chdir(t.TempDir())
+	abs, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{
+		"cache", "cache/", "./cache", "sub/../cache", "sub/../cache/",
+		".", "sub/..", abs, abs + "/", abs + "/sub/../cache",
+	} {
+		s := mustOpen(t, dir)
+		for _, k := range []Key{keyOf(0), keyOf(0xab), {31: 0xff}} {
+			if got, want := s.path(k), EntryPath(dir, k); got != want {
+				t.Errorf("dir %q: path = %q, EntryPath = %q", dir, got, want)
+			}
+		}
+	}
+}
 
 func TestOpenCleansStaleTempFiles(t *testing.T) {
 	dir := t.TempDir()
@@ -346,8 +476,9 @@ func TestConcurrentPutOneKey(t *testing.T) {
 	}
 }
 
-// BenchmarkGet times a warm entry's read: the file read, the checksum,
-// the result decode and the mtime refresh.
+// BenchmarkGet times a warm entry's read: five syscalls (the open,
+// the read of the entry, the read that sees EOF, the close and the
+// mtime refresh), the checksum and the result decode.
 func BenchmarkGet(b *testing.B) {
 	s, err := Open(b.TempDir())
 	if err != nil {
